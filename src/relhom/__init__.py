@@ -21,7 +21,6 @@ from .exactla import (
     PresentedChainMap,
     PresentedComplex,
     SmithForm,
-    block_diag,
     hom_cokernel,
     hom_kernel,
     homology_group,
@@ -35,7 +34,6 @@ from .exactla import (
     smith_form,
     smith_invariants,
     solve_integer,
-    vstack,
     xgcd,
 )
 from .groups import (
@@ -81,7 +79,6 @@ from .modres import (
     takasu_resolution,
     tensor_free_resolution,
     tensor_gmodule_complex,
-    tensor_over_zg,
     tensor_perm_complex,
     tor,
 )

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import BudgetError, ValidationError
 from .exactla import FgAbGroup, IntMatrix, LatticeAccumulator, PresentedComplex
 from .groups import FiniteGroup, Subgroup, SubgroupFamily, coset_space
-from .modres import DEFAULT_RANK_CAP, GModule, _bar_faces
+from .modres import DEFAULT_RANK_CAP, GModule, _bar_faces, coinvariant_relations
 
 
 @dataclass(frozen=True)
@@ -189,18 +189,8 @@ def coinvariants_system(m: GModule, category: OrbitCategory) -> CoefficientSyste
         raise ValidationError("module over a different group")
     values: Dict[Subgroup, Tuple[int, Optional[IntMatrix]]] = {}
     for obj in category.objects:
-        cols: List[List[int]] = []
-        if m.relations is not None:
-            cols.extend(list(m.relations.column(j)) for j in range(m.relations.cols))
-        for kappa in obj.generators():
-            ak = m.action_matrix(kappa)
-            for i in range(m.rank):
-                col = [ak.entry(x, i) for x in range(m.rank)]
-                col[i] -= 1
-                if any(col):
-                    cols.append(col)
-        rel = IntMatrix.from_columns(cols, rows=m.rank) if cols else None
-        values[obj] = (m.rank, rel)
+        rel = coinvariant_relations(m, obj)
+        values[obj] = (m.rank, rel if rel.cols else None)
     maps = {}
     for src in category.objects:
         for tgt in category.objects:

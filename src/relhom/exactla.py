@@ -219,30 +219,6 @@ def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     )
 
 
-def vstack(mats: Sequence[IntMatrix]) -> IntMatrix:
-    cols = mats[0].cols
-    for m in mats:
-        if m.cols != cols:
-            raise ValidationError("vstack column mismatch")
-    return IntMatrix((r for m in mats for r in m.data), cols=cols)
-
-
-def block_diag(mats: Sequence[IntMatrix]) -> IntMatrix:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    ro = co = 0
-    for m in mats:
-        for i, r in enumerate(m.data):
-            orow = out[ro + i]
-            for j, x in enumerate(r):
-                if x:
-                    orow[co + j] = x
-        ro += m.rows
-        co += m.cols
-    return IntMatrix(out, cols=cols)
-
-
 def _sparse_columns(mat: IntMatrix) -> List[Dict[int, int]]:
     cols: List[Dict[int, int]] = [dict() for _ in range(mat.cols)]
     for i, row in enumerate(mat.data):
@@ -1518,7 +1494,3 @@ class PresentedChainMap:
 
     def induced(self, n: int) -> IntMatrix:
         return induced_map(self.cone_map(), n)
-
-
-def induced_map_presented(f: PresentedChainMap, n: int) -> IntMatrix:
-    return f.induced(n)

@@ -35,7 +35,9 @@ class GModule:
     equivariance are then only required modulo the relation lattice.
     """
 
-    __slots__ = ("group", "rank", "_perms", "_mats", "relations", "label", "_rel_acc")
+    __slots__ = (
+        "group", "rank", "_perms", "_mats", "relations", "label", "_rel_acc", "_act_inv"
+    )
 
     def __init__(
         self,
@@ -57,6 +59,7 @@ class GModule:
         self.relations = relations
         self.label = label
         self._rel_acc = None
+        self._act_inv = None
         if relations is not None:
             if relations.rows != self.rank:
                 raise ValidationError("relation matrix row count != rank")
@@ -89,6 +92,20 @@ class GModule:
             col[p[i]] = 1
             cols.append(col)
         return IntMatrix.from_columns(cols, rows=self.rank)
+
+    def _inverse_action_rows(self) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...]:
+        """For each g, the rows of a(g^-1) as (column, value) pairs of their
+        nonzero entries (computed once)."""
+        if self._act_inv is None:
+            inv = self.group.inverse
+            self._act_inv = tuple(
+                tuple(
+                    tuple((b, v) for b, v in enumerate(row) if v)
+                    for row in self.action_matrix(inv[g]).data
+                )
+                for g in self.group.elements()
+            )
+        return self._act_inv
 
     def _mod_rel_zero(self, mat: IntMatrix) -> bool:
         if self._rel_acc is None:
@@ -459,55 +476,115 @@ class FreeResolution:
         )
 
 
-def _tensor_gen_columns(
-    gen_cols: Sequence[Sequence[int]],
-    target_gens: int,
-    group: FiniteGroup,
-    m: GModule,
-) -> IntMatrix:
-    """Matrix of (free map) tensor_Z[G] M: block (i, j) = sum_h c * act(h^-1)."""
-    n = group.order
+# ---------------------------------------------------------------------------
+# Tensoring complexes of permutation modules down to coinvariants
+
+
+def coinvariant_relations(m: GModule, k: Subgroup) -> IntMatrix:
+    """Relations presenting the coinvariants M_K = Z[G/K] tensor_Z[G] M on
+    the lattice of M: the relations of M, then the nonzero columns
+    (a_kappa - 1) e_i for each generator kappa of K and basis vector e_i."""
     rk = m.rank
-    rows = target_gens * rk
-    cols_out: List[List[int]] = []
-    act_inv = [m.action_matrix(group.inverse[h]) for h in range(n)]
-    for j in range(len(gen_cols)):
-        base = gen_cols[j]
-        for b in range(rk):
-            col = [0] * rows
-            for idx, c in enumerate(base):
-                if c:
-                    i, hh = divmod(idx, n)
-                    acol = act_inv[hh].column(b)
-                    off = i * rk
-                    for a, v in enumerate(acol):
-                        if v:
-                            col[off + a] += c * v
-            cols_out.append(col)
-    return (
-        IntMatrix.from_columns(cols_out, rows=rows)
-        if cols_out
-        else IntMatrix.zeros(rows, 0)
+    cols: List[List[int]] = []
+    if m.relations is not None:
+        cols.extend(list(m.relations.column(j)) for j in range(m.relations.cols))
+    for kappa in k.generators():
+        ak = m.action_matrix(kappa)
+        for i in range(rk):
+            col = [ak.entry(x, i) for x in range(rk)]
+            col[i] -= 1
+            if any(col):
+                cols.append(col)
+    return IntMatrix.from_columns(cols, rows=rk)
+
+
+def orbit_map_matrix(
+    columns: Sequence[Sequence[Tuple[int, int, int]]], target_orbits: int, m: GModule
+) -> IntMatrix:
+    """An equivariant map between permutation modules, tensored with M.
+
+    Source orbit s is given by the image of its representative as sparse
+    entries (o, g, c): c times g applied to the representative of target
+    orbit o.  Each entry adds the block c * a(g^-1) at block row o, block
+    column s, since g x tensor v = x tensor g^-1 v in the coinvariants."""
+    rk = m.rank
+    act_inv = m._inverse_action_rows()
+    width = len(columns) * rk
+    out = [[0] * width for _ in range(target_orbits * rk)]
+    for s, entries in enumerate(columns):
+        coff = s * rk
+        for o, g, c in entries:
+            roff = o * rk
+            for a, arow in enumerate(act_inv[g]):
+                row = out[roff + a]
+                for b, v in arow:
+                    row[coff + b] += c * v
+    return IntMatrix(out, cols=width)
+
+
+def tensor_orbit_complex(
+    stabilizers: Sequence[Sequence[Subgroup]],
+    boundaries: Sequence[Sequence[Sequence[Tuple[int, int, int]]]],
+    m: GModule,
+) -> PresentedComplex:
+    """The complex C tensor_Z[G] M of a complex C of permutation modules
+    given in orbit form; this is the one place where relhom forms the
+    coinvariants M_K.
+
+    ``stabilizers[n]`` lists the stabilizer K of each orbit representative
+    in degree n, and ``boundaries[n - 1]`` (n >= 1) the boundary of each
+    representative in degree n as sparse (orbit, transporter g, coeff)
+    entries over degree n - 1, as `orbit_map_matrix` reads them.
+
+    Conventions: the tensor product is taken by diagonal coinvariants, so
+    an orbit with stabilizer K contributes Z[G/K] tensor_Z[G] M = M_K,
+    presented on the lattice of M; boundary blocks are c * a(g^-1); each
+    orbit's relation block lists the relations of M before the
+    stabilizer-generator columns (a_kappa - 1) e_i."""
+    rk = m.rank
+    relations: Dict[Subgroup, IntMatrix] = {}
+    rel_blocks: Dict[int, List[Tuple[int, IntMatrix]]] = {}
+    for n, stabs in enumerate(stabilizers):
+        blocks: List[Tuple[int, IntMatrix]] = []
+        for s, stab in enumerate(stabs):
+            rel = relations.get(stab)
+            if rel is None:
+                rel = relations[stab] = coinvariant_relations(m, stab)
+            if rel.cols:
+                blocks.append((s * rk, rel))
+        if blocks:
+            rel_blocks[n] = blocks
+    bounds = {
+        n: orbit_map_matrix(boundaries[n - 1], len(stabilizers[n - 1]), m)
+        for n in range(1, len(stabilizers))
+    }
+    return PresentedComplex(
+        0, [len(stabs) * rk for stabs in stabilizers], bounds, rel_blocks
     )
 
 
+def free_orbit_entries(
+    columns: Sequence[Sequence[int]], order: int
+) -> List[List[Tuple[int, int, int]]]:
+    """Vectors of a free module Z[G]^r, in the basis (i, h) -> i*|G| + h,
+    as sparse (orbit i, transporter h, coeff) entries."""
+    return [
+        [(*divmod(idx, order), c) for idx, c in enumerate(col) if c]
+        for col in columns
+    ]
+
+
 def tensor_free_resolution(res: FreeResolution, m: GModule) -> PresentedComplex:
-    """The complex res tensor_Z[G] M (diagonal coinvariants convention)."""
+    """The complex res tensor_Z[G] M: each free generator is an orbit with
+    trivial stabilizer (see tensor_orbit_complex)."""
     if m.group is not res.group:
         raise ValidationError("module over a different group")
-    ranks = [r * m.rank for r in res.free_ranks]
-    bounds: Dict[int, IntMatrix] = {}
-    for k in range(1, res.length + 1):
-        bounds[k] = _tensor_gen_columns(
-            res.gen_images[k], res.free_ranks[k - 1], res.group, m
-        )
-    rel_blocks: Dict[int, List[Tuple[int, IntMatrix]]] = {}
-    if m.relations is not None and m.relations.cols:
-        for k in range(res.length + 1):
-            rel_blocks[k] = [
-                (i * m.rank, m.relations) for i in range(res.free_ranks[k])
-            ]
-    return PresentedComplex(0, ranks, bounds, rel_blocks)
+    trivial = res.group.trivial_subgroup()
+    return tensor_orbit_complex(
+        [[trivial] * r for r in res.free_ranks],
+        [free_orbit_entries(level, res.group.order) for level in res.gen_images[1:]],
+        m,
+    )
 
 
 def tensor_gmodule_complex(
@@ -571,14 +648,11 @@ def tensor_perm_complex(
     terms: Sequence[GModule], boundaries: Sequence[IntMatrix], m: GModule
 ) -> PresentedComplex:
     """Tensor a complex of permutation modules with M over the group ring,
-    one coinvariant block per basis orbit."""
+    one coinvariant block per basis orbit (see tensor_orbit_complex)."""
     G = m.group
-    rk = m.rank
-    act_inv = [m.action_matrix(G.inverse[g]) for g in G.elements()]
     orbit_data = []
-    ranks: List[int] = []
-    rel_blocks: Dict[int, List[Tuple[int, IntMatrix]]] = {}
-    for n, c in enumerate(terms):
+    stabilizers: List[List[Subgroup]] = []
+    for c in terms:
         if c.group is not G:
             raise ValidationError("complex and module over different groups")
         if c._perms is None:
@@ -597,58 +671,19 @@ def tensor_perm_complex(
                     orbit[img] = o
                     trans[img] = g
         orbit_data.append((orbit, trans, reps))
-        ranks.append(len(reps) * rk)
-        blocks: List[Tuple[int, IntMatrix]] = []
-        for s, rep in enumerate(reps):
-            cols: List[List[int]] = []
-            if m.relations is not None:
-                cols.extend(
-                    list(m.relations.column(j)) for j in range(m.relations.cols)
-                )
-            stab = [g for g in G.elements() if c._perms[g][rep] == rep]
-            for kappa in G.subgroup(stab).generators():
-                ak = m.action_matrix(kappa)
-                for i in range(rk):
-                    col = [ak.entry(x, i) for x in range(rk)]
-                    col[i] -= 1
-                    if any(col):
-                        cols.append(col)
-            if cols:
-                blocks.append((s * rk, IntMatrix.from_columns(cols, rows=rk)))
-        if blocks:
-            rel_blocks[n] = blocks
-    bounds: Dict[int, IntMatrix] = {}
+        stabilizers.append(
+            [G.subgroup(g for g in G.elements() if c._perms[g][rep] == rep) for rep in reps]
+        )
+    rep_boundaries = []
     for k, d in enumerate(boundaries, start=1):
-        orbit_p, trans_p, reps_p = orbit_data[k - 1]
-        _, _, reps_s = orbit_data[k]
-        rows = len(reps_p) * rk
-        out = [[0] * (len(reps_s) * rk) for _ in range(rows)]
-        for s, rep in enumerate(reps_s):
-            col = d.column(rep)
-            for b, c in enumerate(col):
-                if c:
-                    o, g = orbit_p[b], trans_p[b]
-                    blk = act_inv[g]
-                    roff, coff = o * rk, s * rk
-                    for a in range(rk):
-                        row = out[roff + a]
-                        arow = blk.data[a]
-                        for bb in range(rk):
-                            v = arow[bb]
-                            if v:
-                                row[coff + bb] += c * v
-        bounds[k] = IntMatrix(out, cols=len(reps_s) * rk)
-    return PresentedComplex(0, ranks, bounds, rel_blocks)
-
-
-def tensor_over_zg(res_or_terms, m: GModule, boundaries=None) -> PresentedComplex:
-    """Dispatching tensor: a FreeResolution, or (terms, boundaries) lists
-    (permutation complexes take the orbitwise route)."""
-    if isinstance(res_or_terms, FreeResolution):
-        return tensor_free_resolution(res_or_terms, m)
-    if all(t._perms is not None for t in res_or_terms):
-        return tensor_perm_complex(res_or_terms, boundaries, m)
-    return tensor_gmodule_complex(res_or_terms, boundaries, m)
+        orbit, trans, _ = orbit_data[k - 1]
+        rep_boundaries.append(
+            [
+                [(orbit[b], trans[b], c) for b, c in enumerate(d.column(rep)) if c]
+                for rep in orbit_data[k][2]
+            ]
+        )
+    return tensor_orbit_complex(stabilizers, rep_boundaries, m)
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +816,18 @@ def cyclic_resolution(group: FiniteGroup, length: int) -> FreeResolution:
     )
 
 
+def check_takasu_budget(h: Subgroup, length: int, rank_cap: int):
+    """The budget of `takasu_resolution(h, length)`: the Z-rank of each
+    term 1..length (term 0 is smaller than term 1)."""
+    n = h.parent.order
+    for k in range(1, length + 1):
+        _check_budget(
+            f"relative standard resolution term {k} for {h.parent.label} (Z-rank)",
+            n * (n ** (k + 1) - h.order ** (k + 1)),
+            rank_cap,
+        )
+
+
 def takasu_resolution(
     h: Subgroup, length: int, rank_cap: int = DEFAULT_RANK_CAP
 ) -> FreeResolution:
@@ -789,6 +836,7 @@ def takasu_resolution(
     tuples (free on the non-coset tuple representatives)."""
     import itertools as _it
 
+    check_takasu_budget(h, length, rank_cap)
     G = h.parent
     n = G.order
     hset = set(h.elements)
@@ -808,12 +856,6 @@ def takasu_resolution(
         gen_images[0].append(col)
     free_ranks = [len(tuples0)]
     for k in range(1, length + 1):
-        required = n * (n ** (k + 1) - h.order ** (k + 1))
-        _check_budget(
-            f"relative standard resolution term {k} for {G.label} (Z-rank)",
-            required,
-            rank_cap,
-        )
         tuples = [t for t in _it.product(range(n), repeat=k + 1) if kept(t)]
         level: List[List[int]] = []
         prev_rank = n * free_ranks[k - 1]
@@ -1013,11 +1055,17 @@ _resolution_cache: Dict[Tuple[int, str], FreeResolution] = {}
 
 
 def cached_resolution(m: GModule, length: int, rank_cap: int = DEFAULT_RANK_CAP) -> FreeResolution:
+    """`resolve(m, length)`, reusing a cached resolution at least as long.
+    A cached resolution is held to the budget `resolve` applies, on the
+    terms through `length` only."""
     key = (id(m), "resolve")
     res = _resolution_cache.get(key)
     if res is None or res.length < length:
         res = resolve(m, length, rank_cap=rank_cap)
         _resolution_cache[key] = res
+    else:
+        for k in range(length + 1):
+            _check_budget(f"resolution term {k}", res.z_rank(k), rank_cap)
     return res
 
 
@@ -1088,19 +1136,7 @@ def coinvariants(m: GModule, n_sub: Subgroup) -> Coinvariants:
         raise ValidationError("subgroup of a different group")
     q, proj = quotient_group(n_sub)
     cs = coset_space(n_sub)
-    rel_cols: List[List[int]] = []
-    for g in n_sub.generators():
-        ag = m.action_matrix(g)
-        for i in range(m.rank):
-            col = [ag.entry(x, i) for x in range(m.rank)]
-            col[i] -= 1
-            if any(col):
-                rel_cols.append(col)
-    base_rel = (
-        IntMatrix.from_columns(rel_cols, rows=m.rank)
-        if rel_cols
-        else IntMatrix.zeros(m.rank, 0)
-    )
+    base_rel = coinvariant_relations(m, n_sub)
     mats = [m.action_matrix(cs.rep(c)) for c in range(q.order)]
     presented = GModule(
         q, m.rank, mats=mats, relations=base_rel, label=f"({m.label})_N",

@@ -30,22 +30,35 @@ from .modres import (
     FreeResolution,
     GModule,
     HorseshoeData,
-    _tensor_gen_columns,
     cached_resolution,
+    check_takasu_budget,
     coinvariants,
+    free_orbit_entries,
     horseshoe,
     induce_resolution,
     lift_over_resolution,
+    orbit_map_matrix,
     resolve,
     standard_modules,
     takasu_resolution,
     tensor_gmodule_complex,
+    tensor_orbit_complex,
     group_homology,
 )
 
 
 # ---------------------------------------------------------------------------
 # The standard coset-tuple complex
+
+
+def _check_tuple_budget(h: Subgroup, truncation: int, rank_cap: int):
+    k = coset_space(h).size
+    for n in range(truncation + 1):
+        count = k ** (n + 1)
+        if count > rank_cap:
+            raise BudgetError(
+                f"standard pair complex degree {n} for {h.parent.label}", count, rank_cap
+            )
 
 
 class AdamsonComplex:
@@ -57,6 +70,7 @@ class AdamsonComplex:
     """
 
     def __init__(self, h: Subgroup, truncation: int, rank_cap: int = DEFAULT_RANK_CAP):
+        _check_tuple_budget(h, truncation, rank_cap)
         G = h.parent
         cs = coset_space(h)
         k = cs.size
@@ -76,10 +90,6 @@ class AdamsonComplex:
         self._term_cache: Dict[int, GModule] = {}
         for n in range(truncation + 1):
             count = k ** (n + 1)
-            if count > rank_cap:
-                raise BudgetError(
-                    f"standard pair complex degree {n} for {G.label}", count, rank_cap
-                )
             tups = list(itertools.product(range(k), repeat=n + 1))
             index = {t: i for i, t in enumerate(tups)}
             orbit = [-1] * count
@@ -180,65 +190,25 @@ class AdamsonComplex:
     def tensor(self, m: GModule, rank_cap: int = DEFAULT_RANK_CAP, shifted: bool = False) -> PresentedComplex:
         """The complex of coinvariants obtained by tensoring with M over the
         group ring; with shifted=True, degree n holds the (n+1)-tuples term
-        (the resolution of the augmentation kernel).
+        (the resolution of the augmentation kernel).  The budget applies
+        to every call, cached or not.
 
         The cache is keyed on the module's value, not its id: a collected
         module's id is reused by new objects.  The key holds m.group, which
         hashes by identity, so that id stays taken while the entry lives."""
-        key = (m.group, m.rank, m._perms, m._mats, m.relations, shifted)
-        if key in self._tensor_cache:
-            return self._tensor_cache[key]
-        G = self.group
-        rk = m.rank
-        act_inv = [m.action_matrix(G.inverse[g]) for g in G.elements()]
-        lo_deg = 1 if shifted else 0
-        ranks = []
-        rel_blocks: Dict[int, List[Tuple[int, IntMatrix]]] = {}
-        bounds: Dict[int, IntMatrix] = {}
-        for n in range(lo_deg, self.truncation + 1):
-            nn = n - lo_deg
-            rank_n = self.num_orbits(n) * rk
+        lo = 1 if shifted else 0
+        for n in range(lo, self.truncation + 1):
+            rank_n = self.num_orbits(n) * m.rank
             if rank_n > rank_cap:
                 raise BudgetError(
                     f"tensored pair complex degree {n}", rank_n, rank_cap
                 )
-            ranks.append(rank_n)
-            blocks: List[Tuple[int, IntMatrix]] = []
-            for s, stab in enumerate(self.stabilizer[n]):
-                cols: List[List[int]] = []
-                if m.relations is not None:
-                    for j in range(m.relations.cols):
-                        cols.append(list(m.relations.column(j)))
-                for kappa in stab.generators():
-                    ak = m.action_matrix(kappa)
-                    for i in range(rk):
-                        col = [ak.entry(x, i) for x in range(rk)]
-                        col[i] -= 1
-                        if any(col):
-                            cols.append(col)
-                if cols:
-                    blocks.append(
-                        (s * rk, IntMatrix.from_columns(cols, rows=rk))
-                    )
-            if blocks:
-                rel_blocks[nn] = blocks
-            if n > lo_deg:
-                rows = self.num_orbits(n - 1) * rk
-                out = [[0] * rank_n for _ in range(rows)]
-                for s, entries in enumerate(self.rep_boundary[n]):
-                    for (o, g, c) in entries:
-                        blk = act_inv[g]
-                        roff, coff = o * rk, s * rk
-                        for a in range(rk):
-                            row = out[roff + a]
-                            arow = blk.data[a]
-                            for b in range(rk):
-                                v = arow[b]
-                                if v:
-                                    row[coff + b] += c * v
-                bounds[nn] = IntMatrix(out, cols=rank_n)
-        cx = PresentedComplex(0, ranks, bounds, rel_blocks)
-        self._tensor_cache[key] = cx
+        key = (m.group, m.rank, m._perms, m._mats, m.relations, shifted)
+        cx = self._tensor_cache.get(key)
+        if cx is None:
+            cx = self._tensor_cache[key] = tensor_orbit_complex(
+                self.stabilizer[lo:], self.rep_boundary[lo + 1 :], m
+            )
         return cx
 
     def validate_acyclic(self, cap: int = VALIDATION_RANK_CAP):
@@ -268,10 +238,14 @@ _adamson_cache: Dict[Subgroup, AdamsonComplex] = {}
 
 
 def adamson_complex(h: Subgroup, truncation: int, rank_cap: int = DEFAULT_RANK_CAP) -> AdamsonComplex:
+    """`AdamsonComplex(h, truncation)`, cached per subgroup.  The cached
+    complex is reused only at the same truncation, so a call is held to
+    the budget of exactly the degrees it asks for, on a hit as on a miss."""
     cx = _adamson_cache.get(h)
-    if cx is None or cx.truncation < truncation:
-        cx = AdamsonComplex(h, truncation, rank_cap)
-        _adamson_cache[h] = cx
+    if cx is not None and cx.truncation == truncation:
+        _check_tuple_budget(h, truncation, rank_cap)
+        return cx
+    cx = _adamson_cache[h] = AdamsonComplex(h, truncation, rank_cap)
     return cx
 
 
@@ -317,6 +291,8 @@ def takasu_homology(
         if res is None or res.length < degree:
             res = takasu_resolution(h, degree, rank_cap)
             _takasu_res_cache[h] = res
+        else:
+            check_takasu_budget(h, degree, rank_cap)
     else:
         raise ValidationError(f"unknown engine {engine!r}")
     return res.tensor(m).homology(degree - 1)
@@ -430,29 +406,14 @@ def comparison(
     sp = p.tensor(m)
     tq = cx.tensor(m, rank_cap, shifted=True)
     comps: Dict[int, IntMatrix] = {}
-    rk = m.rank
-    G = h.parent
-    act_inv = [m.action_matrix(G.inverse[g]) for g in G.elements()]
     for n in range(top + 1):
-        rows = cx.num_orbits(n + 1) * rk
-        cols_count = p.free_ranks[n] * rk
-        out = [[0] * cols_count for _ in range(rows)]
         orbit = cx.orbit_of[n + 1]
         trans = cx.transporter[n + 1]
-        for j, col in enumerate(lift[n]):
-            for tidx, c in enumerate(col):
-                if c:
-                    o, g = orbit[tidx], trans[tidx]
-                    blk = act_inv[g]
-                    roff, coff = o * rk, j * rk
-                    for a in range(rk):
-                        arow = blk.data[a]
-                        orow = out[roff + a]
-                        for b in range(rk):
-                            v = arow[b]
-                            if v:
-                                orow[coff + b] += c * v
-        comps[n] = IntMatrix(out, cols=cols_count)
+        entries = [
+            [(orbit[t], trans[t], c) for t, c in enumerate(col) if c]
+            for col in lift[n]
+        ]
+        comps[n] = orbit_map_matrix(entries, cx.num_orbits(n + 1), m)
     pcm = PresentedChainMap(sp, tq, comps)
     for i in degs:
         tak_hd = sp.homology_data(i - 1)
@@ -820,14 +781,16 @@ def verify_takasu_les(
             proj[i][ri * rk + i] = 1
         proj_comps[k] = IntMatrix(proj, cols=rows)
         if k < len(v_cols):
-            v_comps[k] = _tensor_gen_columns(v_cols[k], ri + rz, G, m)
-            chi_comps[k] = _tensor_gen_columns(chi_cols[k], rz, G, m)
+            v_comps[k] = orbit_map_matrix(free_orbit_entries(v_cols[k], n_ord), ri + rz, m)
+            chi_comps[k] = orbit_map_matrix(free_orbit_entries(chi_cols[k], n_ord), rz, m)
     incl = PresentedChainMap(ti, tm, incl_comps)
     proj = PresentedChainMap(tm, tz, proj_comps)
     vmap = PresentedChainMap(th, tm, v_comps)
     chimap = PresentedChainMap(th, tz, chi_comps)
     conn_mats = {
-        k: _tensor_gen_columns(horse.h_gen_images[k - 1], res_i.free_ranks[k - 1], G, m)
+        k: orbit_map_matrix(
+            free_orbit_entries(horse.h_gen_images[k - 1], n_ord), res_i.free_ranks[k - 1], m
+        )
         for k in range(1, length + 1)
     }
 

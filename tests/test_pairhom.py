@@ -2,7 +2,7 @@ import pytest
 
 import relhom as R
 from relhom import FgAbGroup, GModule, IntMatrix
-from relhom.errors import TruncationError, ValidationError
+from relhom.errors import BudgetError, TruncationError, ValidationError
 
 from conftest import cyclic_homology_list
 
@@ -209,3 +209,62 @@ def test_adamson_truncation_error(c4, c4_c2):
 def test_adamson_complex_acyclicity(c4_c2):
     cx = R.adamson_complex(c4_c2, 4)
     cx.validate_acyclic()
+
+
+def _budget_outcome(call):
+    try:
+        return str(call())
+    except BudgetError as err:
+        return (err.what, err.required, err.cap)
+
+
+def _cold_and_warm(warm_up, call):
+    """The outcome of `call(h)` for C4 > C2 on cold caches, and on caches
+    warmed by `warm_up(h)`; a fresh group keeps the first cold."""
+    outcomes = []
+    for warm in (False, True):
+        h = R.cyclic_group(4).subgroup_generated([2])
+        if warm:
+            warm_up(h)
+        outcomes.append(_budget_outcome(lambda: call(h)))
+    return outcomes
+
+
+def test_budget_on_cached_complex_of_same_truncation():
+    cold, warm = _cold_and_warm(
+        lambda h: R.adamson_homology(h, GModule.regular(h.parent), 2),
+        lambda h: R.adamson_homology(h, GModule.regular(h.parent), 2, rank_cap=10),
+    )
+    assert cold == warm == ("standard pair complex degree 3 for C4", 16, 10)
+
+
+def test_budget_ignores_degrees_beyond_the_call():
+    cold, warm = _cold_and_warm(
+        lambda h: R.adamson_homology(h, GModule.trivial(h.parent), 4),
+        lambda h: R.adamson_homology(h, GModule.regular(h.parent), 0, rank_cap=16),
+    )
+    assert cold == warm == "Z"
+
+
+def test_budget_on_cached_resolutions():
+    def warm_up(h):
+        R.takasu_homology(h, GModule.trivial(h.parent), 3)
+        R.takasu_homology(h, GModule.trivial(h.parent), 3, engine="takasu")
+
+    term0 = ("resolution term 0", 4, 1)
+    cold, warm = _cold_and_warm(
+        warm_up,
+        lambda h: R.modres.cached_resolution(R.standard_modules(h).i_module, 3, rank_cap=1),
+    )
+    assert cold == warm == term0
+    cold, warm = _cold_and_warm(
+        warm_up, lambda h: R.takasu_homology(h, GModule.trivial(h.parent), 2, rank_cap=1)
+    )
+    assert cold == warm == term0
+    cold, warm = _cold_and_warm(
+        warm_up,
+        lambda h: R.takasu_homology(
+            h, GModule.trivial(h.parent), 2, engine="takasu", rank_cap=100
+        ),
+    )
+    assert cold == warm == ("relative standard resolution term 2 for C4 (Z-rank)", 224, 100)
