@@ -23,13 +23,11 @@ from .exactla import (
     is_zero_map,
     sequence_exact_at,
 )
-from .groups import FiniteGroup, Subgroup, coset_space, family_generated, family_gh, fixed_cosets, is_malnormal, subgroup_as_group, subgroup_conjugacy_classes
+from .groups import FiniteGroup, Subgroup, coset_space, family_generated, family_gh, fixed_cosets, subgroup_as_group, subgroup_conjugacy_classes
 from .modres import (
     DEFAULT_RANK_CAP,
-    VALIDATION_RANK_CAP,
     FreeResolution,
     GModule,
-    HorseshoeData,
     cached_resolution,
     check_takasu_budget,
     coinvariants,
@@ -38,7 +36,6 @@ from .modres import (
     induce_resolution,
     lift_over_resolution,
     orbit_map_matrix,
-    resolve,
     standard_modules,
     takasu_resolution,
     tensor_gmodule_complex,
@@ -173,20 +170,6 @@ class AdamsonComplex:
             )
         return self._term_cache[n]
 
-    def kernel_coords_boundary(self) -> IntMatrix:
-        """The degree-1 boundary with target written in the basis
-        {coset_i - coset_0} of the augmentation kernel."""
-        k = self.cosets.size
-        cols = []
-        for (c0, c1) in self.tuples[1]:
-            col = [0] * (k - 1)
-            if c1:
-                col[c1 - 1] += 1
-            if c0:
-                col[c0 - 1] -= 1
-            cols.append(col)
-        return IntMatrix.from_columns(cols, rows=k - 1)
-
     def tensor(self, m: GModule, rank_cap: int = DEFAULT_RANK_CAP, shifted: bool = False) -> PresentedComplex:
         """The complex of coinvariants obtained by tensoring with M over the
         group ring; with shifted=True, degree n holds the (n+1)-tuples term
@@ -211,24 +194,24 @@ class AdamsonComplex:
             )
         return cx
 
-    def validate_acyclic(self, cap: int = VALIDATION_RANK_CAP):
-        """Check exactness of the augmented tuple-level complex where the
-        matrices fit under the cap."""
-        from .exactla import LatticeAccumulator, kernel_basis
-
-        k = self.cosets.size
-        aug = IntMatrix([[1] * k])
-        for n in range(0, self.truncation):
-            if len(self.tuples[n]) > cap or len(self.tuples[n + 1]) > cap:
-                continue
-            prev = aug if n == 0 else self.full_boundary(n)
-            ker = kernel_basis(prev)
-            nxt = self.full_boundary(n + 1)
-            acc = LatticeAccumulator(nxt.rows)
-            for j in range(nxt.cols):
-                acc.insert_dense(nxt.column(j))
-            for j in range(ker.cols):
-                if not acc.contains(ker.column(j)):
+    def validate_acyclic(self):
+        """Check the augmented tuple-level complex tuple by tuple: d d = 0 in
+        every degree, and ds + sd = id below the top degree for the cone
+        homotopy s(t) = (H, *t) (in degree 0, ds(c) = c - c_0), which makes
+        the complex exact there."""
+        for n, tups in enumerate(self.tuples):
+            for t in tups:
+                d = _tuple_boundary({t: 1})
+                if _tuple_boundary(d):
+                    raise ValidationError(
+                        f"standard complex boundary squares to nonzero at degree {n}"
+                    )
+                if n == self.truncation:
+                    continue
+                dsd = _tuple_boundary(_cone({t: 1}))
+                for face, v in _cone(d).items():
+                    dsd[face] = dsd.get(face, 0) + v
+                if {u: v for u, v in dsd.items() if v} != {t: 1}:
                     raise ValidationError(
                         f"standard complex not exact at degree {n}"
                     )
@@ -302,52 +285,131 @@ def takasu_homology(
 # The comparison homomorphism
 
 
-def _lift_along_exact_target(
-    p: FreeResolution,
-    target_terms,
-    target_boundaries: Sequence[IntMatrix],
-    bottom_boundary: IntMatrix,
-    length: int,
-) -> List[List[List[int]]]:
-    """Chain lift of a resolution of the augmentation kernel along an exact
-    complex of modules over the same group augmented to the same kernel.
+def _tuple_boundary(vec: Dict[Tuple[int, ...], int]) -> Dict[Tuple[int, ...], int]:
+    """The alternating face-deletion boundary of a sparse chain on coset
+    tuples; a 1-tuple's one face is the empty tuple, which stands for the
+    augmentation onto Z."""
+    out: Dict[Tuple[int, ...], int] = {}
+    for t, v in vec.items():
+        for i in range(len(t)):
+            face = t[:i] + t[i + 1 :]
+            out[face] = out.get(face, 0) + (v if i % 2 == 0 else -v)
+    return {t: v for t, v in out.items() if v}
 
-    target_terms[n] is a GModule (degree-n term), target_boundaries[n] the
-    matrix of its boundary onto degree n-1 for n >= 1, and bottom_boundary
-    the degree-0 boundary written in the kernel basis {coset_i - coset_0}.
-    Components are returned as generator columns.
-    """
-    comps: List[List[List[int]]] = []
-    solver0 = IntSolver(bottom_boundary)
-    level0 = []
-    for j in range(p.free_ranks[0]):
-        sol = solver0.solve(p.gen_images[0][j])
-        if sol is None:
-            raise ValidationError("no integral lift at stage 0")
-        level0.append(sol)
-    comps.append(level0)
-    G = p.group
-    n_ord = G.order
-    for n in range(1, length):
-        term_prev = target_terms(n - 1)
-        solver = IntSolver(target_boundaries(n))
-        level = []
-        prev_cols = comps[n - 1]
-        for j in range(p.free_ranks[n]):
-            rhs = [0] * term_prev.rank
-            for idx, c in enumerate(p.gen_images[n][j]):
-                if c:
-                    i, g = divmod(idx, n_ord)
-                    moved = term_prev.act(g, prev_cols[i])
-                    for a, v in enumerate(moved):
-                        if v:
-                            rhs[a] += c * v
-            sol = solver.solve(rhs)
-            if sol is None:
-                raise ValidationError(f"no integral lift at stage {n}")
-            level.append(sol)
+
+def _cone(vec: Dict[Tuple[int, ...], int]) -> Dict[Tuple[int, ...], int]:
+    """The cone contracting homotopy s(t) = (H, *t) of the coset-tuple
+    complex: ds + sd = id on the augmented complex (Adamson 1954; Brown,
+    Cohomology of Groups, I.5)."""
+    return {(0,) + t: v for t, v in vec.items()}
+
+
+def _sparse(vec: Sequence[int]) -> Dict[int, int]:
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def _dense(vec: Dict[int, int], size: int) -> List[int]:
+    return [vec.get(i, 0) for i in range(size)]
+
+
+class _ConeTarget:
+    """The shifted coset-tuple complex as a lift target: degree n holds the
+    (n+2)-tuples, its degree-0 boundary lands in the augmentation kernel I
+    in the basis {coset_i - coset_0} (keyed by i - 1), and every cycle z
+    has the preimage s(z) under the cone homotopy.  Vectors are dicts on
+    tuples, moved by G through the coset action."""
+
+    def __init__(self, cosets):
+        self.action = cosets.action
+
+    def act(self, n: int, g: int, vec):
+        a = self.action[g]
+        return {tuple(a[c] for c in t): v for t, v in vec.items()}
+
+    def boundary(self, n: int, vec):
+        out = _tuple_boundary(vec)
+        if n == 0:
+            return {c - 1: v for (c,), v in out.items() if c}
+        return out
+
+    def preimage(self, n: int, rhs):
+        if n == 0:
+            return {(0, i + 1): a for i, a in rhs.items()}
+        return _cone(rhs)
+
+
+class _SolverTarget:
+    """An exact complex of G-modules given by matrices as a lift target:
+    terms(n) is the degree-n module and boundaries(n) its boundary onto
+    degree n - 1, or for n = 0 onto I in the basis {coset_i - coset_0}.
+    Preimages come from one IntSolver per degree; vectors are dicts on
+    basis indices."""
+
+    def __init__(self, terms, boundaries):
+        self.terms = terms
+        self.boundaries = boundaries
+        self._solvers: Dict[int, IntSolver] = {}
+
+    def act(self, n: int, g: int, vec):
+        m = self.terms(n)
+        return _sparse(m.act(g, _dense(vec, m.rank)))
+
+    def boundary(self, n: int, vec):
+        mat = self.boundaries(n)
+        return _sparse(mat.apply(_dense(vec, mat.cols)))
+
+    def preimage(self, n: int, rhs):
+        if n not in self._solvers:
+            self._solvers[n] = IntSolver(self.boundaries(n))
+        solver = self._solvers[n]
+        sol = solver.solve(_dense(rhs, solver.m))
+        return None if sol is None else _sparse(sol)
+
+
+def _lift_image(p: FreeResolution, target, comps, n: int, j: int):
+    """What generator j of P_n must map onto: its image in I for n = 0,
+    else phi_{n-1}(d e_j) from the components lifted so far."""
+    image = p.gen_images[n][j]
+    if n == 0:
+        return _sparse(image)
+    order = p.group.order
+    prev = comps[n - 1]
+    out: dict = {}
+    for idx, c in enumerate(image):
+        if c:
+            i, g = divmod(idx, order)
+            for key, v in target.act(n - 1, g, prev[i]).items():
+                out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _lift_along_exact_target(p: FreeResolution, target, length: int) -> list:
+    """Chain lift of a resolution P of the augmentation kernel along an
+    exact target complex augmented to the same kernel, in degrees
+    0..length-1: phi_n(e) is target.preimage of phi_{n-1}(d e).  Each
+    column is checked (d phi_n(e) == phi_{n-1}(d e)) as it is made, which
+    holds exactly when the right-hand side is a cycle, and a failure
+    raises ValidationError naming the stage."""
+    comps: list = []
+    for n in range(length):
+        level: list = []
         comps.append(level)
+        for j in range(p.free_ranks[n]):
+            rhs = _lift_image(p, target, comps, n, j)
+            x = target.preimage(n, rhs)
+            if x is None or target.boundary(n, x) != rhs:
+                raise ValidationError(f"no integral lift at stage {n}")
+            level.append(x)
     return comps
+
+
+def _is_chain_lift(p: FreeResolution, target, comps) -> bool:
+    """The check `_lift_along_exact_target` makes, run on stored components."""
+    return all(
+        target.boundary(n, x) == _lift_image(p, target, comps, n, j)
+        for n, level in enumerate(comps)
+        for j, x in enumerate(level)
+    )
 
 
 @dataclass
@@ -364,11 +426,19 @@ class DegreeComparison:
 
 @dataclass
 class ComparisonData:
+    """The comparison of the pair's two theories with coefficients M.
+
+    ``lift[n][j]`` is the chain lift's value on generator j of the
+    resolution's degree-n term: a sparse chain on (n+2)-tuples of coset
+    indices, as a dict from tuple to nonzero coefficient.  It is built
+    along the cone homotopy, phi_n(e) = s(phi_{n-1}(d e)), so every tuple
+    in its support starts with the base coset H (index 0)."""
+
     subgroup: Subgroup
     coefficients: GModule
     resolution: FreeResolution
     complex: AdamsonComplex
-    lift: List[List[List[int]]]
+    lift: List[List[Dict[Tuple[int, ...], int]]]
     degrees: Dict[int, DegreeComparison] = field(default_factory=dict)
 
     def phi(self, degree: int) -> DegreeComparison:
@@ -395,23 +465,18 @@ def comparison(
     std = standard_modules(h)
     p = cached_resolution(std.i_module, top, rank_cap)
     cx = adamson_complex(h, top + 1, rank_cap)
-    lift = _lift_along_exact_target(
-        p,
-        lambda n: cx.term_module(n + 1),
-        lambda n: cx.full_boundary(n + 1),
-        cx.kernel_coords_boundary(),
-        top + 1,
-    )
+    lift = _lift_along_exact_target(p, _ConeTarget(cx.cosets), top + 1)
     data = ComparisonData(h, m, p, cx, lift)
     sp = p.tensor(m)
     tq = cx.tensor(m, rank_cap, shifted=True)
     comps: Dict[int, IntMatrix] = {}
     for n in range(top + 1):
+        index = cx.tuple_index[n + 1]
         orbit = cx.orbit_of[n + 1]
         trans = cx.transporter[n + 1]
         entries = [
-            [(orbit[t], trans[t], c) for t, c in enumerate(col) if c]
-            for col in lift[n]
+            [(orbit[index[t]], trans[index[t]], c) for t, c in vec.items()]
+            for vec in lift[n]
         ]
         comps[n] = orbit_map_matrix(entries, cx.num_orbits(n + 1), m)
     pcm = PresentedChainMap(sp, tq, comps)
@@ -444,32 +509,7 @@ def comparison(
 
 def lift_is_chain_map_check(data: ComparisonData) -> bool:
     """Re-verify that the stored lift commutes with the boundaries."""
-    p = data.resolution
-    cx = data.complex
-    G = p.group
-    n_ord = G.order
-    for n in range(len(data.lift)):
-        if n == 0:
-            bottom = cx.kernel_coords_boundary()
-            for j, col in enumerate(data.lift[0]):
-                if bottom.apply(col) != list(p.gen_images[0][j]):
-                    return False
-            continue
-        bnd = cx.full_boundary(n + 1)
-        term_prev = cx.term_module(n)
-        for j, col in enumerate(data.lift[n]):
-            lhs = bnd.apply(col)
-            rhs = [0] * term_prev.rank
-            for idx, c in enumerate(p.gen_images[n][j]):
-                if c:
-                    i, g = divmod(idx, n_ord)
-                    moved = term_prev.act(g, data.lift[n - 1][i])
-                    for a, v in enumerate(moved):
-                        if v:
-                            rhs[a] += c * v
-            if lhs != rhs:
-                return False
-    return True
+    return _is_chain_lift(data.resolution, _ConeTarget(data.complex.cosets), data.lift)
 
 
 # ---------------------------------------------------------------------------
@@ -571,15 +611,22 @@ def _c4_cache() -> FiniteGroup:
     return cyclic_group(4)
 
 
-def solver_lift_for_reference(ref: ReferenceLift) -> List[List[List[int]]]:
-    """Run the generic chain-lift solver on the reference source/target."""
-    return _lift_along_exact_target(
-        ref.resolution,
+def _reference_target(ref: ReferenceLift) -> _SolverTarget:
+    return _SolverTarget(
         lambda n: ref.target_terms[n],
-        lambda n: ref.target_boundaries[n],
-        ref.bottom_boundary,
-        len(ref.lift),
+        lambda n: ref.target_boundaries[n] if n else ref.bottom_boundary,
     )
+
+
+def solver_lift_for_reference(ref: ReferenceLift) -> List[List[List[int]]]:
+    """Run the generic chain-lift loop on the reference source/target, with
+    an IntSolver for each preimage (the periodic target has no contracting
+    homotopy to lift along)."""
+    lift = _lift_along_exact_target(ref.resolution, _reference_target(ref), len(ref.lift))
+    return [
+        [_dense(x, ref.target_terms[n].rank) for x in level]
+        for n, level in enumerate(lift)
+    ]
 
 
 def reference_induced_maps(
@@ -606,27 +653,9 @@ def reference_induced_maps(
 
 
 def reference_lift_is_chain_map(ref: ReferenceLift) -> bool:
-    p = ref.resolution
-    G = p.group
-    n_ord = G.order
-    for n in range(len(ref.lift)):
-        col = ref.lift[n][0]
-        if n == 0:
-            if ref.bottom_boundary.apply(col) != list(p.gen_images[0][0]):
-                return False
-            continue
-        lhs = ref.target_boundaries[n].apply(col)
-        rhs = [0] * ref.target_terms[n - 1].rank
-        for idx, c in enumerate(p.gen_images[n][0]):
-            if c:
-                i, g = divmod(idx, n_ord)
-                moved = ref.target_terms[n - 1].act(g, ref.lift[n - 1][i])
-                for a, v in enumerate(moved):
-                    if v:
-                        rhs[a] += c * v
-        if lhs != rhs:
-            return False
-    return True
+    """Verify that the hard-coded reference lift commutes with the boundaries."""
+    comps = [[_sparse(col) for col in level] for level in ref.lift]
+    return _is_chain_lift(ref.resolution, _reference_target(ref), comps)
 
 
 # ---------------------------------------------------------------------------

@@ -84,24 +84,34 @@ def test_criterion_3_malnormal_isomorphism():
         data = R.comparison(h, m, [2, 3, 4, 5])
         for n in (2, 3, 4, 5):
             assert data.phi(n).is_iso, (m.label, n)
-    # the dihedral group of the square: include any malnormal order-2
-    # reflection subgroup (the center meets every conjugate, so none is)
+    # malnormal pairs beyond S3: a reflection in the dihedral group of order
+    # 10 and a 3-cycle in A4 (regular coefficients are left to S3: the
+    # cone of their larger tensored complexes takes most of the budget)
+    d5 = R.dihedral_group(5)
+    a4 = alternating4()
+    reflection = next(g for g in d5.elements() if d5.element_order(g) == 2)
+    three_cycle = next(g for g in a4.elements() if a4.element_order(g) == 3)
+    malnormal_pairs = [(_pair(d5, [reflection]), (2, 3)), (_pair(a4, [three_cycle]), (2, 3, 4))]
+    for h2, degs in malnormal_pairs:
+        assert R.is_malnormal(h2)
+        for m in (GModule.trivial(h2.parent), GModule.permutation(h2)):
+            data = R.comparison(h2, m, degs)
+            for n in degs:
+                assert data.phi(n).is_iso, (h2.parent.label, m.label, n)
+    # the converse: for H not malnormal, the coefficients Z[G/K] with K = H
+    # in the two-coset family give a phi that is not an isomorphism
+    c4 = R.cyclic_group(4)
     d4 = R.dihedral_group(4)
-    reflections = [
-        d4.subgroup_generated([g])
-        for g in d4.elements()
-        if d4.element_order(g) == 2 and g >= 4
-    ]
-    malnormal_reflections = [h2 for h2 in reflections if R.is_malnormal(h2)]
-    for h2 in malnormal_reflections:
-        for m in (GModule.trivial(d4), GModule.permutation(h2), GModule.regular(d4)):
-            data = R.comparison(h2, m, [2, 3, 4, 5])
-            for n in (2, 3, 4, 5):
-                assert data.phi(n).is_iso
+    d4_reflection = next(g for g in d4.elements() if d4.element_order(g) == 2 and g >= 4)
+    for h2, degs in ((_pair(c4, [2]), (2,)), (_pair(d4, [d4_reflection]), (2, 3))):
+        assert not R.is_malnormal(h2)
+        assert h2 in R.family_gh(h2).members
+        data = R.comparison(h2, GModule.permutation(h2), degs)
+        assert not data.phi(2).is_iso, h2.parent.label
+        assert str(data.phi(2).kernel) == "Z/2", h2.parent.label
     _report(
         3,
-        f"malnormal comparison isomorphisms (reflection subgroups tested: "
-        f"{len(malnormal_reflections)} malnormal)",
+        "malnormal comparison isomorphisms (S3, D5, A4) and the converse (C4, D4)",
         t0,
         60,
     )
