@@ -81,10 +81,6 @@ class IntMatrix:
             (tuple(c[i] for c in cols) for i in range(rows)), cols=len(cols)
         )
 
-    @classmethod
-    def column_vector(cls, v: Sequence[int]) -> "IntMatrix":
-        return cls(((int(x),) for x in v), cols=1)
-
     # -- access
 
     def row(self, i: int) -> Tuple[int, ...]:
@@ -153,12 +149,6 @@ class IntMatrix:
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix((tuple(k * x for x in r) for r in self.data), cols=self.cols)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            (tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)),
-            cols=self.rows,
-        )
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""

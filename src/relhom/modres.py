@@ -411,29 +411,6 @@ class FreeResolution:
             self._matrix_cache[k] = IntMatrix.from_columns(cols, rows=rows)
         return self._matrix_cache[k]
 
-    def apply_free_map(self, gen_cols: Sequence[Sequence[int]], vec: Sequence[int]) -> List[int]:
-        """Apply the equivariant map with the given generator columns to a
-        vector of the free module Z[G]^s (s = len(gen_cols))."""
-        G = self.group
-        n = G.order
-        if not gen_cols:
-            return []
-        rows = len(gen_cols[0])
-        out = [0] * rows
-        for idx, c in enumerate(vec):
-            if c:
-                j, g = divmod(idx, n)
-                base = gen_cols[j]
-                row_g = G.table[g]
-                for bidx, bc in enumerate(base):
-                    if bc:
-                        i, hh = divmod(bidx, n)
-                        out[i * n + row_g[hh]] += c * bc
-        return out
-
-    def apply_boundary(self, k: int, vec: Sequence[int]) -> List[int]:
-        return self.apply_free_map(self.gen_images[k], vec)
-
     def validate(self, exactness_cap: int = VALIDATION_RANK_CAP):
         """Check the augmented complex: boundaries compose to zero, and
         (up to the cap) kernel equals image at every stage."""
@@ -912,6 +889,102 @@ def induce_resolution(res_h: FreeResolution, h: Subgroup) -> FreeResolution:
     )
 
 
+# ---------------------------------------------------------------------------
+# Chain lifts
+
+
+def _sparse(vec: Sequence[int]) -> Dict[int, int]:
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def _dense(vec: Dict[int, int], size: int) -> List[int]:
+    return [vec.get(i, 0) for i in range(size)]
+
+
+class _SolverTarget:
+    """An exact complex of permutation modules given by matrices, as a lift
+    target: terms(n) is the degree-n module and boundaries(n) its boundary
+    onto degree n - 1, or for n = 0 onto the module the lift covers.
+    Preimages come from one IntSolver per degree; vectors are dicts on
+    basis indices, moved by G through the terms' index permutations."""
+
+    def __init__(self, terms, boundaries):
+        self.terms = terms
+        self.boundaries = boundaries
+        self._solvers: Dict[int, IntSolver] = {}
+
+    def act(self, n: int, g: int, vec):
+        perm = self.terms(n)._perms[g]
+        return {perm[i]: v for i, v in vec.items()}
+
+    def boundary(self, n: int, vec):
+        mat = self.boundaries(n)
+        return _sparse(mat.apply(_dense(vec, mat.cols)))
+
+    def preimage(self, n: int, rhs):
+        if n not in self._solvers:
+            self._solvers[n] = IntSolver(self.boundaries(n))
+        solver = self._solvers[n]
+        sol = solver.solve(_dense(rhs, solver.m))
+        return None if sol is None else _sparse(sol)
+
+
+def _resolution_target(res: FreeResolution, bottom: IntMatrix) -> _SolverTarget:
+    """A free resolution as a lift target with `bottom` as its degree-0
+    boundary; G moves the basis (i, h) -> i*|G| + h by (i, h) -> (i, g h)."""
+    free = [GModule.free(res.group, r) for r in res.free_ranks]
+    return _SolverTarget(free.__getitem__, lambda n: res.boundary_matrix(n) if n else bottom)
+
+
+def _lift_image(p: FreeResolution, target, comps, n: int, j: int):
+    """What generator j of P_n must map onto: its degree-0 image as given
+    for n = 0, else phi_{n-1}(d e_j) from the components lifted so far."""
+    image = p.gen_images[n][j]
+    if n == 0:
+        return _sparse(image)
+    order = p.group.order
+    prev = comps[n - 1]
+    out: dict = {}
+    for idx, c in enumerate(image):
+        if c:
+            i, g = divmod(idx, order)
+            for key, v in target.act(n - 1, g, prev[i]).items():
+                out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _chain_lift(p: FreeResolution, target, length: int) -> list:
+    """The one chain-lift loop: lift a complex P of free modules, given by
+    its generators' images, along an exact target complex augmented to the
+    module that P's degree-0 images lie in, in degrees 0..length-1.
+    phi_n(e) is target.preimage of phi_{n-1}(d e); the target supplies the
+    preimage step (a contracting homotopy or a solver), its boundary and
+    its G-action on sparse vectors.  Each column is checked
+    (d phi_n(e) == phi_{n-1}(d e)) as it is made, which holds exactly when
+    the right-hand side is a cycle, and a failure raises ValidationError
+    naming the stage."""
+    comps: list = []
+    for n in range(length):
+        level: list = []
+        comps.append(level)
+        for j in range(p.free_ranks[n]):
+            rhs = _lift_image(p, target, comps, n, j)
+            x = target.preimage(n, rhs)
+            if x is None or target.boundary(n, x) != rhs:
+                raise ValidationError(f"no integral lift at stage {n}")
+            level.append(x)
+    return comps
+
+
+def _is_chain_lift(p: FreeResolution, target, comps) -> bool:
+    """The check `_chain_lift` makes, run on stored components."""
+    return all(
+        target.boundary(n, x) == _lift_image(p, target, comps, n, j)
+        for n, level in enumerate(comps)
+        for j, x in enumerate(level)
+    )
+
+
 @dataclass
 class HorseshoeData:
     """Resolution of Z[G/H] assembled from resolutions of the augmentation
@@ -925,7 +998,14 @@ class HorseshoeData:
 
 def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules) -> HorseshoeData:
     """Combine resolutions of I and Z into a resolution of Z[G/H] for the
-    short exact sequence 0 -> I -> Z[G/H] -> Z -> 0."""
+    short exact sequence 0 -> I -> Z[G/H] -> Z -> 0.
+
+    The connecting components h_k: F^Z_k -> F^I_{k-1} (k >= 1) satisfy
+    iota alpha h_1 = -sigma d and d h_k = -h_{k-1} d, where sigma lifts the
+    augmentation of Z through Z[G/H].  They come from the chain lift phi of
+    res_z shifted down one degree, whose degree-0 images are sigma(d e),
+    along res_i with iota alpha as its degree-0 boundary:
+    h_k = (-1)^k phi_{k-1}.  A failure names the stage of phi."""
     G = res_i.group
     n = G.order
     length = min(res_i.length, res_z.length)
@@ -959,27 +1039,25 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
         for g in range(n):
             ia_cols.append(perm.act(g, base))
     ia_matrix = IntMatrix.from_columns(ia_cols, rows=perm.rank)
-    ia_solver = IntSolver(ia_matrix)
 
-    h_gen_images: List[List[List[int]]] = []
-    solvers: Dict[int, IntSolver] = {}
-    for k in range(1, length + 1):
-        level = []
-        for j in range(res_z.free_ranks[k]):
-            dz = res_z.gen_images[k][j]
-            if k == 1:
-                rhs = sigma_apply(dz)
-                sol = ia_solver.solve([-x for x in rhs])
-            else:
-                hk_prev = h_gen_images[k - 2]
-                rhs = res_i.apply_free_map(hk_prev, dz)
-                if k - 1 not in solvers:
-                    solvers[k - 1] = IntSolver(res_i.boundary_matrix(k - 1))
-                sol = solvers[k - 1].solve([-x for x in rhs])
-            if sol is None:
-                raise ValidationError("horseshoe connecting map has no integral lift")
-            level.append(sol)
-        h_gen_images.append(level)
+    shifted = FreeResolution(
+        G,
+        perm,
+        res_z.free_ranks[1 : length + 1],
+        [[sigma_apply(v) for v in level] for level in res_z.gen_images[1:2]]
+        + res_z.gen_images[2 : length + 1],
+    )
+    try:
+        phi = _chain_lift(shifted, _resolution_target(res_i, ia_matrix), length)
+    except ValidationError as exc:
+        raise ValidationError(
+            f"horseshoe connecting map (h_k = (-1)^k phi_(k-1)): {exc}"
+        ) from None
+    # h_{k+1} = -phi_k for even k, +phi_k for odd k
+    h_gen_images = [
+        [[c if k % 2 else -c for c in _dense(x, res_i.z_rank(k))] for x in level]
+        for k, level in enumerate(phi)
+    ]
 
     # assemble the middle resolution
     mid_ranks = [res_i.free_ranks[k] + res_z.free_ranks[k] for k in range(length + 1)]
@@ -1018,33 +1096,20 @@ def lift_over_resolution(
     src: FreeResolution, tgt: FreeResolution, bottom: IntMatrix
 ) -> List[List[List[int]]]:
     """Generator columns of a chain map src -> tgt lifting `bottom` between
-    the resolved modules; requires tgt to be exact (a resolution)."""
+    the resolved modules; requires tgt to be exact (a resolution).  It is
+    the chain lift of src, with its degree-0 images pushed through
+    `bottom`, along tgt."""
     if src.group is not tgt.group:
         raise ValidationError("resolutions over different groups")
     length = min(src.length, tgt.length)
-    comps: List[List[List[int]]] = []
-    aug_solver = IntSolver(tgt.augmentation_matrix())
-    level0 = []
-    for j in range(src.free_ranks[0]):
-        b = bottom.apply(src.gen_images[0][j])
-        sol = aug_solver.solve(b)
-        if sol is None:
-            raise ValidationError("no integral lift at stage 0")
-        level0.append(sol)
-    comps.append(level0)
-    solvers: Dict[int, IntSolver] = {}
-    for k in range(1, length + 1):
-        level = []
-        for j in range(src.free_ranks[k]):
-            rhs = tgt.apply_free_map(comps[k - 1], src.gen_images[k][j])
-            if k not in solvers:
-                solvers[k] = IntSolver(tgt.boundary_matrix(k))
-            sol = solvers[k].solve(rhs)
-            if sol is None:
-                raise ValidationError(f"no integral lift at stage {k}")
-            level.append(sol)
-        comps.append(level)
-    return comps
+    pushed = FreeResolution(
+        src.group,
+        tgt.module,
+        src.free_ranks[: length + 1],
+        [[bottom.apply(v) for v in src.gen_images[0]]] + src.gen_images[1 : length + 1],
+    )
+    lift = _chain_lift(pushed, _resolution_target(tgt, tgt.augmentation_matrix()), length + 1)
+    return [[_dense(x, tgt.z_rank(k)) for x in level] for k, level in enumerate(lift)]
 
 
 # ---------------------------------------------------------------------------

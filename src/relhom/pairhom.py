@@ -14,7 +14,6 @@ from .errors import BudgetError, TruncationError, ValidationError
 from .exactla import (
     FgAbGroup,
     IntMatrix,
-    IntSolver,
     PresentedChainMap,
     PresentedComplex,
     hom_cokernel,
@@ -26,6 +25,11 @@ from .exactla import (
 from .groups import FiniteGroup, Subgroup, coset_space, family_generated, family_gh, fixed_cosets, subgroup_as_group, subgroup_conjugacy_classes
 from .modres import (
     DEFAULT_RANK_CAP,
+    _SolverTarget,
+    _chain_lift,
+    _dense,
+    _is_chain_lift,
+    _sparse,
     FreeResolution,
     GModule,
     cached_resolution,
@@ -304,14 +308,6 @@ def _cone(vec: Dict[Tuple[int, ...], int]) -> Dict[Tuple[int, ...], int]:
     return {(0,) + t: v for t, v in vec.items()}
 
 
-def _sparse(vec: Sequence[int]) -> Dict[int, int]:
-    return {i: v for i, v in enumerate(vec) if v}
-
-
-def _dense(vec: Dict[int, int], size: int) -> List[int]:
-    return [vec.get(i, 0) for i in range(size)]
-
-
 class _ConeTarget:
     """The shifted coset-tuple complex as a lift target: degree n holds the
     (n+2)-tuples, its degree-0 boundary lands in the augmentation kernel I
@@ -338,78 +334,12 @@ class _ConeTarget:
         return _cone(rhs)
 
 
-class _SolverTarget:
-    """An exact complex of G-modules given by matrices as a lift target:
-    terms(n) is the degree-n module and boundaries(n) its boundary onto
-    degree n - 1, or for n = 0 onto I in the basis {coset_i - coset_0}.
-    Preimages come from one IntSolver per degree; vectors are dicts on
-    basis indices."""
-
-    def __init__(self, terms, boundaries):
-        self.terms = terms
-        self.boundaries = boundaries
-        self._solvers: Dict[int, IntSolver] = {}
-
-    def act(self, n: int, g: int, vec):
-        m = self.terms(n)
-        return _sparse(m.act(g, _dense(vec, m.rank)))
-
-    def boundary(self, n: int, vec):
-        mat = self.boundaries(n)
-        return _sparse(mat.apply(_dense(vec, mat.cols)))
-
-    def preimage(self, n: int, rhs):
-        if n not in self._solvers:
-            self._solvers[n] = IntSolver(self.boundaries(n))
-        solver = self._solvers[n]
-        sol = solver.solve(_dense(rhs, solver.m))
-        return None if sol is None else _sparse(sol)
-
-
-def _lift_image(p: FreeResolution, target, comps, n: int, j: int):
-    """What generator j of P_n must map onto: its image in I for n = 0,
-    else phi_{n-1}(d e_j) from the components lifted so far."""
-    image = p.gen_images[n][j]
-    if n == 0:
-        return _sparse(image)
-    order = p.group.order
-    prev = comps[n - 1]
-    out: dict = {}
-    for idx, c in enumerate(image):
-        if c:
-            i, g = divmod(idx, order)
-            for key, v in target.act(n - 1, g, prev[i]).items():
-                out[key] = out.get(key, 0) + c * v
-    return {key: v for key, v in out.items() if v}
-
-
 def _lift_along_exact_target(p: FreeResolution, target, length: int) -> list:
-    """Chain lift of a resolution P of the augmentation kernel along an
-    exact target complex augmented to the same kernel, in degrees
-    0..length-1: phi_n(e) is target.preimage of phi_{n-1}(d e).  Each
-    column is checked (d phi_n(e) == phi_{n-1}(d e)) as it is made, which
-    holds exactly when the right-hand side is a cycle, and a failure
-    raises ValidationError naming the stage."""
-    comps: list = []
-    for n in range(length):
-        level: list = []
-        comps.append(level)
-        for j in range(p.free_ranks[n]):
-            rhs = _lift_image(p, target, comps, n, j)
-            x = target.preimage(n, rhs)
-            if x is None or target.boundary(n, x) != rhs:
-                raise ValidationError(f"no integral lift at stage {n}")
-            level.append(x)
-    return comps
-
-
-def _is_chain_lift(p: FreeResolution, target, comps) -> bool:
-    """The check `_lift_along_exact_target` makes, run on stored components."""
-    return all(
-        target.boundary(n, x) == _lift_image(p, target, comps, n, j)
-        for n, level in enumerate(comps)
-        for j, x in enumerate(level)
-    )
+    """The chain lift of the comparison and of the reference pair, made by
+    the shared loop `modres._chain_lift`.  It is a function of its own so
+    that these lifts can be timed, counted or replaced apart from the
+    Tor-side lifts, which call the loop directly."""
+    return _chain_lift(p, target, length)
 
 
 @dataclass
@@ -777,7 +707,12 @@ def verify_takasu_les(
     res_z = cached_resolution(GModule.trivial(G), length, rank_cap)
     horse = horseshoe(res_i, res_z, std)
     mid = horse.middle
-    v_cols = lift_over_resolution(ind_r, mid, IntMatrix.identity(std.perm.rank))
+    try:
+        v_cols = lift_over_resolution(ind_r, mid, IntMatrix.identity(std.perm.rank))
+    except ValidationError as exc:
+        raise ValidationError(
+            f"Shapiro lift v (induced resolution -> horseshoe resolution): {exc}"
+        ) from None
     n_ord = G.order
     # chi = projection of v onto the Z-side generators
     chi_cols: List[List[List[int]]] = []

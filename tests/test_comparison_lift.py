@@ -10,7 +10,7 @@ kernel and cokernel in every degree.
 import pytest
 
 import relhom as R
-from relhom import GModule, IntMatrix, pairhom
+from relhom import GModule, IntMatrix, exactla, pairhom
 from relhom.errors import ValidationError
 from relhom.modres import FreeResolution
 
@@ -123,7 +123,7 @@ def test_non_cycle_generator_image_names_its_stage(monkeypatch, c4, c4_c2):
 def test_comparison_lift_builds_no_solver(monkeypatch):
     h = _pair("S3>C2")
     lift = pairhom._lift_along_exact_target
-    solver_init = pairhom.IntSolver.__init__
+    solver_init = exactla.IntSolver.__init__
     inside = [False]
     built = []
 
@@ -140,7 +140,7 @@ def test_comparison_lift_builds_no_solver(monkeypatch):
         solver_init(self, a)
 
     monkeypatch.setattr(pairhom, "_lift_along_exact_target", counted_lift)
-    monkeypatch.setattr(pairhom.IntSolver, "__init__", counted_init)
+    monkeypatch.setattr(exactla.IntSolver, "__init__", counted_init)
     R.comparison(h, GModule.trivial(h.parent), [2, 3])
     assert built == []
     # the counter sees the solvers of the reference lift

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import relhom as R
@@ -201,18 +203,82 @@ def test_restriction(s3, s3_transposition):
         assert R.group_homology(hgrp, res, n).is_trivial()
 
 
-def test_horseshoe_and_lift(c4, c4_c2):
+def _equivariant(group, gen_cols, rows):
+    """The Z-matrix of the equivariant map out of Z[G]^s whose generator j
+    goes to gen_cols[j], a vector of Z[G]^r in the basis (i, h) -> i*|G| + h."""
+    n = group.order
+    cols = []
+    for base in gen_cols:
+        for g in range(n):
+            col = [0] * rows
+            for idx, c in enumerate(base):
+                if c:
+                    i, h = divmod(idx, n)
+                    col[i * n + group.table[g][h]] = c
+            cols.append(col)
+    return IntMatrix.from_columns(cols, rows=rows)
+
+
+def _horseshoe_pairs(c4_c2, s3_transposition):
+    d4 = R.dihedral_group(4)
+    refl = next(g for g in d4.elements() if d4.element_order(g) == 2 and g >= 4)
+    return [c4_c2, s3_transposition, d4.subgroup_generated([refl])]
+
+
+def test_horseshoe_and_lift(c4_c2, s3_transposition):
+    for h in _horseshoe_pairs(c4_c2, s3_transposition):
+        G = h.parent
+        std = R.standard_modules(h)
+        res_i = R.resolve(std.i_module, 3)
+        res_z = R.resolve(GModule.trivial(G), 3)
+        horse = R.horseshoe(res_i, res_z, std)
+        horse.middle.validate()
+        hgrp, _ = R.subgroup_as_group(h)
+        res_h = R.resolve(GModule.trivial(hgrp), 3)
+        ind = R.induce_resolution(res_h, h)
+        ind.validate()
+        v = R.lift_over_resolution(ind, horse.middle, IntMatrix.identity(std.perm.rank))
+        assert len(v) == 4
+        # v is a chain map over the identity of Z[G/H]
+        mid = horse.middle
+        vk = [_equivariant(G, level, mid.z_rank(k)) for k, level in enumerate(v)]
+        assert mid.augmentation_matrix() @ vk[0] == ind.augmentation_matrix(), G.label
+        for k in range(1, 4):
+            assert mid.boundary_matrix(k) @ vk[k] == vk[k - 1] @ ind.boundary_matrix(k), k
+        # the connecting components: iota alpha h_1 = -sigma d, d h_k = -h_{k-1} d
+        hk = [None] + [
+            _equivariant(G, level, res_i.z_rank(k))
+            for k, level in enumerate(horse.h_gen_images)
+        ]
+        iota_alpha = std.embedding.matrix @ res_i.augmentation_matrix()
+        sigma = IntMatrix.from_columns(
+            [
+                std.perm.act(g, [gens[0]] + [0] * (std.perm.rank - 1))
+                for gens in res_z.gen_images[0]
+                for g in G.elements()
+            ],
+            rows=std.perm.rank,
+        )
+        assert iota_alpha @ hk[1] == -(sigma @ res_z.boundary_matrix(1)), G.label
+        for k in range(2, 4):
+            assert res_i.boundary_matrix(k - 1) @ hk[k] == -(hk[k - 1] @ res_z.boundary_matrix(k)), k
+
+
+def test_tor_side_non_cycle_generator_image_names_its_stage(c4, c4_c2):
     std = R.standard_modules(c4_c2)
-    res_i = R.resolve(std.i_module, 3)
-    res_z = R.resolve(GModule.trivial(c4), 3)
-    horse = R.horseshoe(res_i, res_z, std)
-    horse.middle.validate()
-    hgrp, _ = R.subgroup_as_group(c4_c2)
-    res_h = R.resolve(GModule.trivial(hgrp), 3)
-    ind = R.induce_resolution(res_h, c4_c2)
-    ind.validate()
-    v = R.lift_over_resolution(ind, horse.middle, IntMatrix.identity(2))
-    assert len(v) == 4
+    good = R.resolve(GModule.trivial(c4), 3)
+    images = [[list(v) for v in level] for level in good.gen_images]
+    # d_1 of this image is d_1 of the first degree-1 generator, not zero
+    images[2][0][0] += 1
+    bad = R.FreeResolution(c4, good.module, good.free_ranks, images, label="broken")
+    with pytest.raises(ValidationError, match="no integral lift at stage 2"):
+        R.lift_over_resolution(bad, good, IntMatrix.identity(1))
+    # the horseshoe lifts bad shifted down one degree: h_2 is stage 1 of phi
+    with pytest.raises(
+        ValidationError,
+        match=re.escape("horseshoe connecting map (h_k = (-1)^k phi_(k-1)): no integral lift at stage 1"),
+    ):
+        R.horseshoe(R.resolve(std.i_module, 3), bad, std)
 
 
 def test_resolution_budget(s3, s3_transposition):
