@@ -260,6 +260,19 @@ def _phi_description(entry) -> str:
     return "diag(" + ",".join(str(d) for d in inv) + ")"
 
 
+def _one_complex(ask, lo: int, hi: int) -> list:
+    """`ask(n, truncation)` for the degrees n = lo..hi, all read from one
+    coset-tuple complex truncated at hi + 1, so that a job enumerates and
+    tensors it once.  Over budget, the degrees are asked again in
+    ascending order, each at truncation n + 1, so that the job fails with
+    the error of the first degree over budget, as degree-by-degree calls
+    do."""
+    try:
+        return [ask(n, hi + 1) for n in range(lo, hi + 1)]
+    except BudgetError:
+        return [ask(n, n + 1) for n in range(lo, hi + 1)]
+
+
 def run(job: Job) -> Dict[str, Any]:
     """Execute the job and return the result document."""
     t0 = time.time()
@@ -268,9 +281,12 @@ def run(job: Job) -> Dict[str, Any]:
     cmd = job.command
     if cmd == "adamson":
         lo, hi = job.degrees
+        groups = _one_complex(
+            lambda n, top: adamson_homology(job.subgroup, job.coefficients, n, job.rank_cap, top),
+            lo, hi,
+        )
         results["rows"] = [
-            {"degree": n, "group": str(adamson_homology(job.subgroup, job.coefficients, n, job.rank_cap))}
-            for n in range(lo, hi + 1)
+            {"degree": n, "group": str(g)} for n, g in zip(range(lo, hi + 1), groups)
         ]
     elif cmd == "takasu":
         lo, hi = job.degrees
@@ -365,8 +381,11 @@ def run(job: Job) -> Dict[str, Any]:
         lo, hi = job.degrees
         rows = []
         all_match = True
-        for n in range(lo, hi + 1):
-            rep = normal_quotient_oracle(job.subgroup, job.coefficients, n, job.rank_cap)
+        reports = _one_complex(
+            lambda n, top: normal_quotient_oracle(job.subgroup, job.coefficients, n, job.rank_cap, top),
+            lo, hi,
+        )
+        for n, rep in zip(range(lo, hi + 1), reports):
             rows.append(
                 {
                     "degree": n,

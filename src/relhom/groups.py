@@ -4,6 +4,7 @@ conjugation, and family-theoretic predicates."""
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -13,7 +14,7 @@ from .errors import ValidationError
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0."""
 
-    __slots__ = ("order", "table", "inverse", "label")
+    __slots__ = ("order", "table", "inverse", "label", "__weakref__")
 
     def __init__(self, table: Sequence[Sequence[int]], label: str = ""):
         n = len(table)
@@ -382,20 +383,31 @@ def group_from_permutations(generators: Sequence[Sequence[int]], degree: Optiona
     return FiniteGroup(table, label=f"perm group of order {len(ordered)}")
 
 
+_CONSTRUCTORS = {
+    "cyclic": cyclic_group,
+    "dihedral": dihedral_group,
+    "symmetric": symmetric_group,
+    "direct_product": direct_product,
+    "from_permutations": group_from_permutations,
+}
+
+_interned: "weakref.WeakValueDictionary[tuple, FiniteGroup]" = weakref.WeakValueDictionary()
+
+
 def make_group(kind: str, *args) -> FiniteGroup:
     """Dispatching constructor: cyclic n | dihedral n | symmetric n |
-    direct_product(A, B) | from_permutations(gens, degree?)."""
-    if kind == "cyclic":
-        return cyclic_group(*args)
-    if kind == "dihedral":
-        return dihedral_group(*args)
-    if kind == "symmetric":
-        return symmetric_group(*args)
-    if kind == "direct_product":
-        return direct_product(*args)
-    if kind == "from_permutations":
-        return group_from_permutations(*args)
-    raise ValidationError(f"unknown group kind {kind!r}")
+    direct_product(A, B) | from_permutations(gens, degree?).
+
+    Groups are interned: the table is built and validated on every call,
+    then the first live group with the same table and label is returned.
+    Subgroups, and every cache keyed on a group or a subgroup, compare
+    groups by identity, so equal questions asked through separately built
+    groups share those caches.  The named constructors return fresh
+    groups."""
+    if kind not in _CONSTRUCTORS:
+        raise ValidationError(f"unknown group kind {kind!r}")
+    built = _CONSTRUCTORS[kind](*args)
+    return _interned.setdefault((built.table, built.label), built)
 
 
 # ---------------------------------------------------------------------------

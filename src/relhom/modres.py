@@ -163,6 +163,13 @@ class GModule:
                     if not self._rel_acc.contains(img):
                         raise ValidationError("relation lattice is not G-stable")
 
+    def value_key(self) -> tuple:
+        """The module's value, as a cache key: the group (which compares by
+        identity; see `groups.make_group`), the rank, the action and the
+        relations.  Holding the group keeps its id taken while a cache
+        entry lives."""
+        return (self.group, self.rank, self._perms, self._mats, self.relations)
+
     def is_constant(self) -> bool:
         """Does every group element act as the identity (modulo relations)?"""
         ident = IntMatrix.identity(self.rank)
@@ -442,6 +449,20 @@ class FreeResolution:
             for j in range(ker.cols):
                 if not img.contains(ker.column(j)):
                     raise ValidationError(f"resolution not exact at stage {k - 1}")
+
+    def truncated(self, length: int) -> "FreeResolution":
+        """The terms through degree `length` (at most `self.length`).  The
+        generator data are prefixes of this resolution's, and the
+        materialized matrices are shared: each depends on its own degree's
+        data only."""
+        if length == self.length:
+            return self
+        view = FreeResolution.__new__(FreeResolution)
+        view.group, view.module, view.label = self.group, self.module, self.label
+        view.free_ranks = self.free_ranks[: length + 1]
+        view.gen_images = self.gen_images[: length + 1]
+        view._matrix_cache = self._matrix_cache
+        return view
 
     def tensor(self, m: GModule) -> PresentedComplex:
         return tensor_free_resolution(self, m)
@@ -1116,22 +1137,25 @@ def lift_over_resolution(
 # Tor and coinvariants
 
 
-_resolution_cache: Dict[Tuple[int, str], FreeResolution] = {}
+_resolution_cache: Dict[tuple, FreeResolution] = {}
 
 
 def cached_resolution(m: GModule, length: int, rank_cap: int = DEFAULT_RANK_CAP) -> FreeResolution:
-    """`resolve(m, length)`, reusing a cached resolution at least as long.
-    A cached resolution is held to the budget `resolve` applies, on the
+    """`resolve(m, length)`, cached by the module's value (`value_key`), so
+    equal modules built apart share one entry.  The entry is the longest
+    resolution built so far, and a call gets exactly `length` terms of it
+    (`FreeResolution.truncated`): `resolve` builds term k from the terms
+    below it only, so that prefix equals a cold `resolve(m, length)`.  A
+    cached resolution is held to the budget `resolve` applies, on the
     terms through `length` only."""
-    key = (id(m), "resolve")
+    key = m.value_key()
     res = _resolution_cache.get(key)
     if res is None or res.length < length:
-        res = resolve(m, length, rank_cap=rank_cap)
-        _resolution_cache[key] = res
+        res = _resolution_cache[key] = resolve(m, length, rank_cap=rank_cap)
     else:
         for k in range(length + 1):
             _check_budget(f"resolution term {k}", res.z_rank(k), rank_cap)
-    return res
+    return res.truncated(length)
 
 
 def tor(
@@ -1152,13 +1176,7 @@ def tor(
 
 def group_homology(group: FiniteGroup, m: GModule, degree: int, rank_cap: int = DEFAULT_RANK_CAP) -> FgAbGroup:
     """H_degree(G; M) via a free resolution of the trivial module."""
-    triv = _trivial_cache(group)
-    return tor(triv, m, degree, rank_cap=rank_cap)
-
-
-@lru_cache(maxsize=None)
-def _trivial_cache(group: FiniteGroup) -> GModule:
-    return GModule.trivial(group)
+    return tor(GModule.trivial(group), m, degree, rank_cap=rank_cap)
 
 
 @lru_cache(maxsize=None)

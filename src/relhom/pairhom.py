@@ -180,9 +180,8 @@ class AdamsonComplex:
         (the resolution of the augmentation kernel).  The budget applies
         to every call, cached or not.
 
-        The cache is keyed on the module's value, not its id: a collected
-        module's id is reused by new objects.  The key holds m.group, which
-        hashes by identity, so that id stays taken while the entry lives."""
+        The cache is keyed on the module's value (`GModule.value_key`), not
+        its id: a collected module's id is reused by new objects."""
         lo = 1 if shifted else 0
         for n in range(lo, self.truncation + 1):
             rank_n = self.num_orbits(n) * m.rank
@@ -190,7 +189,7 @@ class AdamsonComplex:
                 raise BudgetError(
                     f"tensored pair complex degree {n}", rank_n, rank_cap
                 )
-        key = (m.group, m.rank, m._perms, m._mats, m.relations, shifted)
+        key = (m.value_key(), shifted)
         cx = self._tensor_cache.get(key)
         if cx is None:
             cx = self._tensor_cache[key] = tensor_orbit_complex(
@@ -225,9 +224,13 @@ _adamson_cache: Dict[Subgroup, AdamsonComplex] = {}
 
 
 def adamson_complex(h: Subgroup, truncation: int, rank_cap: int = DEFAULT_RANK_CAP) -> AdamsonComplex:
-    """`AdamsonComplex(h, truncation)`, cached per subgroup.  The cached
-    complex is reused only at the same truncation, so a call is held to
-    the budget of exactly the degrees it asks for, on a hit as on a miss."""
+    """`AdamsonComplex(h, truncation)`, cached per subgroup.  Subgroups of
+    one group compare by value, and `groups.make_group` interns groups, so
+    the entry serves every job that asks about the same pair.  The cached
+    complex is reused only at the same truncation, so a call gets exactly
+    the degrees it asks for and is held to their budget, on a hit as on a
+    miss.  A caller that needs several degrees asks once, at the largest
+    truncation (see `adamson_homology`)."""
     cx = _adamson_cache.get(h)
     if cx is not None and cx.truncation == truncation:
         _check_tuple_budget(h, truncation, rank_cap)
@@ -243,7 +246,10 @@ def adamson_homology(
     rank_cap: int = DEFAULT_RANK_CAP,
     truncation: Optional[int] = None,
 ) -> FgAbGroup:
-    """Homology of the coset-tuple standard complex with coefficients."""
+    """Homology of the coset-tuple standard complex with coefficients, read
+    from the complex truncated at `truncation` (default degree + 1).  Calls
+    for several degrees that pass one truncation share one enumerated and
+    tensored complex; each is held to that truncation's budget."""
     if degree < 0:
         raise ValidationError("negative degree")
     needed = degree + 1
@@ -276,10 +282,10 @@ def takasu_homology(
     elif engine == "takasu":
         res = _takasu_res_cache.get(h)
         if res is None or res.length < degree:
-            res = takasu_resolution(h, degree, rank_cap)
-            _takasu_res_cache[h] = res
+            res = _takasu_res_cache[h] = takasu_resolution(h, degree, rank_cap)
         else:
             check_takasu_budget(h, degree, rank_cap)
+            res = res.truncated(degree)
     else:
         raise ValidationError(f"unknown engine {engine!r}")
     return res.tensor(m).homology(degree - 1)
@@ -847,12 +853,14 @@ def normal_quotient_oracle(
     m: GModule,
     degree: int,
     rank_cap: int = DEFAULT_RANK_CAP,
+    truncation: Optional[int] = None,
 ) -> OracleReport:
-    """Compare the standard-complex homology of the pair against the group
-    homology of the quotient with coinvariant coefficients."""
+    """Compare the standard-complex homology of the pair (truncated as in
+    `adamson_homology`) against the group homology of the quotient with
+    coinvariant coefficients."""
     if not h.is_normal():
         raise ValidationError("the subgroup must be normal")
     coin = coinvariants(m, h)
     quotient_value = group_homology(coin.quotient, coin.module, degree, rank_cap)
-    adm = adamson_homology(h, m, degree, rank_cap)
+    adm = adamson_homology(h, m, degree, rank_cap, truncation)
     return OracleReport(degree, adm, quotient_value, adm == quotient_value)

@@ -245,3 +245,29 @@ def test_custom_coefficients(tmp_path, capsys):
     code, out = run_capture(tmp_path, capsys, job)
     assert code == 0
     assert "degree | group" in out
+
+
+@pytest.mark.parametrize(
+    "command,degrees,message",
+    [
+        # the tensored rank is over the cap from degree 2, the tuple count
+        # from degree 3: a job fails on the first degree over budget, in
+        # ascending order, as when each degree was asked on its own
+        ("adamson", "0..3", "tensored pair complex degree 2 needs rank 16, exceeding the budget cap 10"),
+        ("adamson", "2..3", "standard pair complex degree 3 for C4 needs rank 16, exceeding the budget cap 10"),
+        ("oracle-normal", "0..3", "tensored pair complex degree 2 needs rank 16, exceeding the budget cap 10"),
+    ],
+)
+def test_budget_error_names_the_first_degree_over(tmp_path, capsys, command, degrees, message):
+    job = {
+        "command": command,
+        "group": {"kind": "cyclic", "n": 4},
+        "subgroup": {"generators": [2]},
+        "coefficients": {"kind": "regular"},
+        "degrees": degrees,
+        "budget": {"rank_cap": 10},
+    }
+    for _ in range(2):  # cold, then on the complex the first run cached
+        code, out = run_capture(tmp_path, capsys, job, ("--output", "json"))
+        assert code == cli.EXIT_BUDGET
+        assert json.loads(out) == {"error": {"kind": "budget", "message": message}}

@@ -172,3 +172,22 @@ def test_quotient_group(c4, c4_c2):
     q, proj = R.quotient_group(c4_c2)
     assert q.order == 2
     assert proj[0] == 0 and proj[2] == 0 and proj[1] == proj[3] == 1
+
+
+def test_make_group_interns_by_table_and_label():
+    c4 = R.make_group("cyclic", 4)
+    assert R.make_group("cyclic", 4) is c4
+    v4 = R.make_group("direct_product", R.cyclic_group(2), R.cyclic_group(2))
+    assert R.make_group("direct_product", R.cyclic_group(2), R.cyclic_group(2)) is v4
+    a4 = [[1, 2, 0, 3], [1, 0, 3, 2]]
+    assert R.make_group("from_permutations", a4) is R.make_group("from_permutations", a4[::-1])
+    # the rotations of a square: the table of C4 under another label
+    rotations = R.make_group("from_permutations", [[1, 2, 3, 0]])
+    assert rotations.table == c4.table and rotations is not c4
+    assert R.cyclic_group(4) is not R.cyclic_group(4)
+    assert R.cyclic_group(4) is not c4
+    # subgroups of equal groups are equal, so per-subgroup caches hit
+    assert c4.subgroup_generated([2]) == R.make_group("cyclic", 4).subgroup_generated([2])
+    assert R.coset_space(c4.subgroup_generated([2])) is R.coset_space(
+        R.make_group("cyclic", 4).subgroup_generated([2])
+    )
