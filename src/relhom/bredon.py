@@ -8,7 +8,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, ValidationError
-from .exactla import FgAbGroup, IntMatrix, LatticeAccumulator, PresentedComplex
+from .exactla import (
+    FgAbGroup,
+    IntMatrix,
+    LatticeAccumulator,
+    PresentedComplex,
+    _sparse_columns,
+)
 from .groups import FiniteGroup, Subgroup, SubgroupFamily, coset_space
 from .modres import DEFAULT_RANK_CAP, GModule, _bar_faces, coinvariant_relations
 
@@ -349,24 +355,23 @@ def bredon_complex(
             rel_blocks[d] = blocks
     bounds: Dict[int, IntMatrix] = {}
     for d in range(1, len(x.cells)):
-        rows = ranks[d - 1]
-        out = [[0] * ranks[d] for _ in range(rows)]
+        out: List[Dict[int, int]] = [{} for _ in range(ranks[d])]
         for ci, cell in enumerate(x.cells[d]):
             coff = offsets[d][ci]
             for (tgt, a, coeff) in cell.boundary:
                 mor = cat.morphism(
                     cell.stabilizer, x.cells[d - 1][tgt].stabilizer, a
                 )
-                mat = system.matrix(mor)
                 roff = offsets[d - 1][tgt]
-                for i in range(mat.rows):
-                    row = out[roff + i]
-                    mrow = mat.data[i]
-                    for j in range(mat.cols):
-                        v = mrow[j]
-                        if v:
-                            row[coff + j] += coeff * v
-        bounds[d] = IntMatrix(out, cols=ranks[d])
+                for j, mcol in enumerate(_sparse_columns(system.matrix(mor))):
+                    col = out[coff + j]
+                    for i, v in mcol.items():
+                        w = col.get(roff + i, 0) + coeff * v
+                        if w:
+                            col[roff + i] = w
+                        else:
+                            col.pop(roff + i, None)
+        bounds[d] = IntMatrix._from_sparse_columns(out, ranks[d - 1])
     return PresentedComplex(0, ranks, bounds, rel_blocks)
 
 

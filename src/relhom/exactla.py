@@ -9,6 +9,7 @@ no floating point anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -37,7 +38,7 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
 class IntMatrix:
     """Dense integer matrix, immutable after construction."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_scols")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: Optional[int] = None):
         rows = tuple(tuple(int(x) for x in r) for r in data)
@@ -54,8 +55,26 @@ class IntMatrix:
         self.rows = len(rows)
         self.cols = cols
         self.data = rows
+        self._scols: Optional[List[Dict[int, int]]] = None
 
     # -- constructors
+
+    @classmethod
+    def _from_sparse_columns(cls, columns: List[Dict[int, int]], rows: int) -> "IntMatrix":
+        """Internal: the matrix whose column j has the nonzero entries
+        columns[j] (row -> int).  The entries are taken as given, without
+        conversion, and the dicts are kept as the matrix's sparse columns
+        (see `_sparse_columns`), so the caller must not mutate them."""
+        out = [[0] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                out[i][j] = x
+        mat = cls.__new__(cls)
+        mat.rows = rows
+        mat.cols = len(columns)
+        mat.data = tuple(map(tuple, out))
+        mat._scols = columns
+        return mat
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -210,11 +229,17 @@ def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
 
 
 def _sparse_columns(mat: IntMatrix) -> List[Dict[int, int]]:
-    cols: List[Dict[int, int]] = [dict() for _ in range(mat.cols)]
-    for i, row in enumerate(mat.data):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
+    """Internal: the columns of `mat` as dicts row -> nonzero entry.  They
+    are computed once and kept on the matrix (or are the columns it was
+    built from), so callers must not mutate them."""
+    cols = mat._scols
+    if cols is None:
+        cols = [dict() for _ in range(mat.cols)]
+        for i, row in enumerate(mat.data):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j][i] = x
+        mat._scols = cols
     return cols
 
 
@@ -312,13 +337,7 @@ def column_image_basis(mat: IntMatrix) -> IntMatrix:
     acc = LatticeAccumulator(mat.rows)
     for col in _sparse_columns(mat):
         acc.insert(col)
-    cols = []
-    for c in acc.basis_columns():
-        dense = [0] * mat.rows
-        for i, x in c.items():
-            dense[i] = x
-        cols.append(dense)
-    return IntMatrix.from_columns(cols, rows=mat.rows)
+    return IntMatrix._from_sparse_columns(acc.basis_columns(), mat.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1239,9 +1258,15 @@ class PresentedComplex:
 
     Each degree carries a free cover of some rank and a list of relation
     blocks (row offset, relation matrix for the rows of that slot).  The
-    boundaries are matrices between the free covers that commute with the
-    relations.  Homology is computed on an equivalent complex of free
-    groups (the total complex of the two-row resolution).
+    blocks of one degree must not overlap; the relations are block-diagonal
+    by slot.  Each distinct block matrix is reduced once (a lattice basis of
+    its columns) and gets one solver, shared by every slot that carries it;
+    relations are solved block by block.  The assembled relation matrix is
+    identical to a joint reduction of all the blocks' columns, since columns
+    with disjoint row supports never interact and basis columns are ordered
+    by pivot row.  The boundaries are matrices between the free covers that
+    commute with the relations.  Homology is computed on an equivalent
+    complex of free groups (the total complex of the two-row resolution).
     """
 
     def __init__(
@@ -1256,33 +1281,48 @@ class PresentedComplex:
         self.hi = lo + len(self.ranks) - 1
         self._boundaries = dict(boundaries)
         self._relations: Dict[int, IntMatrix] = {}
+        # per degree: the row offsets of the blocks with relations, in
+        # order, and each one's (row count, first relation column, index
+        # into _reduced)
+        self._blocks: Dict[int, Tuple[List[int], List[Tuple[int, int, int]]]] = {}
+        self._reduced: List[IntMatrix] = []
+        self._solvers: List[Optional[IntSolver]] = []
+        index: Dict[IntMatrix, int] = {}
         blocks = relation_blocks or {}
         for n in range(self.lo, self.hi + 1):
             rows = self.rank(n)
-            blist = blocks.get(n, [])
-            cols: List[List[int]] = []
-            for offset, mat in blist:
-                for j in range(mat.cols):
-                    col = [0] * rows
-                    for i in range(mat.rows):
-                        v = mat.entry(i, j)
-                        if v:
-                            col[offset + i] = v
-                    cols.append(col)
-            if cols:
-                reduced = column_image_basis(
-                    IntMatrix.from_columns(cols, rows=rows)
-                )
-                self._relations[n] = reduced
-            else:
-                self._relations[n] = IntMatrix.zeros(rows, 0)
+            starts: List[int] = []
+            placed: List[Tuple[int, int, int]] = []
+            cols: List[Dict[int, int]] = []
+            end = 0
+            for offset, mat in sorted(blocks.get(n, []), key=lambda b: b[0]):
+                if not mat.rows:
+                    continue
+                if offset < end:
+                    raise ValidationError(f"relation blocks overlap at degree {n}")
+                end = offset + mat.rows
+                if offset < 0 or end > rows:
+                    raise ValidationError(
+                        f"relation block outside the free cover at degree {n}"
+                    )
+                k = index.get(mat)
+                if k is None:
+                    k = index[mat] = len(self._reduced)
+                    self._reduced.append(column_image_basis(mat))
+                    self._solvers.append(None)
+                basis = _sparse_columns(self._reduced[k])
+                if basis:
+                    starts.append(offset)
+                    placed.append((mat.rows, len(cols), k))
+                    cols.extend({offset + i: x for i, x in c.items()} for c in basis)
+            self._blocks[n] = (starts, placed)
+            self._relations[n] = IntMatrix._from_sparse_columns(cols, rows)
         for n, mat in self._boundaries.items():
             want = (self.rank(n - 1), self.rank(n))
             if mat.shape != want:
                 raise ValidationError(
                     f"presented boundary {n} has shape {mat.shape}, expected {want}"
                 )
-        self._rho_solvers: Dict[int, IntSolver] = {}
         self._cone: Optional[ChainComplex] = None
         self._cone_rel_counts: Dict[int, int] = {}
 
@@ -1306,18 +1346,38 @@ class PresentedComplex:
     def has_relations(self) -> bool:
         return any(m.cols for m in self._relations.values())
 
-    def _rho_solver(self, n: int) -> IntSolver:
-        if n not in self._rho_solvers:
-            self._rho_solvers[n] = IntSolver(self.relations(n))
-        return self._rho_solvers[n]
-
-    def solve_relations(self, n: int, vec: Sequence[int]) -> List[int]:
-        sol = self._rho_solver(n).solve(vec)
-        if sol is None:
-            raise ValidationError(
-                f"vector is not in the relation lattice at degree {n}"
-            )
-        return sol
+    def solve_relations(self, n: int, vec: Dict[int, int]) -> Dict[int, int]:
+        """The unique x with relations(n) x == vec, both sparse (index ->
+        nonzero entry), solved block by block with each block's shared
+        solver; raises ValidationError if vec is not in the relation
+        lattice."""
+        starts, placed = self._blocks.get(n, ([], []))
+        slices: Dict[int, List[int]] = {}
+        for i, x in vec.items():
+            b = bisect_right(starts, i) - 1
+            if b < 0 or i >= starts[b] + placed[b][0]:
+                raise ValidationError(
+                    f"vector is not in the relation lattice at degree {n}"
+                )
+            part = slices.get(b)
+            if part is None:
+                part = slices[b] = [0] * placed[b][0]
+            part[i - starts[b]] = x
+        out: Dict[int, int] = {}
+        for b, part in slices.items():
+            _, first, k = placed[b]
+            solver = self._solvers[k]
+            if solver is None:
+                solver = self._solvers[k] = IntSolver(self._reduced[k])
+            sol = solver.solve(part)
+            if sol is None:
+                raise ValidationError(
+                    f"vector is not in the relation lattice at degree {n}"
+                )
+            for j, y in enumerate(sol):
+                if y:
+                    out[first + j] = y
+        return out
 
     def cone(self) -> ChainComplex:
         """Free complex with the same homology in degrees <= hi (cached).
@@ -1343,54 +1403,24 @@ class PresentedComplex:
             ranks.append(self.rank(n) + rc)
         bounds: Dict[int, IntMatrix] = {}
         for n in range(self.lo + 1, self.hi + 2):
-            d_n = self.boundary(n)
-            rho_prev = self.relations(n - 1)
             rows_f = self.rank(n - 1)
-            rows_r = self.relations(n - 2).cols if n - 2 >= self.lo else 0
-            cols_f = self.rank(n)
-            cols_r = self._cone_rel_counts[n]
-            d_cols = _sparse_columns(d_n)
-            dprev_cols = _sparse_columns(self.boundary(n - 1)) if n - 1 > self.lo else None
-            out_cols: List[List[int]] = []
-            # columns from F_n: (D x, E x) with rho_{n-2} E = -D_{n-1} D_n
-            for j in range(cols_f):
-                col = [0] * (rows_f + rows_r)
-                for i, v in d_cols[j].items():
-                    col[i] = v
-                if rows_r and dprev_cols is not None:
-                    dd = _sparse_apply(dprev_cols, d_cols[j])
-                    if dd:
-                        dense = [0] * self.rank(n - 2)
-                        for i, v in dd.items():
-                            dense[i] = -v
-                        e = self.solve_relations(n - 2, dense)
-                        for i, v in enumerate(e):
-                            if v:
-                                col[rows_f + i] = v
-                out_cols.append(col)
-            # columns from R_{n-1}: (rho r, -B r) with rho_{n-2} B = D_{n-1} rho_{n-1}
-            for j in range(cols_r):
-                col = [0] * (rows_f + rows_r)
-                rho_col = rho_prev.column(j)
-                for i, v in enumerate(rho_col):
-                    if v:
-                        col[i] = v
-                if rows_r and dprev_cols is not None:
-                    img = _sparse_apply(
-                        dprev_cols, {i: v for i, v in enumerate(rho_col) if v}
-                    )
-                    if img:
-                        dense = [0] * self.rank(n - 2)
-                        for i, v in img.items():
-                            dense[i] = v
-                        bb = self.solve_relations(n - 2, dense)
-                        for i, v in enumerate(bb):
-                            if v:
-                                col[rows_f + i] = -v
-                out_cols.append(col)
-            bounds[n] = IntMatrix.from_columns(
-                out_cols, rows=rows_f + rows_r
-            ) if out_cols else IntMatrix.zeros(rows_f + rows_r, 0)
+            rows_r = self._cone_rel_counts[n - 1]
+            dprev_cols = _sparse_columns(self.boundary(n - 1)) if rows_r else []
+            out_cols: List[Dict[int, int]] = []
+            # columns (D x, E x) from F_n, with rho_{n-2} E = -D_{n-1} D_n x,
+            # then (rho r, -B r) from R_{n-1}, with rho_{n-2} B = D_{n-1} rho r
+            heads = _sparse_columns(self.boundary(n)) + _sparse_columns(
+                self.relations(n - 1)
+            )
+            for head in heads:
+                img = _sparse_apply(dprev_cols, head) if rows_r else None
+                if img:
+                    col = dict(head)
+                    for i, v in self.solve_relations(n - 2, img).items():
+                        col[rows_f + i] = -v
+                    head = col
+                out_cols.append(head)
+            bounds[n] = IntMatrix._from_sparse_columns(out_cols, rows_f + rows_r)
         self._cone = ChainComplex(self.lo, ranks, bounds, validate=True)
         return self._cone
 
@@ -1400,10 +1430,12 @@ class PresentedComplex:
         rc = self._cone_rel_counts.get(n, 0)
         if rc == 0:
             return list(vec)
-        d = self.boundary(n)
-        img = d.apply(vec)
-        r = self.solve_relations(n - 1, [-x for x in img])
-        return list(vec) + r
+        img = self.boundary(n).apply(vec)
+        r = self.solve_relations(n - 1, {i: -x for i, x in enumerate(img) if x})
+        tail = [0] * rc
+        for i, v in r.items():
+            tail[i] = v
+        return list(vec) + tail
 
     def homology(self, n: int, coords: bool = False):
         return self.cone().homology(n, coords=coords)
@@ -1464,20 +1496,19 @@ class PresentedChainMap:
                         for i in range(self.target.rank(n - 1))
                     ]
                     if any(diff):
-                        cvec = self.target.solve_relations(n - 1, diff)
-                        for i, v in enumerate(cvec):
-                            if v:
-                                out[self.target.rank(n) + i][j] = v
+                        cvec = self.target.solve_relations(
+                            n - 1, {i: v for i, v in enumerate(diff) if v}
+                        )
+                        for i, v in cvec.items():
+                            out[self.target.rank(n) + i][j] = v
                 # g_{n-1}: rho'_{n-1} g = f_{n-1} rho_{n-1}
                 if src_rc:
                     rho_src = self.source.relations(n - 1)
                     mapped = f_prev @ rho_src
-                    for j in range(src_rc):
-                        col = [mapped.entry(i, j) for i in range(mapped.rows)]
+                    for j, col in enumerate(_sparse_columns(mapped)):
                         gvec = self.target.solve_relations(n - 1, col)
-                        for i, v in enumerate(gvec):
-                            if v:
-                                out[self.target.rank(n) + i][self.source.rank(n) + j] = v
+                        for i, v in gvec.items():
+                            out[self.target.rank(n) + i][self.source.rank(n) + j] = v
             comps[n] = IntMatrix(out, cols=cols)
         self._cone_map = ChainMap(src_cone, tgt_cone, comps, validate=True)
         return self._cone_map

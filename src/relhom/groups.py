@@ -203,12 +203,20 @@ class Subgroup:
 
 @lru_cache(maxsize=None)
 def subgroup_as_group(h: Subgroup) -> Tuple[FiniteGroup, Tuple[int, ...]]:
-    """Re-index a subgroup as a standalone group; returns (group, embedding)."""
+    """Re-index a subgroup as a standalone group; returns (group, embedding).
+
+    The group is interned like `make_group`'s, by (table, label), so
+    subgroups with equal re-indexed tables (conjugate subgroups, say) share
+    one group and every cache keyed on it."""
     G = h.parent
     embed = h.elements  # sorted, so the identity 0 stays at index 0
     pos = {g: i for i, g in enumerate(embed)}
-    table = [[pos[G.table[a][b]] for b in embed] for a in embed]
-    return FiniteGroup(table, label=f"subgroup of {G.label}"), embed
+    table = tuple(tuple(pos[G.table[a][b]] for b in embed) for a in embed)
+    label = f"subgroup of {G.label}"
+    grp = _interned.get((table, label))
+    if grp is None:
+        grp = _interned.setdefault((table, label), FiniteGroup(table, label=label))
+    return grp, embed
 
 
 class CosetSpace:

@@ -507,17 +507,21 @@ def orbit_map_matrix(
     column s, since g x tensor v = x tensor g^-1 v in the coinvariants."""
     rk = m.rank
     act_inv = m._inverse_action_rows()
-    width = len(columns) * rk
-    out = [[0] * width for _ in range(target_orbits * rk)]
-    for s, entries in enumerate(columns):
-        coff = s * rk
+    out: List[Dict[int, int]] = []
+    for entries in columns:
+        block = [{} for _ in range(rk)]
         for o, g, c in entries:
             roff = o * rk
             for a, arow in enumerate(act_inv[g]):
-                row = out[roff + a]
                 for b, v in arow:
-                    row[coff + b] += c * v
-    return IntMatrix(out, cols=width)
+                    col = block[b]
+                    w = col.get(roff + a, 0) + c * v
+                    if w:
+                        col[roff + a] = w
+                    else:
+                        col.pop(roff + a, None)
+        out.extend(block)
+    return IntMatrix._from_sparse_columns(out, target_orbits * rk)
 
 
 def tensor_orbit_complex(
@@ -719,29 +723,43 @@ def resolve(
     if m.relations is not None:
         raise ValidationError("resolve expects a lattice module without relations")
     G = m.group
-    n = G.order
     basis = [[1 if i == j else 0 for i in range(m.rank)] for j in range(m.rank)]
     gens0 = _minimize_generators(G, m.act, basis, m.rank) if minimize else basis
-    _check_budget("resolution term 0", n * len(gens0), rank_cap)
-    free_ranks = [len(gens0)]
-    gen_images: List[List[List[int]]] = [gens0]
-    res = FreeResolution(G, m, free_ranks, gen_images, label=f"resolve({m.label})")
-    prev = res.augmentation_matrix()
-    free_prev = GModule.free(G, free_ranks[0])
-    for k in range(1, length + 1):
+    _check_budget("resolution term 0", G.order * len(gens0), rank_cap)
+    res = FreeResolution(G, m, [len(gens0)], [gens0], label=f"resolve({m.label})")
+    return _extend_resolution(res, length, minimize, rank_cap)
+
+
+def _extend_resolution(
+    res: FreeResolution,
+    length: int,
+    minimize: bool = True,
+    rank_cap: int = DEFAULT_RANK_CAP,
+) -> FreeResolution:
+    """`res` continued by kernel covers through term `length`, as `resolve`
+    builds it: term k depends on the terms below it only, so continuing a
+    prefix of `resolve(m, L)` gives `resolve(m, length)`.  Returns a new
+    resolution sharing the materialized matrices; `res` keeps its length."""
+    G = res.group
+    out = FreeResolution.__new__(FreeResolution)
+    out.group, out.module, out.label = G, res.module, res.label
+    out.free_ranks = list(res.free_ranks)
+    out.gen_images = list(res.gen_images)
+    out._matrix_cache = res._matrix_cache
+    for k in range(res.length + 1, length + 1):
+        prev = out.augmentation_matrix() if k == 1 else out.boundary_matrix(k - 1)
         ker = kernel_basis(prev)
         cols = [ker.column(j) for j in range(ker.cols)]
+        free_prev = GModule.free(G, out.free_ranks[k - 1])
         gens = (
             _minimize_generators(G, free_prev.act, cols, ker.rows)
             if minimize
             else [list(c) for c in cols]
         )
-        _check_budget(f"resolution term {k}", n * len(gens), rank_cap)
-        res.free_ranks.append(len(gens))
-        res.gen_images.append(gens)
-        prev = res.boundary_matrix(k)
-        free_prev = GModule.free(G, len(gens))
-    return res
+        _check_budget(f"resolution term {k}", G.order * len(gens), rank_cap)
+        out.free_ranks.append(len(gens))
+        out.gen_images.append(gens)
+    return out
 
 
 def _bar_faces(group: FiniteGroup, rest: Tuple[int, ...]):
@@ -1146,15 +1164,20 @@ def cached_resolution(m: GModule, length: int, rank_cap: int = DEFAULT_RANK_CAP)
     resolution built so far, and a call gets exactly `length` terms of it
     (`FreeResolution.truncated`): `resolve` builds term k from the terms
     below it only, so that prefix equals a cold `resolve(m, length)`.  A
-    cached resolution is held to the budget `resolve` applies, on the
-    terms through `length` only."""
+    shorter entry is extended from its last term, not rebuilt; views
+    handed out before keep their length.  Every term through `length`,
+    cached or new, is held to the budget `resolve` applies."""
     key = m.value_key()
     res = _resolution_cache.get(key)
-    if res is None or res.length < length:
+    if res is None:
         res = _resolution_cache[key] = resolve(m, length, rank_cap=rank_cap)
     else:
-        for k in range(length + 1):
+        for k in range(min(res.length, length) + 1):
             _check_budget(f"resolution term {k}", res.z_rank(k), rank_cap)
+        if res.length < length:
+            res = _resolution_cache[key] = _extend_resolution(
+                res, length, rank_cap=rank_cap
+            )
     return res.truncated(length)
 
 

@@ -147,3 +147,54 @@ def test_answers_do_not_depend_on_job_order():
             document = cli.run(cli.Job(doc))
             answer = {"results": document["results"], "ok": document["ok"]}
             assert _canon(answer) == _canon(REFS[workloads.job_key(doc)]), doc
+
+
+def test_conjugate_subgroups_share_one_group(monkeypatch):
+    monkeypatch.setattr(modres, "_resolution_cache", {})
+    d4 = R.make_group("dihedral", 4)
+    first, second = d4.subgroup_generated([4]), d4.subgroup_generated([6])
+    assert R.is_subconjugate(first, second) and first != second
+    hgrp = R.subgroup_as_group(first)[0]
+    assert R.subgroup_as_group(second)[0] is hgrp
+    R.verify_takasu_les(first, GModule.trivial(d4), 2)
+    before = set(modres._resolution_cache)
+    cert = R.verify_takasu_les(second, GModule.trivial(d4), 2)
+    # Z over the shared subgroup group hits; only I(G, H) of the second,
+    # another module, is new
+    assert GModule.trivial(hgrp).value_key() in before
+    assert set(modres._resolution_cache) - before == {
+        R.standard_modules(second).i_module.value_key()
+    }
+    fresh = R.dihedral_group(4).subgroup_generated([6])
+    cold = R.verify_takasu_les(fresh, GModule.trivial(fresh.parent), 2)
+    assert _certificate(cert) == _certificate(cold)
+
+
+def test_takasu_job_builds_each_resolution_term_once(monkeypatch):
+    monkeypatch.setattr(modres, "_resolution_cache", {})
+    built = []
+    minimize = modres._minimize_generators
+    monkeypatch.setattr(
+        modres, "_minimize_generators", lambda *a: built.append(a) or minimize(*a)
+    )
+    job = cli.Job({
+        "command": "takasu",
+        "group": {"kind": "dihedral", "n": 4},
+        "subgroup": {"generators": [4]},
+        "coefficients": {"kind": "trivial_Z"},
+        "degrees": "1..4",
+    })
+    cli.run(job)
+    # one generator minimization per term 0..4 of I(G, H)'s resolution
+    assert len(built) == 5
+    i_module = R.standard_modules(job.subgroup).i_module
+    res = modres.cached_resolution(i_module, 4)
+    # views handed out keep their length when the entry is extended
+    view = modres.cached_resolution(i_module, 2)
+    longer = modres.cached_resolution(i_module, 5)
+    assert (view.length, res.length, longer.length) == (2, 4, 5)
+    assert len(built) == 6
+    cold = R.resolve(R.standard_modules(R.dihedral_group(4).subgroup_generated([4])).i_module, 5)
+    assert longer.free_ranks == cold.free_ranks
+    assert longer.gen_images == cold.gen_images
+    assert (res.free_ranks, res.gen_images) == (cold.free_ranks[:5], cold.gen_images[:5])
