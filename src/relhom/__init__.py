@@ -103,17 +103,12 @@ from .pairhom import (
     JModuleReport,
     LESCertificate,
     OracleReport,
-    ReferenceLift,
     adamson_complex,
     adamson_homology,
     comparison,
     j_module,
     lift_is_chain_map_check,
     normal_quotient_oracle,
-    reference_induced_maps,
-    reference_lift_c4c2,
-    reference_lift_is_chain_map,
-    solver_lift_for_reference,
     takasu_homology,
     verify_takasu_les,
 )

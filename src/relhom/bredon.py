@@ -5,18 +5,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetError, ValidationError
-from .exactla import (
-    FgAbGroup,
-    IntMatrix,
-    LatticeAccumulator,
-    PresentedComplex,
-    _sparse_columns,
-)
+from .exactla import FgAbGroup, IntMatrix, LatticeAccumulator, PresentedComplex
 from .groups import FiniteGroup, Subgroup, SubgroupFamily, coset_space
-from .modres import DEFAULT_RANK_CAP, GModule, _bar_faces, coinvariant_relations
+from .modres import DEFAULT_RANK_CAP, GModule, _bar_faces, tensor_orbit_complex
 
 
 @dataclass(frozen=True)
@@ -123,6 +117,7 @@ class CoefficientSystem:
         self.variance = "covariant"
         self.values = dict(values)
         self.maps = dict(maps)
+        self._rows: Dict[OrbitMorphism, tuple] = {}
         self._acc: Dict[Subgroup, Optional[LatticeAccumulator]] = {}
         for obj, (rank, rel) in self.values.items():
             if rel is None or not rel.cols:
@@ -134,12 +129,6 @@ class CoefficientSystem:
                 self._acc[obj] = acc
         if validate:
             self.validate()
-
-    def rank(self, obj: Subgroup) -> int:
-        return self.values[obj][0]
-
-    def relations(self, obj: Subgroup) -> Optional[IntMatrix]:
-        return self.values[obj][1]
 
     def value_group(self, obj: Subgroup) -> FgAbGroup:
         from .exactla import smith_invariants
@@ -153,6 +142,25 @@ class CoefficientSystem:
     def matrix(self, mor: OrbitMorphism) -> IntMatrix:
         return self.maps[mor]
 
+    # -- as orbit coefficients (see modres.tensor_orbit_complex)
+
+    def orbit_value(self, obj: Subgroup) -> Tuple[int, Optional[IntMatrix]]:
+        """The value at G/obj: free cover rank and relations (or None)."""
+        return self.values[obj]
+
+    def orbit_map_rows(self, source: Subgroup, target: Subgroup, g: int):
+        """The matrix of R_a, a = g^-1, as rows of (column, value) pairs
+        (computed once per morphism)."""
+        cat = self.category
+        mor = cat.morphism(source, target, cat.group.inverse[g])
+        rows = self._rows.get(mor)
+        if rows is None:
+            rows = self._rows[mor] = tuple(
+                tuple((b, v) for b, v in enumerate(row) if v)
+                for row in self.matrix(mor).data
+            )
+        return rows
+
     def _zero_mod(self, obj: Subgroup, mat: IntMatrix) -> bool:
         acc = self._acc[obj]
         if acc is None:
@@ -162,10 +170,10 @@ class CoefficientSystem:
     def validate(self):
         cat = self.category
         for obj in cat.objects:
+            rank, rel = self.values[obj]
             ident = self.matrix(cat.identity(obj))
-            if not self._zero_mod(obj, ident - IntMatrix.identity(self.rank(obj))):
+            if not self._zero_mod(obj, ident - IntMatrix.identity(rank)):
                 raise ValidationError("identity morphism does not act as identity")
-            rel = self.relations(obj)
             if rel is not None and rel.cols:
                 for tgt in cat.objects:
                     for mor in cat.hom(obj, tgt):
@@ -195,8 +203,8 @@ def coinvariants_system(m: GModule, category: OrbitCategory) -> CoefficientSyste
         raise ValidationError("module over a different group")
     values: Dict[Subgroup, Tuple[int, Optional[IntMatrix]]] = {}
     for obj in category.objects:
-        rel = coinvariant_relations(m, obj)
-        values[obj] = (m.rank, rel if rel.cols else None)
+        rank, rel = m.orbit_value(obj)
+        values[obj] = (rank, rel if rel.cols else None)
     maps = {}
     for src in category.objects:
         for tgt in category.objects:
@@ -206,16 +214,11 @@ def coinvariants_system(m: GModule, category: OrbitCategory) -> CoefficientSyste
 
 
 def constant_system(category: OrbitCategory, modulus: int = 0) -> CoefficientSystem:
-    """The constant functor Z (or Z/modulus) with identity maps."""
-    rel = IntMatrix([[modulus]]) if modulus else None
-    values = {obj: (1, rel) for obj in category.objects}
-    ident = IntMatrix.identity(1)
-    maps = {}
-    for src in category.objects:
-        for tgt in category.objects:
-            for mor in category.hom(src, tgt):
-                maps[mor] = ident
-    return CoefficientSystem(category, values, maps)
+    """The constant functor Z (or Z/modulus, modulus >= 2) with identity
+    maps: the coinvariants system of the trivial module."""
+    G = category.group
+    m = GModule.trivial_mod(G, modulus) if modulus else GModule.trivial(G)
+    return coinvariants_system(m, category)
 
 
 # ---------------------------------------------------------------------------
@@ -323,65 +326,50 @@ class GCWData:
 
 def bredon_complex(
     x: GCWData,
-    system: CoefficientSystem,
+    coefficients: Union[CoefficientSystem, GModule],
     rank_cap: int = DEFAULT_RANK_CAP,
 ) -> PresentedComplex:
-    """The chain complex with degree-d term the direct sum of the values of
-    the system at the cell stabilizers."""
-    cat = system.category
-    obj_set = set(cat.objects)
-    ranks: List[int] = []
-    offsets: List[List[int]] = []
-    rel_blocks: Dict[int, List[Tuple[int, IntMatrix]]] = {}
+    """The Bredon chain complex C_*(X) tensor_Or(G) F (Bredon, LNM 34,
+    1967; Lueck, LNM 1408, section 9): degree d is the direct sum of the
+    values at the d-cell stabilizers.  F is a `CoefficientSystem`, whose
+    category must hold every stabilizer, or a `GModule` M standing for
+    K |-> M_K.  A boundary entry (tgt, a, coeff) sits at a^-1 * tgt (see
+    `cellular_chain_modules`): the orbit entry (tgt, a^-1, coeff) of
+    `modres.tensor_orbit_complex`, which lays out the blocks."""
+    if isinstance(coefficients, CoefficientSystem):
+        family = set(coefficients.category.objects)
+    elif coefficients.group is not x.group:
+        raise ValidationError("module over a different group")
+    else:
+        family = None
     for d, dim_cells in enumerate(x.cells):
-        offs = []
         total = 0
-        blocks = []
         for cell in dim_cells:
-            if cell.stabilizer not in obj_set:
+            if family is not None and cell.stabilizer not in family:
                 raise ValidationError(
                     f"stabilizer {list(cell.stabilizer.elements)} outside the family"
                 )
-            offs.append(total)
-            rel = system.relations(cell.stabilizer)
-            if rel is not None and rel.cols:
-                blocks.append((total, rel))
-            total += system.rank(cell.stabilizer)
+            total += coefficients.orbit_value(cell.stabilizer)[0]
         if total > rank_cap:
             raise BudgetError(f"equivariant chain group in dimension {d}", total, rank_cap)
-        ranks.append(total)
-        offsets.append(offs)
-        if blocks:
-            rel_blocks[d] = blocks
-    bounds: Dict[int, IntMatrix] = {}
-    for d in range(1, len(x.cells)):
-        out: List[Dict[int, int]] = [{} for _ in range(ranks[d])]
-        for ci, cell in enumerate(x.cells[d]):
-            coff = offsets[d][ci]
-            for (tgt, a, coeff) in cell.boundary:
-                mor = cat.morphism(
-                    cell.stabilizer, x.cells[d - 1][tgt].stabilizer, a
-                )
-                roff = offsets[d - 1][tgt]
-                for j, mcol in enumerate(_sparse_columns(system.matrix(mor))):
-                    col = out[coff + j]
-                    for i, v in mcol.items():
-                        w = col.get(roff + i, 0) + coeff * v
-                        if w:
-                            col[roff + i] = w
-                        else:
-                            col.pop(roff + i, None)
-        bounds[d] = IntMatrix._from_sparse_columns(out, ranks[d - 1])
-    return PresentedComplex(0, ranks, bounds, rel_blocks)
+    inv = x.group.inverse
+    return tensor_orbit_complex(
+        [[cell.stabilizer for cell in dim_cells] for dim_cells in x.cells],
+        [
+            [[(tgt, inv[a], coeff) for tgt, a, coeff in cell.boundary] for cell in dim_cells]
+            for dim_cells in x.cells[1:]
+        ],
+        coefficients,
+    )
 
 
 def bredon_homology(
     x: GCWData,
-    system: CoefficientSystem,
+    coefficients: Union[CoefficientSystem, GModule],
     degree: int,
     rank_cap: int = DEFAULT_RANK_CAP,
 ) -> FgAbGroup:
-    return bredon_complex(x, system, rank_cap).homology(degree)
+    return bredon_complex(x, coefficients, rank_cap).homology(degree)
 
 
 def cellular_chain_modules(x: GCWData) -> Tuple[List[GModule], List[IntMatrix]]:

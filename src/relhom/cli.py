@@ -21,7 +21,6 @@ from .exactla import IntMatrix, smith_invariants
 from .groups import (
     FiniteGroup,
     Subgroup,
-    SubgroupFamily,
     family_generated,
     family_gh,
     is_good_triple,
@@ -29,13 +28,7 @@ from .groups import (
     make_group,
 )
 from .modres import DEFAULT_RANK_CAP, GModule
-from .bredon import (
-    GCWData,
-    bredon_homology,
-    build_orbit_category,
-    coinvariants_system,
-    constant_system,
-)
+from .bredon import GCWData, bredon_complex
 from .pairhom import (
     adamson_homology,
     comparison,
@@ -354,28 +347,9 @@ def run(job: Job) -> Dict[str, Any]:
             results["witness"] = witness
     elif cmd == "bredon":
         lo, hi = job.degrees
-        members = set()
-        for dim_cells in job.complex.cells:
-            for cell in dim_cells:
-                members.add(cell.stabilizer)
-        fam_members = set()
-        from .groups import all_subgroups, is_subconjugate
-
-        for k in all_subgroups(job.group):
-            if any(is_subconjugate(k, s) for s in members):
-                fam_members.add(k)
-        fam = SubgroupFamily(job.group, fam_members, validate=False)
-        cat = build_orbit_category(job.group, fam)
-        if job.coefficients.is_constant() and job.coefficients.rank == 1:
-            modulus = 0
-            if job.coefficients.relations is not None:
-                modulus = abs(job.coefficients.relations.entry(0, 0))
-            system = constant_system(cat, modulus)
-        else:
-            system = coinvariants_system(job.coefficients, cat)
+        cx = bredon_complex(job.complex, job.coefficients, job.rank_cap)
         results["rows"] = [
-            {"degree": n, "group": str(bredon_homology(job.complex, system, n, job.rank_cap))}
-            for n in range(lo, hi + 1)
+            {"degree": n, "group": str(cx.homology(n))} for n in range(lo, hi + 1)
         ]
     elif cmd == "oracle-normal":
         lo, hi = job.degrees

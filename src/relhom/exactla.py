@@ -60,11 +60,15 @@ class IntMatrix:
     # -- constructors
 
     @classmethod
-    def _from_sparse_columns(cls, columns: List[Dict[int, int]], rows: int) -> "IntMatrix":
+    def _from_sparse_columns(
+        cls, columns: List[Dict[int, int]], rows: int, keep: bool = True
+    ) -> "IntMatrix":
         """Internal: the matrix whose column j has the nonzero entries
         columns[j] (row -> int).  The entries are taken as given, without
-        conversion, and the dicts are kept as the matrix's sparse columns
-        (see `_sparse_columns`), so the caller must not mutate them."""
+        conversion.  With `keep`, the dicts are kept as the matrix's sparse
+        columns (see `_sparse_columns`), so the caller must not mutate
+        them; a matrix that is cached for long and used densely drops
+        them, as they cost more memory than its dense rows."""
         out = [[0] * len(columns) for _ in range(rows)]
         for j, col in enumerate(columns):
             for i, x in col.items():
@@ -73,7 +77,7 @@ class IntMatrix:
         mat.rows = rows
         mat.cols = len(columns)
         mat.data = tuple(map(tuple, out))
-        mat._scols = columns
+        mat._scols = columns if keep else None
         return mat
 
     @classmethod
@@ -1116,10 +1120,15 @@ class ChainMap:
         for n in degrees:
             if not (self.source.lo < n <= self.source.hi):
                 continue
-            left = self.target.boundary(n + self.shift) @ self.component(n)
-            right = self.component(n - 1) @ self.source.boundary(n)
-            if left != right:
-                raise ValidationError(f"chain map does not commute at degree {n}")
+            # column by column: d f e_j == f d e_j
+            d_tgt = _sparse_columns(self.target.boundary(n + self.shift))
+            f_prev = _sparse_columns(self.component(n - 1))
+            for f_col, d_col in zip(
+                _sparse_columns(self.component(n)),
+                _sparse_columns(self.source.boundary(n)),
+            ):
+                if _sparse_apply(d_tgt, f_col) != _sparse_apply(f_prev, d_col):
+                    raise ValidationError(f"chain map does not commute at degree {n}")
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other; checked when both factors are, since a
@@ -1288,7 +1297,7 @@ class PresentedComplex:
         self._reduced: List[IntMatrix] = []
         self._solvers: List[Optional[IntSolver]] = []
         index: Dict[IntMatrix, int] = {}
-        blocks = relation_blocks or {}
+        blocks = self._relation_blocks = dict(relation_blocks or {})
         for n in range(self.lo, self.hi + 1):
             rows = self.rank(n)
             starts: List[int] = []
@@ -1325,6 +1334,21 @@ class PresentedComplex:
                 )
         self._cone: Optional[ChainComplex] = None
         self._cone_rel_counts: Dict[int, int] = {}
+        self._shifted: Optional[PresentedComplex] = None
+
+    def shifted(self) -> "PresentedComplex":
+        """This complex without its bottom degree, degree n + 1 moved to
+        degree n, built from the same boundary matrices and relation blocks
+        (cached)."""
+        if self._shifted is None:
+            lo = self.lo
+            self._shifted = PresentedComplex(
+                lo,
+                self.ranks[1:],
+                {n - 1: mat for n, mat in self._boundaries.items() if n > lo + 1},
+                {n - 1: b for n, b in self._relation_blocks.items() if n > lo},
+            )
+        return self._shifted
 
     def rank(self, n: int) -> int:
         if self.lo <= n <= self.hi:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 

@@ -15,8 +15,8 @@ from .exactla import (
     LatticeAccumulator,
     PresentedComplex,
     FgAbGroup,
-    _Eliminator,
     kernel_basis,
+    smith_invariants,
 )
 from .groups import FiniteGroup, Subgroup, coset_space, subgroup_as_group
 
@@ -36,7 +36,8 @@ class GModule:
     """
 
     __slots__ = (
-        "group", "rank", "_perms", "_mats", "relations", "label", "_rel_acc", "_act_inv"
+        "group", "rank", "_perms", "_mats", "relations", "label", "_rel_acc", "_act_inv",
+        "_coinv",
     )
 
     def __init__(
@@ -60,6 +61,7 @@ class GModule:
         self.label = label
         self._rel_acc = None
         self._act_inv = None
+        self._coinv: Dict[Subgroup, IntMatrix] = {}
         if relations is not None:
             if relations.rows != self.rank:
                 raise ValidationError("relation matrix row count != rank")
@@ -106,6 +108,21 @@ class GModule:
                 for g in self.group.elements()
             )
         return self._act_inv
+
+    # -- as orbit coefficients (see tensor_orbit_complex)
+
+    def orbit_value(self, k: Subgroup) -> Tuple[int, IntMatrix]:
+        """M_K = Z[G/K] tensor_Z[G] M on the lattice of M, presented by
+        `coinvariant_relations` (computed once per K)."""
+        rel = self._coinv.get(k)
+        if rel is None:
+            rel = self._coinv[k] = coinvariant_relations(self, k)
+        return self.rank, rel
+
+    def orbit_map_rows(self, source: Subgroup, target: Subgroup, g: int):
+        """a(g^-1) for every source and target, as g x tensor v = x tensor
+        g^-1 v in the coinvariants; rows as in `_inverse_action_rows`."""
+        return self._inverse_action_rows()[g]
 
     def _mod_rel_zero(self, mat: IntMatrix) -> bool:
         if self._rel_acc is None:
@@ -386,14 +403,15 @@ class FreeResolution:
 
     def augmentation_matrix(self) -> IntMatrix:
         if 0 not in self._matrix_cache:
-            G = self.group
-            n = G.order
-            cols = []
-            for j in range(self.free_ranks[0]):
-                base = self.gen_images[0][j]
-                for g in range(n):
-                    cols.append(self.module.act(g, base))
-            self._matrix_cache[0] = IntMatrix.from_columns(cols, rows=self.module.rank)
+            act = self.module.act
+            cols = [
+                _sparse(act(g, base))
+                for base in self.gen_images[0]
+                for g in self.group.elements()
+            ]
+            self._matrix_cache[0] = IntMatrix._from_sparse_columns(
+                cols, self.module.rank, keep=False
+            )
         return self._matrix_cache[0]
 
     def boundary_matrix(self, k: int) -> IntMatrix:
@@ -403,19 +421,14 @@ class FreeResolution:
         if k not in self._matrix_cache:
             G = self.group
             n = G.order
-            rows = self.z_rank(k - 1)
             cols = []
-            for j in range(self.free_ranks[k]):
-                base = self.gen_images[k][j]
-                for g in range(n):
-                    col = [0] * rows
-                    row_g = G.table[g]
-                    for idx, c in enumerate(base):
-                        if c:
-                            i, hh = divmod(idx, n)
-                            col[i * n + row_g[hh]] = c
-                    cols.append(col)
-            self._matrix_cache[k] = IntMatrix.from_columns(cols, rows=rows)
+            for base in self.gen_images[k]:
+                entries = [(*divmod(idx, n), c) for idx, c in enumerate(base) if c]
+                for row_g in G.table:
+                    cols.append({i * n + row_g[hh]: c for i, hh, c in entries})
+            self._matrix_cache[k] = IntMatrix._from_sparse_columns(
+                cols, self.z_rank(k - 1), keep=False
+            )
         return self._matrix_cache[k]
 
     def validate(self, exactness_cap: int = VALIDATION_RANK_CAP):
@@ -497,22 +510,28 @@ def coinvariant_relations(m: GModule, k: Subgroup) -> IntMatrix:
 
 
 def orbit_map_matrix(
-    columns: Sequence[Sequence[Tuple[int, int, int]]], target_orbits: int, m: GModule
+    columns: Sequence[Sequence[Tuple[int, int, int]]],
+    source: Sequence[Subgroup],
+    target: Sequence[Subgroup],
+    coeffs,
 ) -> IntMatrix:
-    """An equivariant map between permutation modules, tensored with M.
+    """An equivariant map between permutation modules, tensored with the
+    coefficients (see tensor_orbit_complex).
 
-    Source orbit s is given by the image of its representative as sparse
-    entries (o, g, c): c times g applied to the representative of target
-    orbit o.  Each entry adds the block c * a(g^-1) at block row o, block
-    column s, since g x tensor v = x tensor g^-1 v in the coinvariants."""
-    rk = m.rank
-    act_inv = m._inverse_action_rows()
+    ``source[s]`` and ``target[o]`` are the orbit stabilizers.  Source
+    orbit s is given by the image of its representative as sparse entries
+    (o, g, c): c times g applied to the representative of target orbit o.
+    Each entry adds c times the block ``coeffs.orbit_map_rows(source[s],
+    target[o], g)`` at block row o, block column s."""
+    offsets = [0]
+    for stab in target:
+        offsets.append(offsets[-1] + coeffs.orbit_value(stab)[0])
     out: List[Dict[int, int]] = []
-    for entries in columns:
-        block = [{} for _ in range(rk)]
+    for stab, entries in zip(source, columns):
+        block = [{} for _ in range(coeffs.orbit_value(stab)[0])]
         for o, g, c in entries:
-            roff = o * rk
-            for a, arow in enumerate(act_inv[g]):
+            roff = offsets[o]
+            for a, arow in enumerate(coeffs.orbit_map_rows(stab, target[o], g)):
                 for b, v in arow:
                     col = block[b]
                     w = col.get(roff + a, 0) + c * v
@@ -521,48 +540,51 @@ def orbit_map_matrix(
                     else:
                         col.pop(roff + a, None)
         out.extend(block)
-    return IntMatrix._from_sparse_columns(out, target_orbits * rk)
+    return IntMatrix._from_sparse_columns(out, offsets[-1])
 
 
 def tensor_orbit_complex(
     stabilizers: Sequence[Sequence[Subgroup]],
     boundaries: Sequence[Sequence[Sequence[Tuple[int, int, int]]]],
-    m: GModule,
+    coeffs,
 ) -> PresentedComplex:
-    """The complex C tensor_Z[G] M of a complex C of permutation modules
-    given in orbit form; this is the one place where relhom forms the
-    coinvariants M_K.
+    """The complex C tensor F of a complex C of permutation modules given in
+    orbit form; this is the one place where relhom lays out orbit blocks.
 
     ``stabilizers[n]`` lists the stabilizer K of each orbit representative
     in degree n, and ``boundaries[n - 1]`` (n >= 1) the boundary of each
     representative in degree n as sparse (orbit, transporter g, coeff)
     entries over degree n - 1, as `orbit_map_matrix` reads them.
 
-    Conventions: the tensor product is taken by diagonal coinvariants, so
-    an orbit with stabilizer K contributes Z[G/K] tensor_Z[G] M = M_K,
-    presented on the lattice of M; boundary blocks are c * a(g^-1); each
-    orbit's relation block lists the relations of M before the
-    stabilizer-generator columns (a_kappa - 1) e_i."""
-    rk = m.rank
-    relations: Dict[Subgroup, IntMatrix] = {}
+    The coefficients answer two questions: ``orbit_value(K)``, the value
+    at an orbit with stabilizer K as a rank and a relation matrix (or
+    None), and ``orbit_map_rows(K, L, g)``, the block of the orbit map
+    G/K -> G/L, xK |-> xgL, as rows of (column, value) pairs.  Block
+    offsets are running sums of the ranks.  A `GModule` M answers with
+    M_K presented on the lattice of M and with a(g^-1), giving
+    C tensor_Z[G] M by diagonal coinvariants (orbit s at offset s * rank).
+    A `bredon.CoefficientSystem` F answers with F(G/K) and F(R_{g^-1}),
+    giving C tensor_Or(G) F over the orbit category (Bredon, Equivariant
+    cohomology theories, LNM 34, 1967; Lueck, Transformation Groups and
+    Algebraic K-Theory, LNM 1408, section 9)."""
+    ranks: List[int] = []
     rel_blocks: Dict[int, List[Tuple[int, IntMatrix]]] = {}
     for n, stabs in enumerate(stabilizers):
         blocks: List[Tuple[int, IntMatrix]] = []
-        for s, stab in enumerate(stabs):
-            rel = relations.get(stab)
-            if rel is None:
-                rel = relations[stab] = coinvariant_relations(m, stab)
-            if rel.cols:
-                blocks.append((s * rk, rel))
+        offset = 0
+        for stab in stabs:
+            rank, rel = coeffs.orbit_value(stab)
+            if rel is not None and rel.cols:
+                blocks.append((offset, rel))
+            offset += rank
+        ranks.append(offset)
         if blocks:
             rel_blocks[n] = blocks
     bounds = {
-        n: orbit_map_matrix(boundaries[n - 1], len(stabilizers[n - 1]), m)
+        n: orbit_map_matrix(boundaries[n - 1], stabilizers[n], stabilizers[n - 1], coeffs)
         for n in range(1, len(stabilizers))
     }
-    return PresentedComplex(
-        0, [len(stabs) * rk for stabs in stabilizers], bounds, rel_blocks
-    )
+    return PresentedComplex(0, ranks, bounds, rel_blocks)
 
 
 def free_orbit_entries(
@@ -1223,16 +1245,13 @@ class Coinvariants:
     """N-coinvariants of a module, as a module over G/N.
 
     `module` is the finitely presented quotient (free cover of the original
-    rank plus relations); `free_module` is its torsion-free part as an honest
-    lattice module; `group` reports the full abelian group of coinvariants.
+    rank plus relations); `group` reports the abelian group it presents.
     """
 
     quotient: FiniteGroup
     projection: Tuple[int, ...]
     module: GModule
-    free_module: GModule
     group: FgAbGroup
-    free_projection: IntMatrix
 
 
 def coinvariants(m: GModule, n_sub: Subgroup) -> Coinvariants:
@@ -1247,28 +1266,5 @@ def coinvariants(m: GModule, n_sub: Subgroup) -> Coinvariants:
     presented = GModule(
         q, m.rank, mats=mats, relations=base_rel, label=f"({m.label})_N",
     )
-    # torsion-free part: split off the quotient by the saturation
-    eng = _Eliminator(base_rel, track_r=True, track_rinv=True)
-    eng.diagonalize()
-    eng.make_divisible()
-    r = eng.rank
-    free_dim = m.rank - r
-    proj_rows = [eng.r[i] for i in range(r, m.rank)]
-    sect_cols = [[eng.rinv[i][j] for i in range(m.rank)] for j in range(r, m.rank)]
-    proj_mat = IntMatrix(proj_rows, cols=m.rank) if proj_rows else IntMatrix.zeros(0, m.rank)
-    free_mats = []
-    for c in range(q.order):
-        ag = m.action_matrix(cs.rep(c))
-        cols = []
-        for j in range(free_dim):
-            v = ag.apply(sect_cols[j])
-            cols.append(proj_mat.apply(v))
-        free_mats.append(
-            IntMatrix.from_columns(cols, rows=free_dim) if cols else IntMatrix.zeros(0, 0)
-        )
-    free_module = GModule(
-        q, free_dim, mats=free_mats, label=f"({m.label})_N free part",
-    )
-    group_report = FgAbGroup(free_dim, [d for d in eng.diag() if d > 1])
-    return Coinvariants(q, proj, presented, free_module, group_report, proj_mat)
-
+    group = FgAbGroup.from_invariants(smith_invariants(base_rel), m.rank)
+    return Coinvariants(q, proj, presented, group)

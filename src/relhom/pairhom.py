@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, TruncationError, ValidationError
@@ -22,14 +21,11 @@ from .exactla import (
     is_zero_map,
     sequence_exact_at,
 )
-from .groups import FiniteGroup, Subgroup, coset_space, family_generated, family_gh, fixed_cosets, subgroup_as_group, subgroup_conjugacy_classes
+from .groups import Subgroup, coset_space, family_generated, family_gh, fixed_cosets, subgroup_as_group, subgroup_conjugacy_classes
 from .modres import (
     DEFAULT_RANK_CAP,
-    _SolverTarget,
     _chain_lift,
-    _dense,
     _is_chain_lift,
-    _sparse,
     FreeResolution,
     GModule,
     cached_resolution,
@@ -42,7 +38,6 @@ from .modres import (
     orbit_map_matrix,
     standard_modules,
     takasu_resolution,
-    tensor_gmodule_complex,
     tensor_orbit_complex,
     group_homology,
 )
@@ -87,8 +82,6 @@ class AdamsonComplex:
         self.stabilizer: List[List[Subgroup]] = []
         self.rep_boundary: List[List[List[Tuple[int, int, int]]]] = []
         self._tensor_cache: Dict[tuple, PresentedComplex] = {}
-        self._full_cache: Dict[int, IntMatrix] = {}
-        self._term_cache: Dict[int, GModule] = {}
         for n in range(truncation + 1):
             count = k ** (n + 1)
             tups = list(itertools.product(range(k), repeat=n + 1))
@@ -138,64 +131,37 @@ class AdamsonComplex:
     def num_orbits(self, n: int) -> int:
         return len(self.reps[n])
 
-    def full_boundary(self, n: int) -> IntMatrix:
-        """Tuple-level boundary matrix C_n -> C_{n-1} (1 <= n <= truncation)."""
-        if not (1 <= n <= self.truncation):
-            raise TruncationError(
-                f"degree {n} boundary needs truncation >= {n}; increase N"
-            )
-        if n not in self._full_cache:
-            prev_index = self.tuple_index[n - 1]
-            rows = len(self.tuples[n - 1])
-            cols = []
-            for t in self.tuples[n]:
-                col = [0] * rows
-                for i in range(n + 1):
-                    face = t[:i] + t[i + 1 :]
-                    col[prev_index[face]] += 1 if i % 2 == 0 else -1
-                cols.append(col)
-            self._full_cache[n] = IntMatrix.from_columns(cols, rows=rows)
-        return self._full_cache[n]
-
-    def term_module(self, n: int) -> GModule:
-        """Degree-n term as a permutation module on the tuples."""
-        if n not in self._term_cache:
-            cs = self.cosets
-            index = self.tuple_index[n]
-            perms = []
-            for g in self.group.elements():
-                perms.append(
-                    tuple(
-                        index[tuple(cs.act(g, c) for c in t)] for t in self.tuples[n]
-                    )
-                )
-            self._term_cache[n] = GModule(
-                self.group, len(self.tuples[n]), perms=perms, validate=False
-            )
-        return self._term_cache[n]
-
-    def tensor(self, m: GModule, rank_cap: int = DEFAULT_RANK_CAP, shifted: bool = False) -> PresentedComplex:
-        """The complex of coinvariants obtained by tensoring with M over the
-        group ring; with shifted=True, degree n holds the (n+1)-tuples term
-        (the resolution of the augmentation kernel).  The budget applies
-        to every call, cached or not.
-
-        The cache is keyed on the module's value (`GModule.value_key`), not
-        its id: a collected module's id is reused by new objects."""
-        lo = 1 if shifted else 0
+    def _check_tensor_budget(self, m: GModule, rank_cap: int, lo: int):
         for n in range(lo, self.truncation + 1):
             rank_n = self.num_orbits(n) * m.rank
             if rank_n > rank_cap:
                 raise BudgetError(
                     f"tensored pair complex degree {n}", rank_n, rank_cap
                 )
-        key = (m.value_key(), shifted)
+
+    def tensor(self, m: GModule, rank_cap: int = DEFAULT_RANK_CAP) -> PresentedComplex:
+        """The complex of coinvariants obtained by tensoring with M over the
+        group ring, one per module.  The budget applies to every call,
+        cached or not.
+
+        The cache is keyed on the module's value (`GModule.value_key`), not
+        its id: a collected module's id is reused by new objects."""
+        self._check_tensor_budget(m, rank_cap, 0)
+        key = m.value_key()
         cx = self._tensor_cache.get(key)
         if cx is None:
             cx = self._tensor_cache[key] = tensor_orbit_complex(
-                self.stabilizer[lo:], self.rep_boundary[lo + 1 :], m
+                self.stabilizer, self.rep_boundary[1:], m
             )
         return cx
+
+    def shifted_tensor(self, m: GModule, rank_cap: int = DEFAULT_RANK_CAP) -> PresentedComplex:
+        """`tensor(m)` with degree 0 dropped: degree n holds the
+        (n+2)-tuples term (the resolution of the augmentation kernel).  The
+        budget is that of degrees 1 and up; degree 0, of rank M's, is no
+        larger than degree 1."""
+        self._check_tensor_budget(m, rank_cap, 1)
+        return self.tensor(m, rank_cap).shifted()
 
     def validate_acyclic(self):
         """Check the augmented tuple-level complex tuple by tuple: d d = 0 in
@@ -404,7 +370,8 @@ def comparison(
     lift = _lift_along_exact_target(p, _ConeTarget(cx.cosets), top + 1)
     data = ComparisonData(h, m, p, cx, lift)
     sp = p.tensor(m)
-    tq = cx.tensor(m, rank_cap, shifted=True)
+    tq = cx.shifted_tensor(m, rank_cap)
+    trivial = h.parent.trivial_subgroup()
     comps: Dict[int, IntMatrix] = {}
     for n in range(top + 1):
         index = cx.tuple_index[n + 1]
@@ -414,7 +381,7 @@ def comparison(
             [(orbit[index[t]], trans[index[t]], c) for t, c in vec.items()]
             for vec in lift[n]
         ]
-        comps[n] = orbit_map_matrix(entries, cx.num_orbits(n + 1), m)
+        comps[n] = orbit_map_matrix(entries, [trivial] * len(entries), cx.stabilizer[n + 1], m)
     pcm = PresentedChainMap(sp, tq, comps)
     for i in degs:
         tak_hd = sp.homology_data(i - 1)
@@ -446,152 +413,6 @@ def comparison(
 def lift_is_chain_map_check(data: ComparisonData) -> bool:
     """Re-verify that the stored lift commutes with the boundaries."""
     return _is_chain_lift(data.resolution, _ConeTarget(data.complex.cosets), data.lift)
-
-
-# ---------------------------------------------------------------------------
-# The hard-coded reference data for the order-4 / order-2 cyclic pair
-
-
-@dataclass
-class ReferenceLift:
-    resolution: FreeResolution
-    target_terms: List[GModule]
-    target_boundaries: List[IntMatrix]
-    bottom_boundary: IntMatrix
-    lift: List[List[List[int]]]
-
-    def tensored_values(self) -> List[int]:
-        """The integers obtained by applying each lift component to the
-        generator and passing to coinvariants with trivial coefficients."""
-        out = []
-        for level in self.lift:
-            out.append(sum(level[0]))
-        return out
-
-
-def reference_lift_c4c2(length: int = 5) -> ReferenceLift:
-    """The explicitly computed comparison lift for the pair of cyclic groups
-    of orders 4 and 2: the source is the rank-one periodic resolution of the
-    augmentation kernel, the target the periodic complex of copies of the
-    coset module, and the lift sends the generator to +-2^i times the base
-    coset."""
-    g4 = _c4_cache()
-    h = g4.subgroup_generated([2])
-    std = standard_modules(h)
-    n = g4.order
-    # source: rank-one free modules; d_odd = mult by -(1+t),
-    # d_even = mult by 1 - t + t^2 - t^3; augmentation b |-> tH - H
-    gen_images: List[List[List[int]]] = [[[1]]]
-    free_ranks = [1]
-    odd = [0] * n
-    odd[0] -= 1
-    odd[1] -= 1
-    even = [1, -1, 1, -1]
-    for k in range(1, length + 1):
-        gen_images.append([list(odd if k % 2 else even)])
-        free_ranks.append(1)
-    p_ref = FreeResolution(
-        g4, std.i_module, free_ranks, gen_images, label="reference"
-    )
-    # target: W_n = Z[G/H] with boundaries alternating (t-1)H and (1+t)H,
-    # starting with (t-1)H corestricted to the augmentation kernel
-    cs = coset_space(h)
-    perm = std.perm
-    k_sz = cs.size
-    t_minus = IntMatrix.from_columns(
-        [
-            [
-                (1 if r == cs.act(1, c) else 0) - (1 if r == c else 0)
-                for r in range(k_sz)
-            ]
-            for c in range(k_sz)
-        ],
-        rows=k_sz,
-    )
-    norm = IntMatrix.from_columns(
-        [
-            [
-                (1 if r == cs.act(1, c) else 0) + (1 if r == c else 0)
-                for r in range(k_sz)
-            ]
-            for c in range(k_sz)
-        ],
-        rows=k_sz,
-    )
-    bottom_cols = []
-    for c in range(k_sz):
-        tc = cs.act(1, c)
-        col = [0] * (k_sz - 1)
-        if tc:
-            col[tc - 1] += 1
-        if c:
-            col[c - 1] -= 1
-        bottom_cols.append(col)
-    bottom = IntMatrix.from_columns(bottom_cols, rows=k_sz - 1)
-    terms = [perm for _ in range(length + 1)]
-    bounds = [None] + [norm if k % 2 else t_minus for k in range(1, length + 1)]
-    lift: List[List[List[int]]] = []
-    for j in range(length + 1):
-        i, r = divmod(j, 2)
-        val = (2 ** i) * (1 if r == 0 else -1)
-        col = [0] * k_sz
-        col[0] = val
-        lift.append([col])
-    return ReferenceLift(p_ref, terms, bounds, bottom, lift)
-
-
-@lru_cache(maxsize=None)
-def _c4_cache() -> FiniteGroup:
-    from .groups import cyclic_group
-
-    return cyclic_group(4)
-
-
-def _reference_target(ref: ReferenceLift) -> _SolverTarget:
-    return _SolverTarget(
-        lambda n: ref.target_terms[n],
-        lambda n: ref.target_boundaries[n] if n else ref.bottom_boundary,
-    )
-
-
-def solver_lift_for_reference(ref: ReferenceLift) -> List[List[List[int]]]:
-    """Run the generic chain-lift loop on the reference source/target, with
-    an IntSolver for each preimage (the periodic target has no contracting
-    homotopy to lift along)."""
-    lift = _lift_along_exact_target(ref.resolution, _reference_target(ref), len(ref.lift))
-    return [
-        [_dense(x, ref.target_terms[n].rank) for x in level]
-        for n, level in enumerate(lift)
-    ]
-
-
-def reference_induced_maps(
-    ref: ReferenceLift, lift_cols: List[List[List[int]]], top: int
-) -> Dict[int, IntMatrix]:
-    """Induced homology maps of a lift on the reference pair of complexes,
-    tensored with the trivial module, indexed by chain degree."""
-    g4 = ref.resolution.group
-    triv = GModule.trivial(g4)
-    sp = ref.resolution.tensor(triv)
-    tw = tensor_gmodule_complex(
-        ref.target_terms,
-        [ref.target_boundaries[k] for k in range(1, len(ref.target_terms))],
-        triv,
-    )
-    comps = {
-        n: IntMatrix.from_columns(
-            [list(col) for col in lift_cols[n]], rows=ref.target_terms[n].rank
-        )
-        for n in range(len(lift_cols))
-    }
-    pcm = PresentedChainMap(sp, tw, comps)
-    return {n: pcm.induced(n) for n in range(top + 1)}
-
-
-def reference_lift_is_chain_map(ref: ReferenceLift) -> bool:
-    """Verify that the hard-coded reference lift commutes with the boundaries."""
-    comps = [[_sparse(col) for col in level] for level in ref.lift]
-    return _is_chain_lift(ref.resolution, _reference_target(ref), comps)
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +555,14 @@ def verify_takasu_les(
     tz = res_z.tensor(m)
     th = ind_r.tensor(m)
     rk = m.rank
+    trivial = G.trivial_subgroup()
+
+    def free_map(cols, target_rank):
+        # generator images of a map between free modules, tensored with M
+        return orbit_map_matrix(
+            free_orbit_entries(cols, n_ord), [trivial] * len(cols), [trivial] * target_rank, m
+        )
+
     incl_comps = {}
     proj_comps = {}
     v_comps = {}
@@ -751,16 +580,14 @@ def verify_takasu_les(
             proj[i][ri * rk + i] = 1
         proj_comps[k] = IntMatrix(proj, cols=rows)
         if k < len(v_cols):
-            v_comps[k] = orbit_map_matrix(free_orbit_entries(v_cols[k], n_ord), ri + rz, m)
-            chi_comps[k] = orbit_map_matrix(free_orbit_entries(chi_cols[k], n_ord), rz, m)
+            v_comps[k] = free_map(v_cols[k], ri + rz)
+            chi_comps[k] = free_map(chi_cols[k], rz)
     incl = PresentedChainMap(ti, tm, incl_comps)
     proj = PresentedChainMap(tm, tz, proj_comps)
     vmap = PresentedChainMap(th, tm, v_comps)
     chimap = PresentedChainMap(th, tz, chi_comps)
     conn_mats = {
-        k: orbit_map_matrix(
-            free_orbit_entries(horse.h_gen_images[k - 1], n_ord), res_i.free_ranks[k - 1], m
-        )
+        k: free_map(horse.h_gen_images[k - 1], res_i.free_ranks[k - 1])
         for k in range(1, length + 1)
     }
 

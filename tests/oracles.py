@@ -1,0 +1,219 @@
+"""Reference data and dense routes that only the tests use.
+
+- `full_boundary` and `term_module`: the coset-tuple complex of an
+  `AdamsonComplex` as dense tuple-level matrices and permutation modules,
+  the input of the termwise oracle `tensor_gmodule_complex`;
+- the hard-coded comparison lift for the pair of cyclic groups of orders 4
+  and 2 (`reference_lift_c4c2`), with the solver-driven lift of the same
+  map and their induced maps.
+"""
+
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Dict, List
+from weakref import WeakKeyDictionary
+
+from relhom import pairhom
+from relhom.errors import TruncationError
+from relhom.exactla import IntMatrix, PresentedChainMap
+from relhom.groups import FiniteGroup, coset_space, cyclic_group
+from relhom.modres import (
+    FreeResolution,
+    GModule,
+    _SolverTarget,
+    _dense,
+    _is_chain_lift,
+    _sparse,
+    standard_modules,
+    tensor_gmodule_complex,
+)
+
+# ---------------------------------------------------------------------------
+# The coset-tuple complex, densely
+
+# per complex, degree -> matrix or module; an entry lives as long as its complex
+_full_cache = WeakKeyDictionary()
+_term_cache = WeakKeyDictionary()
+
+
+def full_boundary(cx: pairhom.AdamsonComplex, n: int) -> IntMatrix:
+    """Tuple-level boundary matrix C_n -> C_{n-1} (1 <= n <= truncation)."""
+    if not (1 <= n <= cx.truncation):
+        raise TruncationError(
+            f"degree {n} boundary needs truncation >= {n}; increase N"
+        )
+    cache = _full_cache.setdefault(cx, {})
+    if n not in cache:
+        prev_index = cx.tuple_index[n - 1]
+        rows = len(cx.tuples[n - 1])
+        cols = []
+        for t in cx.tuples[n]:
+            col = [0] * rows
+            for i in range(n + 1):
+                face = t[:i] + t[i + 1 :]
+                col[prev_index[face]] += 1 if i % 2 == 0 else -1
+            cols.append(col)
+        cache[n] = IntMatrix.from_columns(cols, rows=rows)
+    return cache[n]
+
+
+def term_module(cx: pairhom.AdamsonComplex, n: int) -> GModule:
+    """Degree-n term as a permutation module on the tuples."""
+    cache = _term_cache.setdefault(cx, {})
+    if n not in cache:
+        cs = cx.cosets
+        index = cx.tuple_index[n]
+        perms = []
+        for g in cx.group.elements():
+            perms.append(
+                tuple(index[tuple(cs.act(g, c) for c in t)] for t in cx.tuples[n])
+            )
+        cache[n] = GModule(cx.group, len(cx.tuples[n]), perms=perms, validate=False)
+    return cache[n]
+
+
+# ---------------------------------------------------------------------------
+# The hard-coded reference data for the order-4 / order-2 cyclic pair
+
+
+@dataclass
+class ReferenceLift:
+    resolution: FreeResolution
+    target_terms: List[GModule]
+    target_boundaries: List[IntMatrix]
+    bottom_boundary: IntMatrix
+    lift: List[List[List[int]]]
+
+    def tensored_values(self) -> List[int]:
+        """The integers obtained by applying each lift component to the
+        generator and passing to coinvariants with trivial coefficients."""
+        out = []
+        for level in self.lift:
+            out.append(sum(level[0]))
+        return out
+
+
+def reference_lift_c4c2(length: int = 5) -> ReferenceLift:
+    """The explicitly computed comparison lift for the pair of cyclic groups
+    of orders 4 and 2: the source is the rank-one periodic resolution of the
+    augmentation kernel, the target the periodic complex of copies of the
+    coset module, and the lift sends the generator to +-2^i times the base
+    coset."""
+    g4 = _c4_cache()
+    h = g4.subgroup_generated([2])
+    std = standard_modules(h)
+    n = g4.order
+    # source: rank-one free modules; d_odd = mult by -(1+t),
+    # d_even = mult by 1 - t + t^2 - t^3; augmentation b |-> tH - H
+    gen_images: List[List[List[int]]] = [[[1]]]
+    free_ranks = [1]
+    odd = [0] * n
+    odd[0] -= 1
+    odd[1] -= 1
+    even = [1, -1, 1, -1]
+    for k in range(1, length + 1):
+        gen_images.append([list(odd if k % 2 else even)])
+        free_ranks.append(1)
+    p_ref = FreeResolution(
+        g4, std.i_module, free_ranks, gen_images, label="reference"
+    )
+    # target: W_n = Z[G/H] with boundaries alternating (t-1)H and (1+t)H,
+    # starting with (t-1)H corestricted to the augmentation kernel
+    cs = coset_space(h)
+    perm = std.perm
+    k_sz = cs.size
+    t_minus = IntMatrix.from_columns(
+        [
+            [
+                (1 if r == cs.act(1, c) else 0) - (1 if r == c else 0)
+                for r in range(k_sz)
+            ]
+            for c in range(k_sz)
+        ],
+        rows=k_sz,
+    )
+    norm = IntMatrix.from_columns(
+        [
+            [
+                (1 if r == cs.act(1, c) else 0) + (1 if r == c else 0)
+                for r in range(k_sz)
+            ]
+            for c in range(k_sz)
+        ],
+        rows=k_sz,
+    )
+    bottom_cols = []
+    for c in range(k_sz):
+        tc = cs.act(1, c)
+        col = [0] * (k_sz - 1)
+        if tc:
+            col[tc - 1] += 1
+        if c:
+            col[c - 1] -= 1
+        bottom_cols.append(col)
+    bottom = IntMatrix.from_columns(bottom_cols, rows=k_sz - 1)
+    terms = [perm for _ in range(length + 1)]
+    bounds = [None] + [norm if k % 2 else t_minus for k in range(1, length + 1)]
+    lift: List[List[List[int]]] = []
+    for j in range(length + 1):
+        i, r = divmod(j, 2)
+        val = (2 ** i) * (1 if r == 0 else -1)
+        col = [0] * k_sz
+        col[0] = val
+        lift.append([col])
+    return ReferenceLift(p_ref, terms, bounds, bottom, lift)
+
+
+@lru_cache(maxsize=None)
+def _c4_cache() -> FiniteGroup:
+    return cyclic_group(4)
+
+
+def _reference_target(ref: ReferenceLift) -> _SolverTarget:
+    return _SolverTarget(
+        lambda n: ref.target_terms[n],
+        lambda n: ref.target_boundaries[n] if n else ref.bottom_boundary,
+    )
+
+
+def solver_lift_for_reference(ref: ReferenceLift) -> List[List[List[int]]]:
+    """Run the generic chain-lift loop on the reference source/target, with
+    an IntSolver for each preimage (the periodic target has no contracting
+    homotopy to lift along).  The loop is looked up on `pairhom` at call
+    time, so a test that replaces it there sees this lift too."""
+    lift = pairhom._lift_along_exact_target(
+        ref.resolution, _reference_target(ref), len(ref.lift)
+    )
+    return [
+        [_dense(x, ref.target_terms[n].rank) for x in level]
+        for n, level in enumerate(lift)
+    ]
+
+
+def reference_induced_maps(
+    ref: ReferenceLift, lift_cols: List[List[List[int]]], top: int
+) -> Dict[int, IntMatrix]:
+    """Induced homology maps of a lift on the reference pair of complexes,
+    tensored with the trivial module, indexed by chain degree."""
+    g4 = ref.resolution.group
+    triv = GModule.trivial(g4)
+    sp = ref.resolution.tensor(triv)
+    tw = tensor_gmodule_complex(
+        ref.target_terms,
+        [ref.target_boundaries[k] for k in range(1, len(ref.target_terms))],
+        triv,
+    )
+    comps = {
+        n: IntMatrix.from_columns(
+            [list(col) for col in lift_cols[n]], rows=ref.target_terms[n].rank
+        )
+        for n in range(len(lift_cols))
+    }
+    pcm = PresentedChainMap(sp, tw, comps)
+    return {n: pcm.induced(n) for n in range(top + 1)}
+
+
+def reference_lift_is_chain_map(ref: ReferenceLift) -> bool:
+    """Verify that the hard-coded reference lift commutes with the boundaries."""
+    comps = [[_sparse(col) for col in level] for level in ref.lift]
+    return _is_chain_lift(ref.resolution, _reference_target(ref), comps)

@@ -11,6 +11,12 @@ from relhom import FgAbGroup, GModule, IntMatrix
 from relhom.errors import BudgetError
 
 from conftest import alternating4, cyclic_homology_list, quaternion_group
+from oracles import (
+    reference_induced_maps,
+    reference_lift_c4c2,
+    reference_lift_is_chain_map,
+    solver_lift_for_reference,
+)
 
 
 def _report(num, label, t0, limit):
@@ -40,12 +46,12 @@ def test_criterion_1_c4_c2_regression():
         assert data.phi(n).is_zero
     assert str(data.phi(3).takasu) == "Z/2" and str(data.phi(3).adamson) == "Z/2"
     assert R.lift_is_chain_map_check(data)
-    ref = R.reference_lift_c4c2()
-    assert R.reference_lift_is_chain_map(ref)
+    ref = reference_lift_c4c2()
+    assert reference_lift_is_chain_map(ref)
     assert ref.tensored_values()[:5] == [1, -1, 2, -2, 4]
-    solver = R.solver_lift_for_reference(ref)
-    ref_maps = R.reference_induced_maps(ref, ref.lift, 3)
-    sol_maps = R.reference_induced_maps(ref, solver, 3)
+    solver = solver_lift_for_reference(ref)
+    ref_maps = reference_induced_maps(ref, ref.lift, 3)
+    sol_maps = reference_induced_maps(ref, solver, 3)
     for n in range(4):
         assert ref_maps[n] == sol_maps[n]
     assert ref_maps[0] == IntMatrix([[1]])

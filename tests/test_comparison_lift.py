@@ -10,9 +10,11 @@ kernel and cokernel in every degree.
 import pytest
 
 import relhom as R
-from relhom import GModule, IntMatrix, exactla, pairhom
+from relhom import GModule, IntMatrix, exactla, modres, pairhom
 from relhom.errors import ValidationError
 from relhom.modres import FreeResolution
+
+from oracles import full_boundary, reference_lift_c4c2, solver_lift_for_reference, term_module
 
 TOP = 3
 PAIRS = ("C4>C2", "S3>C2", "V4>C2", "D4>refl")
@@ -56,9 +58,9 @@ def _solver_target(cx):
             col[c0 - 1] -= 1
         bottom_cols.append(col)
     bottom = IntMatrix.from_columns(bottom_cols, rows=k - 1)
-    return pairhom._SolverTarget(
-        lambda n: cx.term_module(n + 1),
-        lambda n: cx.full_boundary(n + 1) if n else bottom,
+    return modres._SolverTarget(
+        lambda n: term_module(cx, n + 1),
+        lambda n: full_boundary(cx, n + 1) if n else bottom,
     )
 
 
@@ -144,5 +146,5 @@ def test_comparison_lift_builds_no_solver(monkeypatch):
     R.comparison(h, GModule.trivial(h.parent), [2, 3])
     assert built == []
     # the counter sees the solvers of the reference lift
-    R.solver_lift_for_reference(R.reference_lift_c4c2())
+    solver_lift_for_reference(reference_lift_c4c2())
     assert built

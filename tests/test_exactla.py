@@ -266,3 +266,35 @@ def test_homology_data_coordinates_roundtrip():
         assert coords == [1 if j == i else 0 for j in range(len(coords))]
     with pytest.raises(ValidationError):
         HomologyData(IntMatrix([[1, 0]]), d2).coords_of_cycle([1, 0])
+
+
+def test_commutation_check_matches_dense_products():
+    # the check compares d f and f d column by column on sparse columns;
+    # it must refuse exactly where the dense products differ, at the same
+    # first degree, and accept commuting maps
+    rng = random.Random(8)
+    for trial in range(60):
+        ranks = [rng.randint(0, 3) for _ in range(4)]
+        c = ChainComplex(
+            0, ranks,
+            {n: IntMatrix([[rng.randint(-1, 1) for _ in range(ranks[n])]
+                           for _ in range(ranks[n - 1])], cols=ranks[n])
+             for n in range(1, 4)},
+            validate=False,
+        )
+        if trial % 3 == 0:
+            comps = {n: IntMatrix.identity(r).scale(rng.randint(-2, 2)) for n, r in enumerate(ranks)}
+        else:
+            comps = {
+                n: IntMatrix([[rng.choice((0, 0, 1, -1)) for _ in range(r)] for _ in range(r)], cols=r)
+                for n, r in enumerate(ranks)
+            }
+        bad = [
+            n for n in range(1, 4)
+            if c.boundary(n) @ comps[n] != comps[n - 1] @ c.boundary(n)
+        ]
+        if bad:
+            with pytest.raises(ValidationError, match=f"^chain map does not commute at degree {bad[0]}$"):
+                ChainMap(c, c, comps)
+        else:
+            assert ChainMap(c, c, comps).checked

@@ -60,9 +60,10 @@ def _bredon(h, m):
 
 BUILDERS = {
     "adamson": lambda h, m: R.AdamsonComplex(h, 3).tensor(m),
-    "adamson-shifted": lambda h, m: R.AdamsonComplex(h, 3).tensor(m, shifted=True),
+    "adamson-shifted": lambda h, m: R.AdamsonComplex(h, 3).shifted_tensor(m),
     "resolve": lambda h, m: R.resolve(R.standard_modules(h).i_module, 3).tensor(m),
     "bredon": _bredon,
+    "bredon-module": lambda h, m: R.bredon_complex(R.takasu_pair_complex(h, 2), m),
 }
 
 CASES = [

@@ -11,6 +11,8 @@ import pytest
 import relhom as R
 from relhom import GModule, IntMatrix
 
+from oracles import full_boundary, term_module
+
 
 def _pair(name):
     if name == "C4>C2":
@@ -58,13 +60,13 @@ def test_coset_tuple_routes_match_oracle(pair, coeff):
     h = _pair(pair)
     m = _coefficients(h, coeff)
     cx = R.AdamsonComplex(h, 3)
-    terms = [cx.term_module(n) for n in range(4)]
-    bounds = [cx.full_boundary(n) for n in range(1, 4)]
+    terms = [term_module(cx, n) for n in range(4)]
+    bounds = [full_boundary(cx, n) for n in range(1, 4)]
     oracle = R.tensor_gmodule_complex(terms, bounds, m)
     _same_homology(cx.tensor(m), oracle)
     _same_homology(R.tensor_perm_complex(terms, bounds, m), oracle)
     shifted_oracle = R.tensor_gmodule_complex(terms[1:], bounds[1:], m)
-    _same_homology(cx.tensor(m, shifted=True), shifted_oracle)
+    _same_homology(cx.shifted_tensor(m), shifted_oracle)
 
 
 def _free_oracle(res, m):
