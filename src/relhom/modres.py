@@ -480,6 +480,11 @@ class FreeResolution:
     def tensor(self, m: GModule) -> PresentedComplex:
         return tensor_free_resolution(self, m)
 
+    def lift_target(self) -> "_ResolutionTarget":
+        """This resolution as the target of a chain lift onto its module
+        (see `_chain_lift`), with a solver on each boundary matrix."""
+        return _ResolutionTarget(self, self.augmentation_matrix())
+
     def __repr__(self) -> str:
         return (
             f"FreeResolution({self.label or self.module.label}, "
@@ -962,39 +967,69 @@ def _dense(vec: Dict[int, int], size: int) -> List[int]:
     return [vec.get(i, 0) for i in range(size)]
 
 
-class _SolverTarget:
-    """An exact complex of permutation modules given by matrices, as a lift
-    target: terms(n) is the degree-n module and boundaries(n) its boundary
-    onto degree n - 1, or for n = 0 onto the module the lift covers.
-    Preimages come from one IntSolver per degree; vectors are dicts on
-    basis indices, moved by G through the terms' index permutations."""
+def _sparse_level(level: Sequence[Sequence[int]], order: int):
+    """Generator images of a map out of a free module, each as sparse
+    (i * |G|, h, coeff) entries of the basis (i, h) -> i*|G| + h."""
+    return [
+        [(idx - idx % order, idx % order, c) for idx, c in enumerate(col) if c]
+        for col in level
+    ]
 
-    def __init__(self, terms, boundaries):
-        self.terms = terms
-        self.boundaries = boundaries
+
+def _free_apply(group: FiniteGroup, entries, vec):
+    """The equivariant map of free modules that sends generator i to the
+    sparse entries[i] (see `_sparse_level`), applied to the sparse `vec`:
+    g e_i goes to g entries[i], moving (k, h) to (k, g h)."""
+    order, table = group.order, group.table
+    out: dict = {}
+    for idx, c in vec.items():
+        i, g = divmod(idx, order)
+        row = table[g]
+        for base, h, v in entries[i]:
+            key = base + row[h]
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+class _ResolutionTarget:
+    """A free resolution as a lift target (see `_chain_lift`), with
+    `bottom` as its degree-0 boundary.  Vectors are dicts on the basis
+    (i, h) -> i*|G| + h, which G moves by (i, h) -> (i, g h).  Boundaries
+    are applied through the generators' images; preimages come from one
+    IntSolver per degree, built when first asked for."""
+
+    def __init__(self, res: FreeResolution, bottom: IntMatrix):
+        self.res = res
+        self.bottom = bottom
+        self._entries: Dict[int, list] = {}
         self._solvers: Dict[int, IntSolver] = {}
 
     def act(self, n: int, g: int, vec):
-        perm = self.terms(n)._perms[g]
-        return {perm[i]: v for i, v in vec.items()}
+        order = self.res.group.order
+        row = self.res.group.table[g]
+        out = {}
+        for idx, v in vec.items():
+            i, h = divmod(idx, order)
+            out[i * order + row[h]] = v
+        return out
 
     def boundary(self, n: int, vec):
-        mat = self.boundaries(n)
-        return _sparse(mat.apply(_dense(vec, mat.cols)))
+        if n == 0:
+            return _sparse(self.bottom.apply(_dense(vec, self.bottom.cols)))
+        entries = self._entries.get(n)
+        if entries is None:
+            entries = self._entries[n] = _sparse_level(
+                self.res.gen_images[n], self.res.group.order
+            )
+        return _free_apply(self.res.group, entries, vec)
 
     def preimage(self, n: int, rhs):
-        if n not in self._solvers:
-            self._solvers[n] = IntSolver(self.boundaries(n))
-        solver = self._solvers[n]
+        solver = self._solvers.get(n)
+        if solver is None:
+            mat = self.res.boundary_matrix(n) if n else self.bottom
+            solver = self._solvers[n] = IntSolver(mat)
         sol = solver.solve(_dense(rhs, solver.m))
         return None if sol is None else _sparse(sol)
-
-
-def _resolution_target(res: FreeResolution, bottom: IntMatrix) -> _SolverTarget:
-    """A free resolution as a lift target with `bottom` as its degree-0
-    boundary; G moves the basis (i, h) -> i*|G| + h by (i, h) -> (i, g h)."""
-    free = [GModule.free(res.group, r) for r in res.free_ranks]
-    return _SolverTarget(free.__getitem__, lambda n: res.boundary_matrix(n) if n else bottom)
 
 
 def _lift_image(p: FreeResolution, target, comps, n: int, j: int):
@@ -1057,6 +1092,80 @@ class HorseshoeData:
     h_gen_images: List[List[List[int]]]  # h_k on the Z-side generators, k >= 1
 
 
+class _HorseshoeTarget(_ResolutionTarget):
+    """The horseshoe's middle resolution as a lift target whose preimages
+    come by back-substitution through its two halves, so that no boundary
+    of the middle is eliminated (the horseshoe lemma's own preimage step;
+    Brown, Cohomology of Groups, I.8).
+
+    A degree-(n-1) right-hand side (a, b), n >= 1, splits into its I-part
+    a and its Z-part b.  x_z is a preimage of b in res_z, and
+    a' = a - h_n(x_z) is a cycle, by d h_n = -h_(n-1) d (for n = 1, by
+    iota alpha h_1 = -sigma d); x_i is its preimage in res_i.  In degree
+    0, x_z covers the augmentation of y in Z, and x_i covers
+    y - sigma(x_z), which lies in I, through iota alpha.  A failed step
+    raises ValidationError naming its half and stage."""
+
+    def __init__(self, middle: FreeResolution, i_side, z_side, sigma, h_entries):
+        super().__init__(middle, middle.augmentation_matrix())
+        self.i_side = i_side
+        self.z_side = z_side
+        self.sigma = sigma
+        self.h_entries = h_entries
+
+    def preimage(self, n: int, rhs):
+        order = self.res.group.order
+        i_ranks = self.i_side.res.free_ranks
+        if n == 0:
+            total = sum(rhs.values())
+            x_z = _side_preimage(self.z_side, "Z", 0, {0: total} if total else {})
+            correction = self.sigma(x_z)
+            a = dict(rhs)
+        else:
+            cut = order * i_ranks[n - 1]
+            a = {k: v for k, v in rhs.items() if k < cut}
+            b = {k - cut: v for k, v in rhs.items() if k >= cut}
+            x_z = _side_preimage(self.z_side, "Z", n, b)
+            correction = _free_apply(self.res.group, self.h_entries[n - 1], x_z)
+        for k, v in correction.items():
+            a[k] = a.get(k, 0) - v
+        x = _side_preimage(self.i_side, "I", n, {k: v for k, v in a.items() if v})
+        cut = order * i_ranks[n]
+        x.update((cut + k, v) for k, v in x_z.items())
+        return x
+
+
+def _side_preimage(side: _ResolutionTarget, name: str, n: int, rhs):
+    x = side.preimage(n, rhs)
+    if x is None:
+        raise ValidationError(
+            f"horseshoe back-substitution: no {name}-side preimage at stage {n}"
+        )
+    return x
+
+
+class _HorseshoeMiddle(FreeResolution):
+    """The horseshoe's resolution of Z[G/H], F^I_k + F^Z_k in degree k with
+    the I-side generators first; it lifts along `_HorseshoeTarget`.  The
+    first lift target takes over the solvers on res_i that the horseshoe's
+    own lift built, so they live no longer than that lift; a later target
+    builds its own."""
+
+    def __init__(self, group, module, free_ranks, gen_images, i_side, res_z, sigma, h_entries):
+        super().__init__(group, module, free_ranks, gen_images, label="horseshoe")
+        self._i_side = i_side
+        self._res_z = res_z
+        self._sigma = sigma
+        self._h_entries = h_entries
+
+    def lift_target(self) -> _HorseshoeTarget:
+        i_side = self._i_side
+        self._i_side = _ResolutionTarget(i_side.res, i_side.bottom)
+        return _HorseshoeTarget(
+            self, i_side, self._res_z.lift_target(), self._sigma, self._h_entries
+        )
+
+
 def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules) -> HorseshoeData:
     """Combine resolutions of I and Z into a resolution of Z[G/H] for the
     short exact sequence 0 -> I -> Z[G/H] -> Z -> 0.
@@ -1066,7 +1175,9 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
     augmentation of Z through Z[G/H].  They come from the chain lift phi of
     res_z shifted down one degree, whose degree-0 images are sigma(d e),
     along res_i with iota alpha as its degree-0 boundary:
-    h_k = (-1)^k phi_{k-1}.  A failure names the stage of phi."""
+    h_k = (-1)^k phi_{k-1}.  A failure names the stage of phi.  The middle
+    resolution keeps that lift's solvers on res_i for its own preimage
+    step (`_HorseshoeTarget`)."""
     G = res_i.group
     n = G.order
     length = min(res_i.length, res_z.length)
@@ -1075,23 +1186,15 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
     emb = std.embedding.matrix
     # sigma: F^Z_0 generator j |-> beta_j * (identity coset) lifts the
     # augmentation of Z through Z[G/H] -> Z
-    sigma_cols = []
-    for j in range(res_z.free_ranks[0]):
-        beta = res_z.gen_images[0][j][0]
-        col = [0] * perm.rank
-        col[0] = beta
-        sigma_cols.append(col)
+    betas = [res_z.gen_images[0][j][0] for j in range(res_z.free_ranks[0])]
 
-    def sigma_apply(vec: Sequence[int]) -> List[int]:
-        out = [0] * perm.rank
-        for idx, c in enumerate(vec):
-            if c:
-                j, g = divmod(idx, n)
-                base = sigma_cols[j]
-                for b, v in enumerate(base):
-                    if v:
-                        out[cs.act(g, b)] += c * v
-        return out
+    def sigma(vec):
+        out: dict = {}
+        for idx, c in vec.items():
+            j, g = divmod(idx, n)
+            key = cs.act(g, 0)
+            out[key] = out.get(key, 0) + c * betas[j]
+        return {key: v for key, v in out.items() if v}
 
     # iota . alpha : F^I_0 -> Z[G/H]
     ia_cols = []
@@ -1105,11 +1208,12 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
         G,
         perm,
         res_z.free_ranks[1 : length + 1],
-        [[sigma_apply(v) for v in level] for level in res_z.gen_images[1:2]]
+        [[_dense(sigma(_sparse(v)), perm.rank) for v in level] for level in res_z.gen_images[1:2]]
         + res_z.gen_images[2 : length + 1],
     )
+    i_side = _ResolutionTarget(res_i, ia_matrix)
     try:
-        phi = _chain_lift(shifted, _resolution_target(res_i, ia_matrix), length)
+        phi = _chain_lift(shifted, i_side, length)
     except ValidationError as exc:
         raise ValidationError(
             f"horseshoe connecting map (h_k = (-1)^k phi_(k-1)): {exc}"
@@ -1126,7 +1230,7 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
     level0 = []
     for j in range(res_i.free_ranks[0]):
         level0.append(emb.apply(res_i.gen_images[0][j]))
-    level0.extend(sigma_cols)
+    level0.extend([beta] + [0] * (perm.rank - 1) for beta in betas)
     mid_gens.append(level0)
     for k in range(1, length + 1):
         ri_prev, rz_prev = res_i.free_ranks[k - 1], res_z.free_ranks[k - 1]
@@ -1149,7 +1253,10 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
                     col[off + idx] = c
             level.append(col)
         mid_gens.append(level)
-    middle = FreeResolution(G, perm, mid_ranks, mid_gens, label="horseshoe")
+    middle = _HorseshoeMiddle(
+        G, perm, mid_ranks, mid_gens, i_side, res_z, sigma,
+        [_sparse_level(level, n) for level in h_gen_images],
+    )
     return HorseshoeData(middle, res_i, res_z, h_gen_images)
 
 
@@ -1159,7 +1266,7 @@ def lift_over_resolution(
     """Generator columns of a chain map src -> tgt lifting `bottom` between
     the resolved modules; requires tgt to be exact (a resolution).  It is
     the chain lift of src, with its degree-0 images pushed through
-    `bottom`, along tgt."""
+    `bottom`, along tgt's own preimage step (`FreeResolution.lift_target`)."""
     if src.group is not tgt.group:
         raise ValidationError("resolutions over different groups")
     length = min(src.length, tgt.length)
@@ -1169,7 +1276,7 @@ def lift_over_resolution(
         src.free_ranks[: length + 1],
         [[bottom.apply(v) for v in src.gen_images[0]]] + src.gen_images[1 : length + 1],
     )
-    lift = _chain_lift(pushed, _resolution_target(tgt, tgt.augmentation_matrix()), length + 1)
+    lift = _chain_lift(pushed, tgt.lift_target(), length + 1)
     return [[_dense(x, tgt.z_rank(k)) for x in level] for k, level in enumerate(lift)]
 
 

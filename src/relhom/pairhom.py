@@ -601,12 +601,14 @@ def verify_takasu_les(
     d_mats: Dict[int, IntMatrix] = {}
     shapiro_ok = True
     for n in range(max_degree + 1):
-        tor_i[n] = ti.homology(n)
-        tor_m[n] = tm.homology(n)
-        tor_z[n] = tz.homology(n)
+        # the groups of the homology data the induced maps below use, so
+        # each cone boundary is eliminated once
+        tor_i[n] = ti.homology_data(n).group
+        tor_m[n] = tm.homology_data(n).group
+        tor_z[n] = tz.homology_data(n).group
         groups[f"H_{n + 1}(pair)"] = tor_i[n]
         groups[f"H_{n}(G)"] = tor_z[n]
-        h_side = th.homology(n)
+        h_side = th.homology_data(n).group
         groups[f"H_{n}(H)"] = h_side
         a_mats[n] = incl.induced(n)
         b_mats[n] = proj.induced(n)

@@ -5,7 +5,11 @@
   the input of the termwise oracle `tensor_gmodule_complex`;
 - the hard-coded comparison lift for the pair of cyclic groups of orders 4
   and 2 (`reference_lift_c4c2`), with the solver-driven lift of the same
-  map and their induced maps.
+  map and their induced maps;
+- `SolverTarget`, a lift target that takes preimages from an IntSolver on
+  dense boundary matrices, and `solver_lift_over_resolution`, the lift
+  between resolutions along it: the reference for the preimage steps that
+  `comparison` and the horseshoe resolution make without eliminating.
 """
 
 from dataclasses import dataclass
@@ -15,12 +19,12 @@ from weakref import WeakKeyDictionary
 
 from relhom import pairhom
 from relhom.errors import TruncationError
-from relhom.exactla import IntMatrix, PresentedChainMap
+from relhom.exactla import IntMatrix, IntSolver, PresentedChainMap
 from relhom.groups import FiniteGroup, coset_space, cyclic_group
 from relhom.modres import (
     FreeResolution,
     GModule,
-    _SolverTarget,
+    _chain_lift,
     _dense,
     _is_chain_lift,
     _sparse,
@@ -70,6 +74,65 @@ def term_module(cx: pairhom.AdamsonComplex, n: int) -> GModule:
             )
         cache[n] = GModule(cx.group, len(cx.tuples[n]), perms=perms, validate=False)
     return cache[n]
+
+
+# ---------------------------------------------------------------------------
+# Lifts along solvers on dense boundary matrices
+
+
+class SolverTarget:
+    """An exact complex of permutation modules given by matrices, as a lift
+    target: terms(n) is the degree-n module and boundaries(n) its boundary
+    onto degree n - 1, or for n = 0 onto the module the lift covers.
+    Preimages come from one IntSolver per degree; vectors are dicts on
+    basis indices, moved by G through the terms' index permutations."""
+
+    def __init__(self, terms, boundaries):
+        self.terms = terms
+        self.boundaries = boundaries
+        self._solvers: Dict[int, IntSolver] = {}
+
+    def act(self, n: int, g: int, vec):
+        perm = self.terms(n)._perms[g]
+        return {perm[i]: v for i, v in vec.items()}
+
+    def boundary(self, n: int, vec):
+        mat = self.boundaries(n)
+        return _sparse(mat.apply(_dense(vec, mat.cols)))
+
+    def preimage(self, n: int, rhs):
+        if n not in self._solvers:
+            self._solvers[n] = IntSolver(self.boundaries(n))
+        solver = self._solvers[n]
+        sol = solver.solve(_dense(rhs, solver.m))
+        return None if sol is None else _sparse(sol)
+
+
+def solver_resolution_target(res: FreeResolution, bottom: IntMatrix) -> SolverTarget:
+    """A free resolution as a lift target with `bottom` as its degree-0
+    boundary, preimages from an IntSolver on each boundary matrix; G moves
+    the basis (i, h) -> i*|G| + h by (i, h) -> (i, g h)."""
+    free = [GModule.free(res.group, r) for r in res.free_ranks]
+    return SolverTarget(free.__getitem__, lambda n: res.boundary_matrix(n) if n else bottom)
+
+
+def solver_lift_over_resolution(
+    src: FreeResolution, tgt: FreeResolution, bottom: IntMatrix
+) -> List[List[List[int]]]:
+    """`modres.lift_over_resolution` with an IntSolver on each of tgt's
+    boundary matrices (and its augmentation) for the preimages, whatever
+    preimage step tgt keeps: on the horseshoe resolution, this eliminates
+    the assembled middle boundaries that its back-substitution avoids."""
+    length = min(src.length, tgt.length)
+    pushed = FreeResolution(
+        src.group,
+        tgt.module,
+        src.free_ranks[: length + 1],
+        [[bottom.apply(v) for v in src.gen_images[0]]] + src.gen_images[1 : length + 1],
+    )
+    target = solver_resolution_target(tgt, tgt.augmentation_matrix())
+    lift = _chain_lift(pushed, target, length + 1)
+    return [[_dense(x, tgt.z_rank(k)) for x in level] for k, level in enumerate(lift)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +232,8 @@ def _c4_cache() -> FiniteGroup:
     return cyclic_group(4)
 
 
-def _reference_target(ref: ReferenceLift) -> _SolverTarget:
-    return _SolverTarget(
+def _reference_target(ref: ReferenceLift) -> SolverTarget:
+    return SolverTarget(
         lambda n: ref.target_terms[n],
         lambda n: ref.target_boundaries[n] if n else ref.bottom_boundary,
     )

@@ -10,11 +10,11 @@ kernel and cokernel in every degree.
 import pytest
 
 import relhom as R
-from relhom import GModule, IntMatrix, exactla, modres, pairhom
+from relhom import GModule, IntMatrix, exactla, pairhom
 from relhom.errors import ValidationError
 from relhom.modres import FreeResolution
 
-from oracles import full_boundary, reference_lift_c4c2, solver_lift_for_reference, term_module
+from oracles import SolverTarget, full_boundary, reference_lift_c4c2, solver_lift_for_reference, term_module
 
 TOP = 3
 PAIRS = ("C4>C2", "S3>C2", "V4>C2", "D4>refl")
@@ -58,7 +58,7 @@ def _solver_target(cx):
             col[c0 - 1] -= 1
         bottom_cols.append(col)
     bottom = IntMatrix.from_columns(bottom_cols, rows=k - 1)
-    return modres._SolverTarget(
+    return SolverTarget(
         lambda n: term_module(cx, n + 1),
         lambda n: full_boundary(cx, n + 1) if n else bottom,
     )
