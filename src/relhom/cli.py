@@ -166,6 +166,21 @@ def parse_degrees(spec, path: str, default: Tuple[int, int]) -> Tuple[int, int]:
     return lo, hi
 
 
+def _parse_cap(value, path: str, least: int) -> int:
+    """A budget cap: an integer, or a string of one, at least `least`."""
+    cap = value
+    if isinstance(value, str):
+        try:
+            cap = int(value)
+        except ValueError:
+            pass
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise JobError(path, f"expected an integer, got {value!r}")
+    if cap < least:
+        raise JobError(path, f"must be at least {least}, got {cap}")
+    return cap
+
+
 class Job:
     """A validated computation job."""
 
@@ -185,12 +200,17 @@ class Job:
         if not isinstance(budget_doc, dict):
             raise JobError("job.budget", "expected an object")
         env_cap = os.environ.get("RELHOM_BUDGET")
-        self.rank_cap = int(
-            overrides.get("budget")
-            or budget_doc.get("rank_cap")
-            or (int(env_cap) if env_cap else DEFAULT_RANK_CAP)
+        if overrides.get("budget") is not None:
+            self.rank_cap = _parse_cap(overrides["budget"], "--budget", 1)
+        elif budget_doc.get("rank_cap") is not None:
+            self.rank_cap = _parse_cap(budget_doc["rank_cap"], "job.budget.rank_cap", 1)
+        elif env_cap:
+            self.rank_cap = _parse_cap(env_cap, "RELHOM_BUDGET", 1)
+        else:
+            self.rank_cap = DEFAULT_RANK_CAP
+        self.degree_cap = _parse_cap(
+            budget_doc.get("degree_cap", DEFAULT_DEGREE_CAP), "job.budget.degree_cap", 0
         )
-        self.degree_cap = int(budget_doc.get("degree_cap", DEFAULT_DEGREE_CAP))
         degree_spec = overrides.get("degrees") or doc.get("degrees")
         needs_subgroup = self.command not in ("bredon",)
         self.subgroup = (

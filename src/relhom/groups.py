@@ -3,18 +3,23 @@ conjugation, and family-theoretic predicates."""
 
 from __future__ import annotations
 
+import functools
 import itertools
-import weakref
-from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 
 
 class FiniteGroup:
-    """A finite group on element indices 0..order-1 with identity 0."""
+    """A finite group on element indices 0..order-1 with identity 0.
 
-    __slots__ = ("order", "table", "inverse", "label", "__weakref__")
+    `memo` holds every cached result about the group or its subgroups
+    (coset spaces, standard modules, resolutions, coset-tuple complexes),
+    keyed by value: a tuple of the cached function's name and a subgroup's
+    elements, a module's `value_key` or a re-indexed table.  An entry lives
+    as long as the group, so no cache keeps a group alive."""
+
+    __slots__ = ("order", "table", "inverse", "label", "memo", "__weakref__")
 
     def __init__(self, table: Sequence[Sequence[int]], label: str = ""):
         n = len(table)
@@ -50,6 +55,7 @@ class FiniteGroup:
         self.table = tab
         self.inverse = tuple(inv)
         self.label = label or f"group of order {n}"
+        self.memo: Dict[tuple, object] = {}
 
     # identity is always element 0
     identity = 0
@@ -201,22 +207,41 @@ class Subgroup:
         return f"Subgroup({list(self.elements)} of {self.parent.label})"
 
 
-@lru_cache(maxsize=None)
+def memoized(fn):
+    """Cache `fn(x)`, for a group or a subgroup `x`, in the group's memo,
+    keyed by the function's name and the subgroup's elements."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def cached(x):
+        if isinstance(x, Subgroup):
+            memo, key = x.parent.memo, (name, x.elements)
+        else:
+            memo, key = x.memo, (name,)
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = fn(x)
+            return value
+
+    return cached
+
+
+@memoized
 def subgroup_as_group(h: Subgroup) -> Tuple[FiniteGroup, Tuple[int, ...]]:
     """Re-index a subgroup as a standalone group; returns (group, embedding).
 
-    The group is interned like `make_group`'s, by (table, label), so
-    subgroups with equal re-indexed tables (conjugate subgroups, say) share
-    one group and every cache keyed on it."""
+    The group is interned in the parent's memo by its table, so subgroups
+    with equal re-indexed tables (conjugate subgroups, say) share one group
+    and every entry in its memo."""
     G = h.parent
     embed = h.elements  # sorted, so the identity 0 stays at index 0
     pos = {g: i for i, g in enumerate(embed)}
     table = tuple(tuple(pos[G.table[a][b]] for b in embed) for a in embed)
-    label = f"subgroup of {G.label}"
-    grp = _interned.get((table, label))
-    if grp is None:
-        grp = _interned.setdefault((table, label), FiniteGroup(table, label=label))
-    return grp, embed
+    key = ("subgroup group", table)
+    if key not in G.memo:
+        G.memo[key] = FiniteGroup(table, label=f"subgroup of {G.label}")
+    return G.memo[key], embed
 
 
 class CosetSpace:
@@ -259,7 +284,7 @@ class CosetSpace:
         return self.action[g][idx]
 
 
-@lru_cache(maxsize=None)
+@memoized
 def coset_space(h: Subgroup) -> CosetSpace:
     return CosetSpace(h)
 
@@ -399,19 +424,19 @@ _CONSTRUCTORS = {
     "from_permutations": group_from_permutations,
 }
 
-_interned: "weakref.WeakValueDictionary[tuple, FiniteGroup]" = weakref.WeakValueDictionary()
+_interned: Dict[tuple, FiniteGroup] = {}
 
 
 def make_group(kind: str, *args) -> FiniteGroup:
     """Dispatching constructor: cyclic n | dihedral n | symmetric n |
     direct_product(A, B) | from_permutations(gens, degree?).
 
-    Groups are interned: the table is built and validated on every call,
-    then the first live group with the same table and label is returned.
-    Subgroups, and every cache keyed on a group or a subgroup, compare
-    groups by identity, so equal questions asked through separately built
-    groups share those caches.  The named constructors return fresh
-    groups."""
+    Groups are interned for the life of the process: the table is built
+    and validated on every call, then the first group with the same table
+    and label is returned, with its memo.  So equal questions asked through
+    separately built groups (CLI jobs, say) share cached results.  The
+    named constructors return fresh groups, whose memo is freed with
+    them."""
     if kind not in _CONSTRUCTORS:
         raise ValidationError(f"unknown group kind {kind!r}")
     built = _CONSTRUCTORS[kind](*args)
@@ -422,7 +447,7 @@ def make_group(kind: str, *args) -> FiniteGroup:
 # Subgroup enumeration and predicates
 
 
-@lru_cache(maxsize=None)
+@memoized
 def all_subgroups(G: FiniteGroup) -> Tuple[Subgroup, ...]:
     """All subgroups, by closing cyclic subgroups under pairwise joins."""
     seen: Dict[Tuple[int, ...], Subgroup] = {}
@@ -446,7 +471,7 @@ def all_subgroups(G: FiniteGroup) -> Tuple[Subgroup, ...]:
     return tuple(sorted(seen.values(), key=lambda s: (s.order, s.elements)))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def subgroup_conjugacy_classes(G: FiniteGroup) -> Tuple[Tuple[Subgroup, ...], ...]:
     classes = []
     assigned = set()

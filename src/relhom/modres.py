@@ -5,7 +5,6 @@ tensor products over the group ring, and Tor."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, ValidationError
@@ -18,7 +17,7 @@ from .exactla import (
     kernel_basis,
     smith_invariants,
 )
-from .groups import FiniteGroup, Subgroup, coset_space, subgroup_as_group
+from .groups import FiniteGroup, Subgroup, coset_space, memoized, subgroup_as_group
 
 DEFAULT_RANK_CAP = 5000
 
@@ -181,10 +180,10 @@ class GModule:
                         raise ValidationError("relation lattice is not G-stable")
 
     def value_key(self) -> tuple:
-        """The module's value, as a cache key: the group (which compares by
-        identity; see `groups.make_group`), the rank, the action and the
-        relations.  Holding the group keeps its id taken while a cache
-        entry lives."""
+        """The module's value, as a cache key in its group's memo
+        (`FiniteGroup.memo`): the group, the rank, the action and the
+        relations.  The group compares by identity, so modules over two
+        groups never share a key, even when the groups are equal."""
         return (self.group, self.rank, self._perms, self._mats, self.relations)
 
     def is_constant(self) -> bool:
@@ -316,7 +315,7 @@ class StandardModules:
     embedding: GModuleHom
 
 
-@lru_cache(maxsize=None)
+@memoized
 def standard_modules(h: Subgroup) -> StandardModules:
     G = h.parent
     cs = coset_space(h)
@@ -859,29 +858,23 @@ def cyclic_resolution(group: FiniteGroup, length: int) -> FreeResolution:
     )
 
 
-def check_takasu_budget(h: Subgroup, length: int, rank_cap: int):
-    """The budget of `takasu_resolution(h, length)`: the Z-rank of each
-    term 1..length (term 0 is smaller than term 1)."""
-    n = h.parent.order
-    for k in range(1, length + 1):
-        _check_budget(
-            f"relative standard resolution term {k} for {h.parent.label} (Z-rank)",
-            n * (n ** (k + 1) - h.order ** (k + 1)),
-            rank_cap,
-        )
-
-
 def takasu_resolution(
     h: Subgroup, length: int, rank_cap: int = DEFAULT_RANK_CAP
 ) -> FreeResolution:
     """Resolution of the augmentation kernel of Z[G/H] whose degree-k term
     is the standard (k+2)-tuple term of G modulo the span of single-coset
-    tuples (free on the non-coset tuple representatives)."""
+    tuples (free on the non-coset tuple representatives).  The budget is
+    the Z-rank of each term 1..length (term 0 is smaller than term 1)."""
     import itertools as _it
 
-    check_takasu_budget(h, length, rank_cap)
     G = h.parent
     n = G.order
+    for k in range(1, length + 1):
+        _check_budget(
+            f"relative standard resolution term {k} for {G.label} (Z-rank)",
+            n * (n ** (k + 1) - h.order ** (k + 1)),
+            rank_cap,
+        )
     hset = set(h.elements)
     cs = coset_space(h)
     std = standard_modules(h)
@@ -1284,29 +1277,25 @@ def lift_over_resolution(
 # Tor and coinvariants
 
 
-_resolution_cache: Dict[tuple, FreeResolution] = {}
-
-
 def cached_resolution(m: GModule, length: int, rank_cap: int = DEFAULT_RANK_CAP) -> FreeResolution:
-    """`resolve(m, length)`, cached by the module's value (`value_key`), so
-    equal modules built apart share one entry.  The entry is the longest
-    resolution built so far, and a call gets exactly `length` terms of it
-    (`FreeResolution.truncated`): `resolve` builds term k from the terms
-    below it only, so that prefix equals a cold `resolve(m, length)`.  A
-    shorter entry is extended from its last term, not rebuilt; views
-    handed out before keep their length.  Every term through `length`,
-    cached or new, is held to the budget `resolve` applies."""
-    key = m.value_key()
-    res = _resolution_cache.get(key)
+    """`resolve(m, length)`, cached in the group's memo by the module's
+    value (`value_key`), so equal modules built apart share one entry.  The
+    entry is the longest resolution built so far, and a call gets exactly
+    `length` terms of it (`FreeResolution.truncated`): `resolve` builds
+    term k from the terms below it only, so that prefix equals a cold
+    `resolve(m, length)`.  A shorter entry is extended from its last term,
+    not rebuilt; views handed out before keep their length.  Every term
+    through `length`, cached or new, is held to the budget `resolve`
+    applies."""
+    memo, key = m.group.memo, ("cached_resolution", m.value_key())
+    res = memo.get(key)
     if res is None:
-        res = _resolution_cache[key] = resolve(m, length, rank_cap=rank_cap)
+        res = memo[key] = resolve(m, length, rank_cap=rank_cap)
     else:
         for k in range(min(res.length, length) + 1):
             _check_budget(f"resolution term {k}", res.z_rank(k), rank_cap)
         if res.length < length:
-            res = _resolution_cache[key] = _extend_resolution(
-                res, length, rank_cap=rank_cap
-            )
+            res = memo[key] = _extend_resolution(res, length, rank_cap=rank_cap)
     return res.truncated(length)
 
 
@@ -1331,7 +1320,7 @@ def group_homology(group: FiniteGroup, m: GModule, degree: int, rank_cap: int = 
     return tor(GModule.trivial(group), m, degree, rank_cap=rank_cap)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def quotient_group(n_sub: Subgroup) -> Tuple[FiniteGroup, Tuple[int, ...]]:
     """The quotient group G/N of a normal subgroup, with the projection map
     (element -> coset index); the identity coset has index 0."""

@@ -29,7 +29,6 @@ from .modres import (
     FreeResolution,
     GModule,
     cached_resolution,
-    check_takasu_budget,
     coinvariants,
     free_orbit_entries,
     horseshoe,
@@ -37,7 +36,6 @@ from .modres import (
     lift_over_resolution,
     orbit_map_matrix,
     standard_modules,
-    takasu_resolution,
     tensor_orbit_complex,
     group_homology,
 )
@@ -146,6 +144,8 @@ class AdamsonComplex:
 
         The cache is keyed on the module's value (`GModule.value_key`), not
         its id: a collected module's id is reused by new objects."""
+        if m.group is not self.group:
+            raise ValidationError("module over a different group")
         self._check_tensor_budget(m, rank_cap, 0)
         key = m.value_key()
         cx = self._tensor_cache.get(key)
@@ -186,22 +186,20 @@ class AdamsonComplex:
                     )
 
 
-_adamson_cache: Dict[Subgroup, AdamsonComplex] = {}
-
-
 def adamson_complex(h: Subgroup, truncation: int, rank_cap: int = DEFAULT_RANK_CAP) -> AdamsonComplex:
-    """`AdamsonComplex(h, truncation)`, cached per subgroup.  Subgroups of
-    one group compare by value, and `groups.make_group` interns groups, so
-    the entry serves every job that asks about the same pair.  The cached
-    complex is reused only at the same truncation, so a call gets exactly
-    the degrees it asks for and is held to their budget, on a hit as on a
-    miss.  A caller that needs several degrees asks once, at the largest
-    truncation (see `adamson_homology`)."""
-    cx = _adamson_cache.get(h)
+    """`AdamsonComplex(h, truncation)`, cached in the group's memo by the
+    subgroup's elements.  `groups.make_group` interns groups, so the entry
+    serves every job that asks about the same pair.  The cached complex is
+    reused only at the same truncation, so a call gets exactly the degrees
+    it asks for and is held to their budget, on a hit as on a miss.  A
+    caller that needs several degrees asks once, at the largest truncation
+    (see `adamson_homology`)."""
+    memo, key = h.parent.memo, ("adamson_complex", h.elements)
+    cx = memo.get(key)
     if cx is not None and cx.truncation == truncation:
         _check_tuple_budget(h, truncation, rank_cap)
         return cx
-    cx = _adamson_cache[h] = AdamsonComplex(h, truncation, rank_cap)
+    cx = memo[key] = AdamsonComplex(h, truncation, rank_cap)
     return cx
 
 
@@ -227,14 +225,10 @@ def adamson_homology(
     return cx.tensor(m, rank_cap).homology(degree)
 
 
-_takasu_res_cache: Dict[Subgroup, FreeResolution] = {}
-
-
 def takasu_homology(
     h: Subgroup,
     m: GModule,
     degree: int,
-    engine: str = "resolve",
     rank_cap: int = DEFAULT_RANK_CAP,
 ) -> FgAbGroup:
     """Tor-based relative homology of the pair; degree 0 is 0 by convention."""
@@ -242,18 +236,7 @@ def takasu_homology(
         raise ValidationError("negative degree")
     if degree == 0:
         return FgAbGroup.trivial()
-    std = standard_modules(h)
-    if engine == "resolve":
-        res = cached_resolution(std.i_module, degree, rank_cap)
-    elif engine == "takasu":
-        res = _takasu_res_cache.get(h)
-        if res is None or res.length < degree:
-            res = _takasu_res_cache[h] = takasu_resolution(h, degree, rank_cap)
-        else:
-            check_takasu_budget(h, degree, rank_cap)
-            res = res.truncated(degree)
-    else:
-        raise ValidationError(f"unknown engine {engine!r}")
+    res = cached_resolution(standard_modules(h).i_module, degree, rank_cap)
     return res.tensor(m).homology(degree - 1)
 
 

@@ -9,7 +9,9 @@
 - `SolverTarget`, a lift target that takes preimages from an IntSolver on
   dense boundary matrices, and `solver_lift_over_resolution`, the lift
   between resolutions along it: the reference for the preimage steps that
-  `comparison` and the horseshoe resolution make without eliminating.
+  `comparison` and the horseshoe resolution make without eliminating;
+- `takasu_reference`: the Tor-based relative homology through the relative
+  standard resolution, the reference for `takasu_homology`.
 """
 
 from dataclasses import dataclass
@@ -19,9 +21,10 @@ from weakref import WeakKeyDictionary
 
 from relhom import pairhom
 from relhom.errors import TruncationError
-from relhom.exactla import IntMatrix, IntSolver, PresentedChainMap
-from relhom.groups import FiniteGroup, coset_space, cyclic_group
+from relhom.exactla import FgAbGroup, IntMatrix, IntSolver, PresentedChainMap
+from relhom.groups import FiniteGroup, Subgroup, coset_space, cyclic_group
 from relhom.modres import (
+    DEFAULT_RANK_CAP,
     FreeResolution,
     GModule,
     _chain_lift,
@@ -29,6 +32,7 @@ from relhom.modres import (
     _is_chain_lift,
     _sparse,
     standard_modules,
+    takasu_resolution,
     tensor_gmodule_complex,
 )
 
@@ -280,3 +284,16 @@ def reference_lift_is_chain_map(ref: ReferenceLift) -> bool:
     """Verify that the hard-coded reference lift commutes with the boundaries."""
     comps = [[_sparse(col) for col in level] for level in ref.lift]
     return _is_chain_lift(ref.resolution, _reference_target(ref), comps)
+
+
+# ---------------------------------------------------------------------------
+# The Tor-based relative homology through the relative standard resolution
+
+
+def takasu_reference(
+    h: Subgroup, m: GModule, degree: int, rank_cap: int = DEFAULT_RANK_CAP
+) -> FgAbGroup:
+    """`takasu_homology(h, m, degree)` for degree >= 1, read from
+    `takasu_resolution` (tuples of G modulo single-coset tuples) instead of
+    a minimized resolution of the augmentation kernel."""
+    return takasu_resolution(h, degree, rank_cap).tensor(m).homology(degree - 1)

@@ -16,6 +16,7 @@ from oracles import (
     reference_lift_c4c2,
     reference_lift_is_chain_map,
     solver_lift_for_reference,
+    takasu_reference,
 )
 
 
@@ -208,9 +209,9 @@ def test_criterion_6_engine_cross_validation():
             break
         compared = 0
         for n in (2, 3, 4):
-            base = R.takasu_homology(h, triv, n, engine="resolve")
+            base = R.takasu_homology(h, triv, n)
             try:
-                assert base == R.takasu_homology(h, triv, n, engine="takasu")
+                assert base == takasu_reference(h, triv, n)
                 compared += 1
             except BudgetError:
                 pass

@@ -203,6 +203,53 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_BUDGET
 
 
+S3_TAKASU_JOB = {
+    "command": "takasu",
+    "group": {"kind": "symmetric", "n": 3},
+    "subgroup": {"generators": [1]},
+    "coefficients": {"kind": "trivial_Z"},
+    "degrees": "1..1",
+}
+
+
+@pytest.mark.parametrize(
+    "budget,env,argv,path",
+    [
+        ({"rank_cap": "abc"}, None, (), "job.budget.rank_cap"),
+        ({"rank_cap": 0}, None, (), "job.budget.rank_cap"),
+        ({"rank_cap": 2.5}, None, (), "job.budget.rank_cap"),
+        ({"degree_cap": "x"}, None, (), "job.budget.degree_cap"),
+        ({"degree_cap": -1}, None, (), "job.budget.degree_cap"),
+        ({}, "abc", (), "RELHOM_BUDGET"),
+        ({}, "0", (), "RELHOM_BUDGET"),
+        ({}, None, ("--budget", "0"), "--budget"),
+        ({}, None, ("--budget", "-5"), "--budget"),
+    ],
+    ids=["rank_cap-text", "rank_cap-zero", "rank_cap-float", "degree_cap-text",
+         "degree_cap-negative", "env-text", "env-zero", "option-zero", "option-negative"],
+)
+def test_bad_budget_field_is_named(tmp_path, capsys, monkeypatch, budget, env, argv, path):
+    if env is None:
+        monkeypatch.delenv("RELHOM_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("RELHOM_BUDGET", env)
+    code = run_cli(tmp_path, dict(S3_TAKASU_JOB, budget=budget), argv)
+    assert code == cli.EXIT_VALIDATION
+    assert f"error (validation): {path}: " in capsys.readouterr().err
+
+
+def test_budget_precedence(tmp_path, capsys, monkeypatch):
+    # --budget over the job's rank_cap over RELHOM_BUDGET; the S3 job fits
+    # in 100 and not in 4
+    monkeypatch.setenv("RELHOM_BUDGET", "4")
+    small = dict(S3_TAKASU_JOB, budget={"rank_cap": 4})
+    large = dict(S3_TAKASU_JOB, budget={"rank_cap": 100})
+    assert run_cli(tmp_path, small, ("--budget", "100")) == cli.EXIT_OK
+    assert run_cli(tmp_path, large) == cli.EXIT_OK
+    assert run_cli(tmp_path, large, ("--budget", "4")) == cli.EXIT_BUDGET
+    capsys.readouterr()
+
+
 def test_missing_field_path_in_error(tmp_path, capsys):
     job = {"command": "compare", "group": {"kind": "cyclic", "n": 4}}
     code = run_cli(tmp_path, job)

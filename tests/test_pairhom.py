@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import relhom as R
@@ -10,6 +12,7 @@ from oracles import (
     reference_lift_c4c2,
     reference_lift_is_chain_map,
     solver_lift_for_reference,
+    takasu_reference,
 )
 
 
@@ -69,9 +72,7 @@ def test_takasu_c4_c2(c4, c4_c2):
     vals = [str(R.takasu_homology(c4_c2, triv, n)) for n in range(1, 5)]
     assert vals == ["Z/2", "0", "Z/2", "0"]
     for n in range(1, 5):
-        assert R.takasu_homology(c4_c2, triv, n, engine="takasu") == R.takasu_homology(
-            c4_c2, triv, n
-        )
+        assert takasu_reference(c4_c2, triv, n) == R.takasu_homology(c4_c2, triv, n)
 
 
 def test_takasu_trivial_subgroup_is_group_homology(s3):
@@ -212,6 +213,19 @@ def test_adamson_truncation_error(c4, c4_c2):
         R.adamson_homology(c4_c2, GModule.trivial(c4), 3, truncation=2)
 
 
+def test_adamson_refuses_a_module_over_another_group(s3):
+    # the sign module of S3 and a pair in C6, a group of the same order
+    h = R.cyclic_group(6).subgroup_generated([3])
+    signs = [
+        (-1) ** sum(p[i] > p[j] for i, j in itertools.combinations(range(3), 2))
+        for p in itertools.permutations(range(3))
+    ]
+    sign = GModule.from_action_matrices(s3, [IntMatrix([[s]]) for s in signs], label="sign")
+    for degree in (0, 1):
+        with pytest.raises(ValidationError, match="module over a different group"):
+            R.adamson_homology(h, sign, degree)
+
+
 def test_adamson_complex_acyclicity(c4_c2):
     cx = R.adamson_complex(c4_c2, 4)
     cx.validate_acyclic()
@@ -255,7 +269,7 @@ def test_budget_ignores_degrees_beyond_the_call():
 def test_budget_on_cached_resolutions():
     def warm_up(h):
         R.takasu_homology(h, GModule.trivial(h.parent), 3)
-        R.takasu_homology(h, GModule.trivial(h.parent), 3, engine="takasu")
+        takasu_reference(h, GModule.trivial(h.parent), 3)
 
     term0 = ("resolution term 0", 4, 1)
     cold, warm = _cold_and_warm(
@@ -267,10 +281,5 @@ def test_budget_on_cached_resolutions():
         warm_up, lambda h: R.takasu_homology(h, GModule.trivial(h.parent), 2, rank_cap=1)
     )
     assert cold == warm == term0
-    cold, warm = _cold_and_warm(
-        warm_up,
-        lambda h: R.takasu_homology(
-            h, GModule.trivial(h.parent), 2, engine="takasu", rank_cap=100
-        ),
-    )
+    cold, warm = _cold_and_warm(warm_up, lambda h: R.takasu_resolution(h, 2, rank_cap=100))
     assert cold == warm == ("relative standard resolution term 2 for C4 (Z-rank)", 224, 100)

@@ -53,8 +53,8 @@ def _count_calls(monkeypatch, fn):
 
 def test_lift_layers_keep_their_callers(monkeypatch):
     # pairhom.lift times the comparison's lift only and modres.lift the
-    # Tor-side lifts, although both run the one loop in modres
-    monkeypatch.setattr(modres, "_resolution_cache", {})
+    # Tor-side lifts, although both run the one loop in modres; a fresh
+    # group starts with an empty memo
     pair_lift = _count_calls(monkeypatch, pairhom._lift_along_exact_target)
     tor_lifts = [
         _count_calls(monkeypatch, modres.horseshoe),

@@ -1,10 +1,13 @@
 """Caches keyed by value: an answer must not depend on call order, on
 object identity or on what the process computed before, and a budget
-applies on a cache hit as on a miss."""
+applies on a cache hit as on a miss.  Every cached result lives in its
+group's memo and is freed with the group."""
 
+import gc
 import json
 import random
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -118,10 +121,16 @@ def test_budget_on_value_keyed_hits(warm_up, call, expected):
     assert cold == warm == expected
 
 
-def test_equal_modules_share_a_resolution(monkeypatch):
+def _resolved_modules(monkeypatch):
+    """The modules `modres.resolve` is called on from now on."""
     calls = []
     resolve = modres.resolve
-    monkeypatch.setattr(modres, "resolve", lambda *a, **k: calls.append(a) or resolve(*a, **k))
+    monkeypatch.setattr(modres, "resolve", lambda m, *a, **k: calls.append(m) or resolve(m, *a, **k))
+    return calls
+
+
+def test_equal_modules_share_a_resolution(monkeypatch):
+    calls = _resolved_modules(monkeypatch)
     first = modres.cached_resolution(GModule.trivial(R.make_group("symmetric", 3)), 3)
     calls.clear()
     again = modres.cached_resolution(GModule.trivial(R.make_group("symmetric", 3)), 3)
@@ -150,28 +159,29 @@ def test_answers_do_not_depend_on_job_order():
 
 
 def test_conjugate_subgroups_share_one_group(monkeypatch):
-    monkeypatch.setattr(modres, "_resolution_cache", {})
     d4 = R.make_group("dihedral", 4)
+    d4.memo.clear()
     first, second = d4.subgroup_generated([4]), d4.subgroup_generated([6])
     assert R.is_subconjugate(first, second) and first != second
     hgrp = R.subgroup_as_group(first)[0]
     assert R.subgroup_as_group(second)[0] is hgrp
+    calls = _resolved_modules(monkeypatch)
     R.verify_takasu_les(first, GModule.trivial(d4), 2)
-    before = set(modres._resolution_cache)
+    assert GModule.trivial(hgrp).value_key() in [m.value_key() for m in calls]
+    calls.clear()
     cert = R.verify_takasu_les(second, GModule.trivial(d4), 2)
     # Z over the shared subgroup group hits; only I(G, H) of the second,
-    # another module, is new
-    assert GModule.trivial(hgrp).value_key() in before
-    assert set(modres._resolution_cache) - before == {
+    # another module, is resolved anew
+    assert [m.value_key() for m in calls] == [
         R.standard_modules(second).i_module.value_key()
-    }
+    ]
     fresh = R.dihedral_group(4).subgroup_generated([6])
     cold = R.verify_takasu_les(fresh, GModule.trivial(fresh.parent), 2)
     assert _certificate(cert) == _certificate(cold)
 
 
 def test_takasu_job_builds_each_resolution_term_once(monkeypatch):
-    monkeypatch.setattr(modres, "_resolution_cache", {})
+    R.make_group("dihedral", 4).memo.clear()
     built = []
     minimize = modres._minimize_generators
     monkeypatch.setattr(
@@ -198,3 +208,21 @@ def test_takasu_job_builds_each_resolution_term_once(monkeypatch):
     assert longer.free_ranks == cold.free_ranks
     assert longer.gen_images == cold.gen_images
     assert (res.free_ranks, res.gen_images) == (cold.free_ranks[:5], cold.gen_images[:5])
+
+
+def test_named_constructor_groups_are_freed():
+    # every cached result lives in its group's memo, so nothing the calls
+    # cache keeps the group, or a subgroup's group, alive
+    refs = []
+    for _ in range(2):
+        g = R.cyclic_group(4)
+        h = g.subgroup_generated([2])
+        R.verify_takasu_les(h, GModule.trivial(g), 2)
+        R.comparison(h, GModule.trivial(g), [2])
+        R.adamson_homology(h, GModule.trivial(g), 2)
+        R.takasu_homology(h, GModule.trivial(g), 2)
+        R.normal_quotient_oracle(h, GModule.trivial(g), 1)
+        refs += [weakref.ref(g), weakref.ref(R.subgroup_as_group(h)[0])]
+        del g, h
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
