@@ -298,3 +298,16 @@ def test_commutation_check_matches_dense_products():
                 ChainMap(c, c, comps)
         else:
             assert ChainMap(c, c, comps).checked
+
+
+def test_homology_group_refuses_shapes_that_do_not_compose():
+    with pytest.raises(ValidationError, match="^boundary shapes are not composable$"):
+        R.homology_group(IntMatrix.zeros(1, 2), IntMatrix.zeros(3, 1))
+
+
+def test_homology_group_refuses_boundaries_that_do_not_compose_to_zero():
+    # rank(dn) + rank(dnp1) = 2 exceeds the chain rank 1, so dn dnp1 != 0
+    dn = IntMatrix([[1]])
+    dnp1 = IntMatrix([[1]])
+    with pytest.raises(ValidationError, match="^boundaries do not compose to zero$"):
+        R.homology_group(dn, dnp1)

@@ -1,5 +1,7 @@
 """Property tests of the Smith engine against sympy as an independent
-oracle, on small integer matrices."""
+oracle, on small integer matrices, and of the sparse unit-pivot front of
+`smith_invariants` and `rank_z` against sympy and the dense engine run
+directly."""
 
 import pytest
 
@@ -11,6 +13,7 @@ from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 
 import relhom as R  # noqa: E402
 from relhom import IntMatrix  # noqa: E402
+from relhom.exactla import _Eliminator, _unit_pivot_reduce  # noqa: E402
 
 
 @st.composite
@@ -37,3 +40,73 @@ def test_kernel_basis_spans_the_kernel_rank(a):
     assert ker.cols == a.cols - R.rank_z(a)
     for j in range(ker.cols):
         assert not any(a.apply(ker.column(j)))
+
+
+def _sparse(entries, max_rows=12, max_cols=16):
+    """Matrices up to max_rows x max_cols (either side may be 0) whose
+    entries are drawn from `entries`."""
+
+    @st.composite
+    def draw_matrix(draw):
+        rows = draw(st.integers(0, max_rows))
+        cols = draw(st.integers(0, max_cols))
+        row = st.lists(st.sampled_from(entries), min_size=cols, max_size=cols)
+        return IntMatrix(draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
+
+    return draw_matrix()
+
+
+# mostly zeros and +-1, so that unit pivots chain and fill in
+UNIT_HEAVY = _sparse([0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -3])
+# no unit entry at all: the front splits nothing off by itself
+NO_UNITS = _sparse([0, 0, 0, 2, -2, 3, 4, -6], max_rows=6, max_cols=7)
+EMPTY = st.one_of(
+    st.integers(0, 5).map(lambda n: IntMatrix.zeros(0, n)),
+    st.integers(0, 5).map(lambda n: IntMatrix.zeros(n, 0)),
+)
+
+
+def _sympy_invariants(a):
+    if not a.rows or not a.cols:
+        return []
+    snf = smith_normal_form(sympy.Matrix(a.to_rows()), domain=sympy.ZZ)
+    return sorted(abs(int(snf[i, i])) for i in range(min(a.rows, a.cols)) if snf[i, i])
+
+
+def _dense(a):
+    eng = _Eliminator(a)
+    eng.diagonalize()
+    eng.make_divisible()
+    return eng.diag(), eng.rank
+
+
+def _check_front(a):
+    inv = R.smith_invariants(a)
+    dense_inv, dense_rank = _dense(a)
+    assert inv == dense_inv
+    assert R.rank_z(a) == dense_rank == len(inv)
+    assert inv == _sympy_invariants(a)
+    k, rest = _unit_pivot_reduce(a)
+    assert k <= min(a.rows, a.cols)
+    assert not any(x in (1, -1) for row in rest.data for x in row)
+    assert all(any(row) for row in rest.data)
+    assert all(any(rest.column(j)) for j in range(rest.cols))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(UNIT_HEAVY)
+def test_unit_pivot_front_on_unit_heavy_matrices(a):
+    _check_front(a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(NO_UNITS)
+def test_unit_pivot_front_on_matrices_without_units(a):
+    _check_front(a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(EMPTY)
+def test_unit_pivot_front_on_empty_shapes(a):
+    _check_front(a)
+    assert R.smith_invariants(a) == [] and R.rank_z(a) == 0
