@@ -233,18 +233,23 @@ def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     )
 
 
+def _column_dicts(mat: IntMatrix) -> List[Dict[int, int]]:
+    """Internal: the columns of `mat` as new dicts row -> nonzero entry."""
+    cols: List[Dict[int, int]] = [dict() for _ in range(mat.cols)]
+    for i, row in enumerate(mat.data):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
 def _sparse_columns(mat: IntMatrix) -> List[Dict[int, int]]:
     """Internal: the columns of `mat` as dicts row -> nonzero entry.  They
     are computed once and kept on the matrix (or are the columns it was
     built from), so callers must not mutate them."""
     cols = mat._scols
     if cols is None:
-        cols = [dict() for _ in range(mat.cols)]
-        for i, row in enumerate(mat.data):
-            for j, x in enumerate(row):
-                if x:
-                    cols[j][i] = x
-        mat._scols = cols
+        cols = mat._scols = _column_dicts(mat)
     return cols
 
 
@@ -408,7 +413,9 @@ class _Eliminator:
             self.r[i] = [a + q * b for a, b in zip(ri, rk)]
         if self.rinv is not None:
             for row in self.rinv:
-                row[k] -= q * row[i]
+                v = row[i]
+                if v:
+                    row[k] -= q * v
 
     def row_pair(self, i: int, k: int, x: int, y: int, u: int, w: int):
         """(row_i, row_k) <- (x ri + y rk, u ri + w rk); requires det == 1."""
@@ -456,10 +463,14 @@ class _Eliminator:
         if not q:
             return
         for row in self.s:
-            row[j] += q * row[l]
+            v = row[l]
+            if v:
+                row[j] += q * v
         if self.c is not None:
             for row in self.c:
-                row[j] += q * row[l]
+                v = row[l]
+                if v:
+                    row[j] += q * v
         if self.cinv is not None:
             cj, cl = self.cinv[j], self.cinv[l]
             self.cinv[l] = [b - q * a for a, b in zip(cj, cl)]
@@ -707,15 +718,26 @@ def smith_form(a: IntMatrix) -> SmithForm:
     )
 
 
-def _unit_pivot_reduce(mat: IntMatrix) -> Tuple[int, IntMatrix]:
+def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
     """Internal: (k, R) with `mat` equivalent over Z to I_k (+) R.
 
     Sparse elimination on unit pivots: take the shortest live column that
     has a +-1 entry, pivot on the shortest row among its unit entries, and
     replace the rest by its Schur complement, which stays integral since the
     pivot is a unit.  A column without a unit waits until an update gives it
-    one.  R holds the nonzero columns left, on the rows they touch."""
-    cols = {j: dict(c) for j, c in enumerate(_sparse_columns(mat)) if c}
+    one.  R holds the nonzero columns left, on the rows they touch.
+
+    With a list `pivots`, each pivot is appended as (r, c, u, row, col):
+    its row, column and unit entry, row r off the pivot as (j, entry) pairs
+    and column c off the pivot as a dict, all as they stood when it was
+    taken; the result is then (k, R, R's rows, R's columns), the last two
+    as indices into `mat`.  Sparse columns are built locally if `mat` has
+    none, so none are left on it."""
+    src = mat._scols
+    if src is None:
+        cols = {j: c for j, c in enumerate(_column_dicts(mat)) if c}
+    else:
+        cols = {j: dict(c) for j, c in enumerate(src) if c}
     rows: Dict[int, set] = {}
     for j, col in cols.items():
         for i in col:
@@ -734,18 +756,21 @@ def _unit_pivot_reduce(mat: IntMatrix) -> Tuple[int, IntMatrix]:
             parked.add(c)
             continue
         r = min(units, key=lambda i: (len(rows[i]), i))
-        u = col[r]
+        u = col.pop(r)
         del cols[c]
         for i in col:
             rows[i].discard(c)
         k += 1
+        prow = []
         for j in rows.pop(r):
+            if j == c:
+                continue
             cj = cols[j]
             before = len(cj)
-            q = cj.pop(r) * u
+            a = cj.pop(r)
+            prow.append((j, a))
+            q = a * u
             for i, v in col.items():
-                if i == r:
-                    continue
                 w = cj.get(i, 0) - q * v
                 if w:
                     if i not in cj:
@@ -760,10 +785,16 @@ def _unit_pivot_reduce(mat: IntMatrix) -> Tuple[int, IntMatrix]:
             elif j in parked or len(cj) != before:
                 parked.discard(j)
                 heappush(heap, (len(cj), j))
-    left = [cols[j] for j in sorted(cols)]
-    index = {i: t for t, i in enumerate(sorted({i for col in left for i in col}))}
-    rest = [{index[i]: x for i, x in col.items()} for col in left]
-    return k, IntMatrix._from_sparse_columns(rest, len(index))
+        if pivots is not None:
+            pivots.append((r, c, u, prow, col))
+    left = sorted(cols)
+    row_ids = sorted({i for j in left for i in cols[j]})
+    index = {i: t for t, i in enumerate(row_ids)}
+    rest = [{index[i]: x for i, x in cols[j].items()} for j in left]
+    residual = IntMatrix._from_sparse_columns(rest, len(index))
+    if pivots is None:
+        return k, residual
+    return k, residual, row_ids, left
 
 
 def smith_invariants(a: IntMatrix) -> List[int]:
@@ -802,44 +833,72 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
 
 
 class IntSolver:
-    """Repeated exact solving of a*x == b for a fixed integer matrix a."""
+    """Repeated exact solving of a*x == b for a fixed integer matrix a.
+
+    The unit pivots are split off sparsely (`_unit_pivot_reduce`, keeping
+    the pivots) and only the residual is eliminated densely, with its
+    transforms.  A right-hand side is reduced by the pivots' row
+    eliminations, in pivot order; it must then vanish on the rows that are
+    neither pivot rows nor residual rows, the residual system is solved by
+    the transforms, and the pivots are back-substituted in reverse order,
+    x_c = u (b_r - sum_j row_r[j] x_j)."""
 
     def __init__(self, a: IntMatrix):
-        eng = _Eliminator(a, track_r=True, track_c=True)
-        eng.diagonalize()
         self.m, self.n = a.rows, a.cols
-        self.rank = eng.rank
-        self.diag = eng.diag()
+        self._pivots: list = []
+        k, rest, self._rows, self._cols = _unit_pivot_reduce(a, self._pivots)
+        eng = _Eliminator(rest, track_r=True, track_c=True)
+        eng.diagonalize()
+        self.rank = k + eng.rank
+        self._diag = eng.diag()
         self._r = eng.r
         self._c = eng.c
+        kept = set(self._rows)
+        kept.update(p[0] for p in self._pivots)
+        self._zero_rows = [i for i in range(self.m) if i not in kept]
 
     def solve(self, b: Sequence[int]) -> Optional[List[int]]:
         if len(b) != self.m:
             raise ValidationError("right-hand side length mismatch")
+        b = list(b)
+        for r, _c, u, _row, col in self._pivots:
+            t = b[r]
+            if t:
+                t *= u
+                for i, v in col.items():
+                    b[i] -= v * t
+        for i in self._zero_rows:
+            if b[i]:
+                return None
+        rhs = [b[i] for i in self._rows]
+        rank = len(self._diag)
         y = []
-        for i in range(self.rank):
+        for t, rt in enumerate(self._r):
             s = 0
-            for a, x in zip(self._r[i], b):
+            for a, x in zip(rt, rhs):
                 if a and x:
                     s += a * x
-            d = self.diag[i]
-            if s % d:
+            if t >= rank:
+                if s:
+                    return None
+            elif s % self._diag[t]:
                 return None
-            y.append(s // d)
-        for i in range(self.rank, self.m):
-            s = 0
-            for a, x in zip(self._r[i], b):
-                if a and x:
-                    s += a * x
-            if s:
-                return None
+            else:
+                y.append(s // self._diag[t])
         out = [0] * self.n
-        for j, yj in enumerate(y):
-            if yj:
-                for i in range(self.n):
-                    v = self._c[i][j]
-                    if v:
-                        out[i] += v * yj
+        for t, j in enumerate(self._cols):
+            s = 0
+            for a, yy in zip(self._c[t], y):
+                if a and yy:
+                    s += a * yy
+            out[j] = s
+        for r, c, u, row, _col in reversed(self._pivots):
+            s = b[r]
+            for j, a in row:
+                x = out[j]
+                if x:
+                    s -= a * x
+            out[c] = u * s
         return out
 
 
@@ -980,10 +1039,20 @@ class FgAbGroup:
 # Homology of a pair of composable boundary matrices
 
 
-def homology_group(dn: IntMatrix, dnp1: IntMatrix) -> FgAbGroup:
-    """ker(dn)/im(dnp1) as an abstract group (fast path, no coordinates)."""
+def homology_group(dn: IntMatrix, dnp1: IntMatrix, *, _composable: bool = False) -> FgAbGroup:
+    """ker(dn)/im(dnp1) as an abstract group (fast path, no coordinates).
+
+    The boundaries must compose to zero, which is checked on sparse columns
+    (none are left on matrices that had none).  `_composable` is for
+    `ChainComplex.homology` only, whose boundaries were checked when the
+    complex was built."""
     if dn.cols != dnp1.rows:
         raise ValidationError("boundary shapes are not composable")
+    if not _composable and dn.rows and dnp1.cols:
+        acols = dn._scols or _column_dicts(dn)
+        for col in dnp1._scols or _column_dicts(dnp1):
+            if _sparse_apply(acols, col):
+                raise ValidationError("boundaries do not compose to zero")
     r1 = rank_z(dn)
     inv = smith_invariants(dnp1)
     free = dn.cols - r1 - len(inv)
@@ -1109,6 +1178,7 @@ class ChainComplex:
                 )
         if validate:
             self._check_dd_zero()
+        self._validated = validate
         self._homology_cache: Dict[Tuple[int, bool], object] = {}
 
     def _check_dd_zero(self):
@@ -1142,7 +1212,9 @@ class ChainComplex:
             if coords:
                 self._homology_cache[key] = HomologyData(dn, dnp1)
             else:
-                self._homology_cache[key] = homology_group(dn, dnp1)
+                self._homology_cache[key] = homology_group(
+                    dn, dnp1, _composable=self._validated
+                )
         return self._homology_cache[key]
 
     def homology_data(self, n: int) -> HomologyData:

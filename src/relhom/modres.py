@@ -415,20 +415,24 @@ class FreeResolution:
 
     def boundary_matrix(self, k: int) -> IntMatrix:
         """Boundary F_k -> F_{k-1} in the induced Z-basis (1 <= k <= length)."""
+        mat = self._matrix_cache.get(k) if 1 <= k <= self.length else None
+        if mat is None:
+            mat = self._matrix_cache[k] = self._build_boundary(k)
+        return mat
+
+    def _build_boundary(self, k: int) -> IntMatrix:
+        """The boundary `boundary_matrix(k)` returns, built anew and not
+        cached, with no sparse columns kept on it."""
         if not (1 <= k <= self.length):
             raise ValidationError(f"no boundary at degree {k}")
-        if k not in self._matrix_cache:
-            G = self.group
-            n = G.order
-            cols = []
-            for base in self.gen_images[k]:
-                entries = [(*divmod(idx, n), c) for idx, c in enumerate(base) if c]
-                for row_g in G.table:
-                    cols.append({i * n + row_g[hh]: c for i, hh, c in entries})
-            self._matrix_cache[k] = IntMatrix._from_sparse_columns(
-                cols, self.z_rank(k - 1), keep=False
-            )
-        return self._matrix_cache[k]
+        G = self.group
+        n = G.order
+        cols = []
+        for base in self.gen_images[k]:
+            entries = [(*divmod(idx, n), c) for idx, c in enumerate(base) if c]
+            for row_g in G.table:
+                cols.append({i * n + row_g[hh]: c for i, hh, c in entries})
+        return IntMatrix._from_sparse_columns(cols, self.z_rank(k - 1), keep=False)
 
     def validate(self, exactness_cap: int = VALIDATION_RANK_CAP):
         """Check the augmented complex: boundaries compose to zero, and
@@ -1019,7 +1023,12 @@ class _ResolutionTarget:
     def preimage(self, n: int, rhs):
         solver = self._solvers.get(n)
         if solver is None:
-            mat = self.res.boundary_matrix(n) if n else self.bottom
+            if n == 0:
+                mat = self.bottom
+            else:
+                # a boundary the resolution has not cached (its top one) is
+                # factored without caching it; the solver keeps no matrix
+                mat = self.res._matrix_cache.get(n) or self.res._build_boundary(n)
             solver = self._solvers[n] = IntSolver(mat)
         sol = solver.solve(_dense(rhs, solver.m))
         return None if sol is None else _sparse(sol)

@@ -11,17 +11,26 @@
   between resolutions along it: the reference for the preimage steps that
   `comparison` and the horseshoe resolution make without eliminating;
 - `takasu_reference`: the Tor-based relative homology through the relative
-  standard resolution, the reference for `takasu_homology`.
+  standard resolution, the reference for `takasu_homology`;
+- `DenseSolver`, the solver that eliminates the whole matrix densely with
+  both transforms: the reference for `IntSolver`, which splits off its
+  unit pivots sparsely first.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 from relhom import pairhom
-from relhom.errors import TruncationError
-from relhom.exactla import FgAbGroup, IntMatrix, IntSolver, PresentedChainMap
+from relhom.errors import TruncationError, ValidationError
+from relhom.exactla import (
+    FgAbGroup,
+    IntMatrix,
+    IntSolver,
+    PresentedChainMap,
+    _Eliminator,
+)
 from relhom.groups import FiniteGroup, Subgroup, coset_space, cyclic_group
 from relhom.modres import (
     DEFAULT_RANK_CAP,
@@ -297,3 +306,52 @@ def takasu_reference(
     `takasu_resolution` (tuples of G modulo single-coset tuples) instead of
     a minimized resolution of the augmentation kernel."""
     return takasu_resolution(h, degree, rank_cap).tensor(m).homology(degree - 1)
+
+
+# ---------------------------------------------------------------------------
+# The dense solver
+
+
+class DenseSolver:
+    """Repeated exact solving of a*x == b by one dense elimination of the
+    whole matrix, D = R a C, tracking R and C: y solves D y == R b, and
+    x = C y.  The API of `IntSolver`: m, n, rank and solve, with None when
+    there is no integral solution."""
+
+    def __init__(self, a: IntMatrix):
+        eng = _Eliminator(a, track_r=True, track_c=True)
+        eng.diagonalize()
+        self.m, self.n = a.rows, a.cols
+        self.rank = eng.rank
+        self.diag = eng.diag()
+        self._r = eng.r
+        self._c = eng.c
+
+    def solve(self, b: Sequence[int]) -> Optional[List[int]]:
+        if len(b) != self.m:
+            raise ValidationError("right-hand side length mismatch")
+        y = []
+        for i in range(self.rank):
+            s = 0
+            for a, x in zip(self._r[i], b):
+                if a and x:
+                    s += a * x
+            d = self.diag[i]
+            if s % d:
+                return None
+            y.append(s // d)
+        for i in range(self.rank, self.m):
+            s = 0
+            for a, x in zip(self._r[i], b):
+                if a and x:
+                    s += a * x
+            if s:
+                return None
+        out = [0] * self.n
+        for j, yj in enumerate(y):
+            if yj:
+                for i in range(self.n):
+                    v = self._c[i][j]
+                    if v:
+                        out[i] += v * yj
+        return out

@@ -311,3 +311,6 @@ def test_homology_group_refuses_boundaries_that_do_not_compose_to_zero():
     dnp1 = IntMatrix([[1]])
     with pytest.raises(ValidationError, match="^boundaries do not compose to zero$"):
         R.homology_group(dn, dnp1)
+    # the ranks fit the chain rank 2, so only the product shows it
+    with pytest.raises(ValidationError, match="^boundaries do not compose to zero$"):
+        R.homology_group(IntMatrix([[1, 0]]), IntMatrix([[1], [0]]))

@@ -18,7 +18,7 @@ from relhom import GModule, IntMatrix, exactla, modres, pairhom
 from relhom.errors import ValidationError
 
 from conftest import alternating4
-from oracles import solver_lift_over_resolution, solver_resolution_target
+from oracles import DenseSolver, solver_lift_over_resolution, solver_resolution_target
 
 TOP = 3
 
@@ -84,6 +84,41 @@ def test_back_substitution_gives_the_reference_certificate(monkeypatch, pair, mo
     ]
     assert new.shapiro_ok == ref.shapiro_ok
     assert new.all_exact
+
+
+@pytest.mark.parametrize("pair,mod", [case for case in CASES if case[1] != "regular"])
+def test_sparse_solver_gives_the_dense_solver_certificate(monkeypatch, pair, mod):
+    # the lifts may differ (a lift is a choice); the groups and the
+    # exactness they certify may not
+    h = _pair(pair)
+    m = _module(mod, h)
+    new = R.verify_takasu_les(h, m, TOP)
+    monkeypatch.setattr(modres, "IntSolver", DenseSolver)
+    ref = R.verify_takasu_les(h, m, TOP)
+    assert new.groups == ref.groups
+    assert [(s.label, s.exact) for s in new.slots] == [(s.label, s.exact) for s in ref.slots]
+    assert new.shapiro_ok == ref.shapiro_ok
+
+
+@pytest.mark.parametrize("pair", ("S3>C2", "A4>C3"))
+def test_verify_keeps_the_memo_lean(pair):
+    # the resolutions' cached boundaries carry no sparse columns, and the
+    # top boundaries, which only the lift solvers read, are not cached
+    h = _pair(pair)
+    h.parent.memo.clear()
+    R.verify_takasu_les(h, GModule.permutation(h), TOP)
+    hgrp, _ = R.subgroup_as_group(h)
+    cached = [
+        res
+        for memo in (h.parent.memo, hgrp.memo)
+        for key, res in memo.items()
+        if isinstance(key, tuple) and key[0] == "cached_resolution"
+    ]
+    assert len(cached) == 3
+    for res in cached:
+        assert res._matrix_cache
+        assert all(mat._scols is None for mat in res._matrix_cache.values())
+        assert res.length not in res._matrix_cache
 
 
 def _equivariant(group, gen_cols, rows):
