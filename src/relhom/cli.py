@@ -68,13 +68,18 @@ class JobError(ValidationError):
         self.reason = reason
 
 
+def _is_int(val) -> bool:
+    """A JSON integer: an int that is not a bool (bool subclasses int)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _expect(doc: dict, path: str, key: str, types, required: bool = True, default=None):
     if key not in doc:
         if required:
             raise JobError(f"{path}.{key}", "missing field")
         return default
     val = doc[key]
-    if types is not None and not isinstance(val, types):
+    if types is not None and not (_is_int(val) if types is int else isinstance(val, types)):
         raise JobError(f"{path}.{key}", f"expected {types}, got {type(val).__name__}")
     return val
 
@@ -114,8 +119,10 @@ def parse_subgroup(group: FiniteGroup, doc: Optional[dict], path: str) -> Subgro
     if doc is None:
         raise JobError(path, "missing field")
     gens = _expect(doc, path, "generators", list)
+    if not all(_is_int(g) for g in gens):
+        raise JobError(f"{path}.generators", "expected integers")
     try:
-        return group.subgroup_generated([int(g) for g in gens])
+        return group.subgroup_generated(gens)
     except (ValidationError, TypeError, ValueError) as exc:
         raise JobError(f"{path}.generators", str(exc))
 
@@ -136,6 +143,11 @@ def parse_coefficients(group: FiniteGroup, doc: Optional[dict], path: str) -> GM
             return GModule.regular(group)
         if kind == "custom":
             mats = _expect(doc, path, "matrices", list)
+            for i, mat in enumerate(mats):
+                if not isinstance(mat, list) or not all(
+                    isinstance(row, list) and all(_is_int(x) for x in row) for row in mat
+                ):
+                    raise JobError(f"{path}.matrices[{i}]", "expected a matrix of integers")
             return GModule.from_action_matrices(
                 group, [IntMatrix(m) for m in mats], label="custom"
             )
@@ -158,7 +170,9 @@ def parse_degrees(spec, path: str, default: Tuple[int, int]) -> Tuple[int, int]:
         except ValueError:
             raise JobError(path, "expected integers in A..B")
     elif isinstance(spec, list) and len(spec) == 2:
-        lo, hi = int(spec[0]), int(spec[1])
+        if not all(_is_int(x) for x in spec):
+            raise JobError(path, "expected integers in [A, B]")
+        lo, hi = spec
     else:
         raise JobError(path, "expected 'A..B' or [A, B]")
     if lo > hi or lo < 0:
@@ -519,17 +533,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         "degrees": args.degrees,
         "budget": args.budget,
     }
+    # the format errors are reported in; a document that is not an object
+    # is refused by Job and names none
+    output = args.output or (doc.get("output", "table") if isinstance(doc, dict) else "table")
     try:
         job = Job(doc, overrides)
         document = run(job)
     except BudgetError as exc:
-        _emit_error(args.output or doc.get("output", "table"), "budget", str(exc))
+        _emit_error(output, "budget", str(exc))
         return EXIT_BUDGET
     except (ValidationError, TruncationError) as exc:
-        _emit_error(args.output or doc.get("output", "table"), "validation", str(exc))
+        _emit_error(output, "validation", str(exc))
         return EXIT_VALIDATION
     except RelhomError as exc:
-        _emit_error(args.output or doc.get("output", "table"), "error", str(exc))
+        _emit_error(output, "error", str(exc))
         return EXIT_VALIDATION
     if job.output == "json":
         print(print_json(document))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 
@@ -67,7 +67,7 @@ class IntMatrix:
         """Internal: the matrix whose column j has the nonzero entries
         columns[j] (row -> int).  The entries are taken as given, without
         conversion.  With `keep`, the dicts are kept as the matrix's sparse
-        columns (see `_sparse_columns`), so the caller must not mutate
+        columns (`_sparse_columns` returns them), so the caller must not mutate
         them; a matrix that is cached for long and used densely drops
         them, as they cost more memory than its dense rows."""
         out = [[0] * len(columns) for _ in range(rows)]
@@ -233,23 +233,17 @@ def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     )
 
 
-def _column_dicts(mat: IntMatrix) -> List[Dict[int, int]]:
-    """Internal: the columns of `mat` as new dicts row -> nonzero entry."""
+def _sparse_columns(mat: IntMatrix) -> List[Dict[int, int]]:
+    """Internal: the columns of `mat` as dicts row -> nonzero entry: the
+    matrix's own if it keeps them (which callers must not mutate), else new
+    dicts, which are not kept on it."""
+    if mat._scols is not None:
+        return mat._scols
     cols: List[Dict[int, int]] = [dict() for _ in range(mat.cols)]
     for i, row in enumerate(mat.data):
         for j, x in enumerate(row):
             if x:
                 cols[j][i] = x
-    return cols
-
-
-def _sparse_columns(mat: IntMatrix) -> List[Dict[int, int]]:
-    """Internal: the columns of `mat` as dicts row -> nonzero entry.  They
-    are computed once and kept on the matrix (or are the columns it was
-    built from), so callers must not mutate them."""
-    cols = mat._scols
-    if cols is None:
-        cols = mat._scols = _column_dicts(mat)
     return cols
 
 
@@ -262,6 +256,19 @@ def _sparse_apply(cols_a: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int
                 out[i] = v
             elif i in out:
                 del out[i]
+    return out
+
+
+def _combine(a: Dict[int, int], ca: int, b: Dict[int, int], cb: int) -> Dict[int, int]:
+    """Internal: ca * a + cb * b on sparse vectors, as a new dict."""
+    out = {} if ca == 0 else {k: ca * v for k, v in a.items()}
+    if cb:
+        for k, v in b.items():
+            w = out.get(k, 0) + cb * v
+            if w:
+                out[k] = w
+            elif k in out:
+                del out[k]
     return out
 
 
@@ -281,17 +288,13 @@ class LatticeAccumulator:
         self.dim = dim
         self.pivots: Dict[int, Dict[int, int]] = {}
 
-    @staticmethod
-    def _combine(a: Dict[int, int], ca: int, b: Dict[int, int], cb: int) -> Dict[int, int]:
-        out = {} if ca == 0 else {k: ca * v for k, v in a.items()}
-        if cb:
-            for k, v in b.items():
-                w = out.get(k, 0) + cb * v
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-        return out
+    @classmethod
+    def spanned_by(cls, mat: IntMatrix) -> "LatticeAccumulator":
+        """The lattice spanned by the columns of `mat`."""
+        acc = cls(mat.rows)
+        for col in _sparse_columns(mat):
+            acc.insert(col)
+        return acc
 
     def insert(self, vec: Dict[int, int]) -> bool:
         """Add a vector to the lattice; return True if the lattice grew."""
@@ -306,11 +309,11 @@ class LatticeAccumulator:
             p = piv[r]
             c = v[r]
             if c % p == 0:
-                v = self._combine(v, 1, piv, -(c // p))
+                v = _combine(v, 1, piv, -(c // p))
             else:
                 g, x, y = xgcd(p, c)
-                newpiv = self._combine(piv, x, v, y)
-                v = self._combine(v, p // g, piv, -(c // g))
+                newpiv = _combine(piv, x, v, y)
+                v = _combine(v, p // g, piv, -(c // g))
                 self.pivots[r] = newpiv
                 grew = True
         return grew
@@ -318,17 +321,21 @@ class LatticeAccumulator:
     def insert_dense(self, vec: Sequence[int]) -> bool:
         return self.insert({i: x for i, x in enumerate(vec) if x})
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        v = {i: int(x) for i, x in enumerate(vec) if x}
+    def remainder(self, vec: Dict[int, int]) -> Dict[int, int]:
+        """The sparse `vec` reduced by the basis, pivot row by pivot row,
+        until a row has no pivot or its pivot does not divide the entry:
+        empty exactly when `vec` lies in the lattice."""
+        v = vec
         while v:
             r = min(v)
             piv = self.pivots.get(r)
-            if piv is None:
-                return False
-            if v[r] % piv[r]:
-                return False
-            v = self._combine(v, 1, piv, -(v[r] // piv[r]))
-        return True
+            if piv is None or v[r] % piv[r]:
+                break
+            v = _combine(v, 1, piv, -(v[r] // piv[r]))
+        return v
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not self.remainder({i: int(x) for i, x in enumerate(vec) if x})
 
     def basis_columns(self) -> List[Dict[int, int]]:
         return [self.pivots[r] for r in sorted(self.pivots)]
@@ -344,10 +351,56 @@ class LatticeAccumulator:
 
 def column_image_basis(mat: IntMatrix) -> IntMatrix:
     """A lattice basis of the column span of `mat`, as matrix columns."""
-    acc = LatticeAccumulator(mat.rows)
-    for col in _sparse_columns(mat):
-        acc.insert(col)
-    return IntMatrix._from_sparse_columns(acc.basis_columns(), mat.rows)
+    basis = LatticeAccumulator.spanned_by(mat).basis_columns()
+    return IntMatrix._from_sparse_columns(basis, mat.rows)
+
+
+def _product(
+    factors: Sequence[IntMatrix],
+) -> Tuple[Tuple[int, int], Iterator[Dict[int, int]]]:
+    """Internal: the shape of the product of `factors`, checked to compose
+    as `IntMatrix.__matmul__` checks them, and its sparse columns, made one
+    at a time."""
+    for a, b in zip(factors, factors[1:]):
+        if a.cols != b.rows:
+            raise ValidationError(f"shape mismatch in product: {a.shape} @ {b.shape}")
+    outer = [_sparse_columns(a) for a in reversed(factors[:-1])]
+
+    def columns():
+        for col in _sparse_columns(factors[-1]):
+            for acols in outer:
+                col = _sparse_apply(acols, col)
+            yield col
+
+    return (factors[0].rows, factors[-1].cols), columns()
+
+
+def product_gaps(
+    lhs: Sequence[IntMatrix],
+    rhs: Optional[Sequence[IntMatrix]] = None,
+    modulo: Optional[LatticeAccumulator] = None,
+) -> Iterator[Dict[int, int]]:
+    """Column by column, the product of the matrices `lhs` minus that of
+    `rhs` (zero when `rhs` is None), as sparse dicts row -> nonzero entry,
+    each reduced by the lattice `modulo` when one is given
+    (`LatticeAccumulator.remainder`).
+
+    This is the one check of a law such as d d = 0, d f = f d or
+    a(g) a(h) = a(gh), exactly or modulo relations: the law holds when
+    every gap is empty, so a check reads `any(product_gaps(...))` and stops
+    at the first failing column.  Shapes are checked at the call.  Products
+    are taken through `_sparse_apply` on the factors' sparse columns, a
+    matrix's own where it keeps them and local dicts otherwise, so none are
+    left on it; a gap may be such a column, not to be mutated."""
+    shape, gaps = _product(lhs)
+    if rhs is not None:
+        rshape, rcols = _product(rhs)
+        if rshape != shape:
+            raise ValidationError("shape mismatch in sum")
+        gaps = (_combine(a, 1, b, -1) for a, b in zip(gaps, rcols))
+    if modulo is not None:
+        gaps = map(modulo.remainder, gaps)
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -731,13 +784,9 @@ def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
     its row, column and unit entry, row r off the pivot as (j, entry) pairs
     and column c off the pivot as a dict, all as they stood when it was
     taken; the result is then (k, R, R's rows, R's columns), the last two
-    as indices into `mat`.  Sparse columns are built locally if `mat` has
-    none, so none are left on it."""
-    src = mat._scols
-    if src is None:
-        cols = {j: c for j, c in enumerate(_column_dicts(mat)) if c}
-    else:
-        cols = {j: dict(c) for j, c in enumerate(src) if c}
+    as indices into `mat`.  No sparse columns are left on `mat`."""
+    fresh = mat._scols is None
+    cols = {j: c if fresh else dict(c) for j, c in enumerate(_sparse_columns(mat)) if c}
     rows: Dict[int, set] = {}
     for j, col in cols.items():
         for i in col:
@@ -1042,17 +1091,13 @@ class FgAbGroup:
 def homology_group(dn: IntMatrix, dnp1: IntMatrix, *, _composable: bool = False) -> FgAbGroup:
     """ker(dn)/im(dnp1) as an abstract group (fast path, no coordinates).
 
-    The boundaries must compose to zero, which is checked on sparse columns
-    (none are left on matrices that had none).  `_composable` is for
-    `ChainComplex.homology` only, whose boundaries were checked when the
-    complex was built."""
+    The boundaries must compose to zero, which `product_gaps` checks;
+    `_composable` is for `ChainComplex.homology` only, whose boundaries
+    were checked when the complex was built."""
     if dn.cols != dnp1.rows:
         raise ValidationError("boundary shapes are not composable")
-    if not _composable and dn.rows and dnp1.cols:
-        acols = dn._scols or _column_dicts(dn)
-        for col in dnp1._scols or _column_dicts(dnp1):
-            if _sparse_apply(acols, col):
-                raise ValidationError("boundaries do not compose to zero")
+    if not _composable and any(product_gaps((dn, dnp1))):
+        raise ValidationError("boundaries do not compose to zero")
     r1 = rank_z(dn)
     inv = smith_invariants(dnp1)
     free = dn.cols - r1 - len(inv)
@@ -1183,14 +1228,8 @@ class ChainComplex:
 
     def _check_dd_zero(self):
         for n in range(self.lo + 2, self.hi + 1):
-            a = self.boundary(n - 1)
-            b = self.boundary(n)
-            if not a.cols or not b.cols:
-                continue
-            acols = _sparse_columns(a)
-            for col in _sparse_columns(b):
-                if _sparse_apply(acols, col):
-                    raise ValidationError(f"boundary squared is nonzero at degree {n}")
+            if any(product_gaps((self.boundary(n - 1), self.boundary(n)))):
+                raise ValidationError(f"boundary squared is nonzero at degree {n}")
 
     def rank(self, n: int) -> int:
         if self.lo <= n <= self.hi:
@@ -1263,15 +1302,13 @@ class ChainMap:
         for n in degrees:
             if not (self.source.lo < n <= self.source.hi):
                 continue
-            # column by column: d f e_j == f d e_j
-            d_tgt = _sparse_columns(self.target.boundary(n + self.shift))
-            f_prev = _sparse_columns(self.component(n - 1))
-            for f_col, d_col in zip(
-                _sparse_columns(self.component(n)),
-                _sparse_columns(self.source.boundary(n)),
+            if any(
+                product_gaps(
+                    (self.target.boundary(n + self.shift), self.component(n)),
+                    (self.component(n - 1), self.source.boundary(n)),
+                )
             ):
-                if _sparse_apply(d_tgt, f_col) != _sparse_apply(f_prev, d_col):
-                    raise ValidationError(f"chain map does not commute at degree {n}")
+                raise ValidationError(f"chain map does not commute at degree {n}")
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other; checked when both factors are, since a
@@ -1318,14 +1355,8 @@ def hom_kernel(mat: IntMatrix, source: FgAbGroup, target: FgAbGroup) -> FgAbGrou
     reln = target.relation_matrix()
     stacked = hstack([mat, reln]) if reln.cols else mat
     ker = kernel_basis(stacked)
-    na = source.presentation_rank()
-    acc = LatticeAccumulator(na)
-    for j in range(ker.cols):
-        acc.insert({i: ker.entry(i, j) for i in range(na) if ker.entry(i, j)})
-    basis = acc.basis_columns()
-    lat = IntMatrix.from_columns(
-        [[c.get(i, 0) for i in range(na)] for c in basis], rows=na
-    )
+    # the projection of the kernel onto the source coordinates
+    lat = column_image_basis(IntMatrix(ker.data[: source.presentation_rank()], cols=ker.cols))
     # kernel subgroup = lat / source relations; express relations in lat basis
     rel_a = source.relation_matrix()
     if lat.cols == 0:
@@ -1633,50 +1664,36 @@ class PresentedChainMap:
         return mat
 
     def cone_map(self) -> ChainMap:
+        """The map of the free cones (cached), built on sparse columns.  In
+        degree n a free generator x goes to (f_n x, c_n x) and a relation
+        generator r to (0, g r), where rho'_{n-1} c_n = f_{n-1} D_n - D'_n f_n
+        and rho'_{n-1} g = f_{n-1} rho_{n-1}, both solved in the target's
+        relation lattice."""
         if self._cone_map is not None:
             return self._cone_map
-        src_cone = self.source.cone()
-        tgt_cone = self.target.cone()
+        src, tgt = self.source, self.target
+        src_cone, tgt_cone = src.cone(), tgt.cone()
         comps: Dict[int, IntMatrix] = {}
-        for n in range(self.source.lo, src_cone.hi + 1):
+        for n in range(src.lo, src_cone.hi + 1):
             f_n = self.component(n)
-            src_rc = self.source.relations(n - 1).cols if n - 1 >= self.source.lo else 0
-            tgt_rc = self.target.relations(n - 1).cols if n - 1 >= self.target.lo else 0
-            rows = self.target.rank(n) + tgt_rc
-            cols = self.source.rank(n) + src_rc
-            out = [[0] * cols for _ in range(rows)]
-            for i in range(f_n.rows):
-                for j in range(f_n.cols):
-                    v = f_n.entry(i, j)
-                    if v:
-                        out[i][j] = v
-            if tgt_rc and n - 1 >= self.source.lo:
-                # correction c_n: rho'_{n-1} c = f_{n-1} D_n - D'_n f_n
-                dprime = self.target.boundary(n)
-                dsrc = self.source.boundary(n)
+            offset = tgt.rank(n)
+            cols = list(_sparse_columns(f_n))
+            g_cols: List[Dict[int, int]] = [
+                {} for _ in range(src_cone.rank(n) - src.rank(n))
+            ]
+            if tgt_cone.rank(n) > offset and n - 1 >= src.lo:
                 f_prev = self.component(n - 1)
-                lhs = dprime @ f_n
-                rhs = f_prev @ dsrc
-                for j in range(self.source.rank(n)):
-                    diff = [
-                        rhs.entry(i, j) - lhs.entry(i, j)
-                        for i in range(self.target.rank(n - 1))
-                    ]
-                    if any(diff):
-                        cvec = self.target.solve_relations(
-                            n - 1, {i: v for i, v in enumerate(diff) if v}
-                        )
-                        for i, v in cvec.items():
-                            out[self.target.rank(n) + i][j] = v
-                # g_{n-1}: rho'_{n-1} g = f_{n-1} rho_{n-1}
-                if src_rc:
-                    rho_src = self.source.relations(n - 1)
-                    mapped = f_prev @ rho_src
-                    for j, col in enumerate(_sparse_columns(mapped)):
-                        gvec = self.target.solve_relations(n - 1, col)
-                        for i, v in gvec.items():
-                            out[self.target.rank(n) + i][self.source.rank(n) + j] = v
-            comps[n] = IntMatrix(out, cols=cols)
+                gaps = product_gaps((f_prev, src.boundary(n)), (tgt.boundary(n), f_n))
+                for j, gap in enumerate(gaps):
+                    if gap:
+                        col = cols[j] = dict(cols[j])
+                        for i, v in tgt.solve_relations(n - 1, gap).items():
+                            col[offset + i] = v
+                g_cols = [
+                    {offset + i: v for i, v in tgt.solve_relations(n - 1, gap).items()}
+                    for gap in product_gaps((f_prev, src.relations(n - 1)))
+                ]
+            comps[n] = IntMatrix._from_sparse_columns(cols + g_cols, tgt_cone.rank(n))
         self._cone_map = ChainMap(src_cone, tgt_cone, comps, validate=True)
         return self._cone_map
 

@@ -15,6 +15,7 @@ from .exactla import (
     PresentedComplex,
     FgAbGroup,
     kernel_basis,
+    product_gaps,
     smith_invariants,
 )
 from .groups import FiniteGroup, Subgroup, coset_space, memoized, subgroup_as_group
@@ -64,10 +65,7 @@ class GModule:
         if relations is not None:
             if relations.rows != self.rank:
                 raise ValidationError("relation matrix row count != rank")
-            acc = LatticeAccumulator(self.rank)
-            for j in range(relations.cols):
-                acc.insert_dense(relations.column(j))
-            self._rel_acc = acc
+            self._rel_acc = LatticeAccumulator.spanned_by(relations)
         if validate:
             self._validate()
 
@@ -87,12 +85,7 @@ class GModule:
         if self._mats is not None:
             return self._mats[g]
         p = self._perms[g]
-        cols = []
-        for i in range(self.rank):
-            col = [0] * self.rank
-            col[p[i]] = 1
-            cols.append(col)
-        return IntMatrix.from_columns(cols, rows=self.rank)
+        return IntMatrix._from_sparse_columns([{p[i]: 1} for i in range(self.rank)], self.rank)
 
     def _inverse_action_rows(self) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...]:
         """For each g, the rows of a(g^-1) as (column, value) pairs of their
@@ -123,26 +116,24 @@ class GModule:
         g^-1 v in the coinvariants; rows as in `_inverse_action_rows`."""
         return self._inverse_action_rows()[g]
 
-    def _mod_rel_zero(self, mat: IntMatrix) -> bool:
-        if self._rel_acc is None:
-            return mat.is_zero()
-        return all(
-            self._rel_acc.contains(mat.column(j)) for j in range(mat.cols)
-        )
-
     def _validate(self):
-        G = self.group
+        """a(e) = 1 and a(g) a(h) = a(gh), modulo the relations, for every
+        pair when |G| <= 12 and for generators g otherwise, and the
+        relation lattice is G-stable.  Every a(g) is then invertible over Z
+        (modulo the relations): a(g) a(g^-1) = a(e) = 1 when all pairs are
+        checked, and otherwise a(s) a(s^(m-1)) = a(e) = 1 for a generator s
+        of order m, while every a(g) is a product of such a(s)."""
+        G, acc = self.group, self._rel_acc
+        pairs = (
+            [(g, h) for g in G.elements() for h in G.elements()]
+            if G.order <= 12
+            else [(g, h) for g in G.generators() for h in G.elements()]
+        )
         if self._perms is not None:
             if len(self._perms) != G.order:
                 raise ValidationError("need one permutation per group element")
             if self._perms[0] != tuple(range(self.rank)):
                 raise ValidationError("identity must act trivially")
-            pair_check = G.order <= 12
-            pairs = (
-                [(g, h) for g in G.elements() for h in G.elements()]
-                if pair_check
-                else [(g, h) for g in G.generators() for h in G.elements()]
-            )
             for g, h in pairs:
                 pg, ph = self._perms[g], self._perms[h]
                 pgh = self._perms[G.mult(g, h)]
@@ -154,30 +145,17 @@ class GModule:
             for m in self._mats:
                 if m.shape != (self.rank, self.rank):
                     raise ValidationError("action matrix shape mismatch")
-            ident = IntMatrix.identity(self.rank)
-            if not self._mod_rel_zero(self._mats[0] - ident):
+            mats = self._mats
+            if any(product_gaps((mats[0],), (IntMatrix.identity(self.rank),), acc)):
                 raise ValidationError("identity must act trivially")
-            pair_check = G.order <= 12
-            pairs = (
-                [(g, h) for g in G.elements() for h in G.elements()]
-                if pair_check
-                else [(g, h) for g in G.generators() for h in G.elements()]
-            )
             for g, h in pairs:
-                lhs = self._mats[g] @ self._mats[h]
-                if not self._mod_rel_zero(lhs - self._mats[G.mult(g, h)]):
+                if any(product_gaps((mats[g], mats[h]), (mats[G.mult(g, h)],), acc)):
                     raise ValidationError(f"action law fails at ({g}, {h})")
-            if self.relations is None and self.rank <= 40:
-                for g in G.elements():
-                    if abs(self._mats[g].det()) != 1:
-                        raise ValidationError(f"action of {g} is not unimodular")
         if self.relations is not None:
-            # the relation lattice must be G-stable
-            for g in self.group.generators():
-                for j in range(self.relations.cols):
-                    img = self.act(g, self.relations.column(j))
-                    if not self._rel_acc.contains(img):
-                        raise ValidationError("relation lattice is not G-stable")
+            for g in G.generators():
+                carried = (self.action_matrix(g), self.relations)
+                if any(product_gaps(carried, None, acc)):
+                    raise ValidationError("relation lattice is not G-stable")
 
     def value_key(self) -> tuple:
         """The module's value, as a cache key in its group's memo
@@ -189,8 +167,8 @@ class GModule:
     def is_constant(self) -> bool:
         """Does every group element act as the identity (modulo relations)?"""
         ident = IntMatrix.identity(self.rank)
-        return all(
-            self._mod_rel_zero(self.action_matrix(g) - ident)
+        return not any(
+            any(product_gaps((self.action_matrix(g),), (ident,), self._rel_acc))
             for g in self.group.generators()
         )
 
@@ -297,9 +275,13 @@ class GModuleHom:
         self.matrix = matrix
         if validate:
             for g in source.group.generators():
-                lhs = matrix @ source.action_matrix(g)
-                rhs = target.action_matrix(g) @ matrix
-                if not target._mod_rel_zero(lhs - rhs):
+                if any(
+                    product_gaps(
+                        (matrix, source.action_matrix(g)),
+                        (target.action_matrix(g), matrix),
+                        target._rel_acc,
+                    )
+                ):
                     raise ValidationError(f"hom is not equivariant at {g}")
 
 
@@ -438,33 +420,23 @@ class FreeResolution:
         """Check the augmented complex: boundaries compose to zero, and
         (up to the cap) kernel equals image at every stage."""
         aug = self.augmentation_matrix()
-        if self.length >= 1:
-            d1 = self.boundary_matrix(1)
-            if not (aug @ d1).is_zero():
-                raise ValidationError("augmentation does not kill the first boundary")
-        for k in range(2, self.length + 1):
-            a = self.boundary_matrix(k - 1)
-            b = self.boundary_matrix(k)
-            if not (a @ b).is_zero():
-                raise ValidationError(f"boundary squared nonzero at degree {k}")
-        # image of the augmentation must be everything
-        acc = LatticeAccumulator(self.module.rank)
-        for j in range(self.augmentation_matrix().cols):
-            acc.insert_dense(aug.column(j))
-        if not acc.is_all_of_ambient():
+        for k in range(1, self.length + 1):
+            prev = aug if k == 1 else self.boundary_matrix(k - 1)
+            if any(product_gaps((prev, self.boundary_matrix(k)))):
+                raise ValidationError(
+                    "augmentation does not kill the first boundary"
+                    if k == 1
+                    else f"boundary squared nonzero at degree {k}"
+                )
+        if not LatticeAccumulator.spanned_by(aug).is_all_of_ambient():
             raise ValidationError("augmentation is not surjective")
         for k in range(1, self.length + 1):
             if self.z_rank(k - 1) > exactness_cap or self.z_rank(k) > exactness_cap:
                 continue
             prev = aug if k == 1 else self.boundary_matrix(k - 1)
-            ker = kernel_basis(prev)
-            img = LatticeAccumulator(self.z_rank(k - 1))
-            bm = self.boundary_matrix(k)
-            for j in range(bm.cols):
-                img.insert_dense(bm.column(j))
-            for j in range(ker.cols):
-                if not img.contains(ker.column(j)):
-                    raise ValidationError(f"resolution not exact at stage {k - 1}")
+            img = LatticeAccumulator.spanned_by(self.boundary_matrix(k))
+            if any(product_gaps((kernel_basis(prev),), None, img)):
+                raise ValidationError(f"resolution not exact at stage {k - 1}")
 
     def truncated(self, length: int) -> "FreeResolution":
         """The terms through degree `length` (at most `self.length`).  The

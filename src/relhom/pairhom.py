@@ -522,7 +522,6 @@ def verify_takasu_les(
     chi_cols: List[List[List[int]]] = []
     for k in range(len(v_cols)):
         ri = res_i.free_ranks[k]
-        rz = res_z.free_ranks[k]
         level = []
         for col in v_cols[k]:
             level.append(col[n_ord * ri :])
@@ -546,16 +545,13 @@ def verify_takasu_les(
     chi_comps = {}
     for k in range(length + 1):
         ri, rz = res_i.free_ranks[k], res_z.free_ranks[k]
-        rows = (ri + rz) * rk
-        cols = ri * rk
-        ident_block = [
-            [1 if i == j else 0 for j in range(cols)] for i in range(rows)
-        ]
-        incl_comps[k] = IntMatrix(ident_block, cols=cols)
-        proj = [[0] * rows for _ in range(rz * rk)]
-        for i in range(rz * rk):
-            proj[i][ri * rk + i] = 1
-        proj_comps[k] = IntMatrix(proj, cols=rows)
+        # the middle term holds the I-side generators first
+        incl_comps[k] = IntMatrix._from_sparse_columns(
+            [{j: 1} for j in range(ri * rk)], (ri + rz) * rk
+        )
+        proj_comps[k] = IntMatrix._from_sparse_columns(
+            [{} for _ in range(ri * rk)] + [{i: 1} for i in range(rz * rk)], rz * rk
+        )
         if k < len(v_cols):
             v_comps[k] = free_map(v_cols[k], ri + rz)
             chi_comps[k] = free_map(chi_cols[k], rz)

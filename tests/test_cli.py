@@ -318,3 +318,34 @@ def test_budget_error_names_the_first_degree_over(tmp_path, capsys, command, deg
         code, out = run_capture(tmp_path, capsys, job, ("--output", "json"))
         assert code == cli.EXIT_BUDGET
         assert json.loads(out) == {"error": {"kind": "budget", "message": message}}
+
+
+def test_job_that_is_not_an_object_is_refused(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["--job", str(path)]) == cli.EXIT_VALIDATION
+    assert "job document must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change,field",
+    [
+        ({"degrees": ["x", 2]}, "job.degrees"),
+        ({"degrees": [1.7, 3]}, "job.degrees"),
+        ({"degrees": [True, 3]}, "job.degrees"),
+        ({"coefficients": {"kind": "custom", "matrices": [[[1]], [[1.5]]]}}, "job.coefficients"),
+        ({"coefficients": {"kind": "custom", "matrices": [[[1]], [["-1"]]]}}, "job.coefficients"),
+        ({"coefficients": {"kind": "custom", "matrices": [[[1]], [[True]]]}}, "job.coefficients"),
+        ({"group": {"kind": "cyclic", "n": True}}, "job.group.n"),
+        ({"subgroup": {"generators": [True]}}, "job.subgroup.generators"),
+        ({"subgroup": {"generators": [1.0]}}, "job.subgroup.generators"),
+    ],
+)
+def test_job_numbers_must_be_integers(tmp_path, capsys, change, field):
+    job = {**COMPARE_JOB, "group": {"kind": "cyclic", "n": 2}, "subgroup": {"generators": []}}
+    job.update(change)
+    code, out = run_capture(tmp_path, capsys, job, ("--output", "json"))
+    assert code == cli.EXIT_VALIDATION
+    error = json.loads(out)["error"]
+    assert error["kind"] == "validation"
+    assert error["message"].startswith(field)
