@@ -231,6 +231,13 @@ class GCWCell:
     boundary: Tuple[Tuple[int, int, int], ...] = ()
 
 
+def _json_int(val, what: str) -> int:
+    """`val` if it is a JSON integer: an int that is not a bool."""
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise ValidationError(f"{what} must be an integer, got {val!r}")
+    return val
+
+
 class GCWData:
     """Orbit-cell data of a finite-type equivariant CW complex."""
 
@@ -259,6 +266,11 @@ class GCWData:
                     if not (0 <= tgt < len(self.cells[d - 1])):
                         raise ValidationError(
                             f"cell {ci} in dimension {d} hits a missing cell"
+                        )
+                    if not (0 <= a < G.order):
+                        raise ValidationError(
+                            f"boundary entry of cell {ci} in dimension {d} has "
+                            f"a = {a}, not an element of the group"
                         )
                     tstab = self.cells[d - 1][tgt].stabilizer
                     for x in cell.stabilizer.elements:
@@ -310,9 +322,11 @@ class GCWData:
         for dim_cells in doc["dimensions"]:
             level = []
             for cell in dim_cells:
-                stab = group.subgroup_generated(cell.get("stabilizer", []))
+                stab = group.subgroup_generated(
+                    _json_int(g, "stabilizer generator") for g in cell.get("stabilizer", [])
+                )
                 bdry = tuple(
-                    (int(e["cell"]), int(e["a"]), int(e["coeff"]))
+                    tuple(_json_int(e[key], f"boundary {key}") for key in ("cell", "a", "coeff"))
                     for e in cell.get("boundary", [])
                 )
                 level.append(GCWCell(stab, bdry))

@@ -1089,11 +1089,15 @@ class FgAbGroup:
 
 
 def homology_group(dn: IntMatrix, dnp1: IntMatrix, *, _composable: bool = False) -> FgAbGroup:
-    """ker(dn)/im(dnp1) as an abstract group (fast path, no coordinates).
+    """ker(dn)/im(dnp1) as an abstract group, without coordinates: the rank
+    of dn and the invariants of dnp1, both from the sparse unit-pivot front
+    (`rank_z`, `smith_invariants`), so the dense engine runs on residuals
+    only.  `HomologyData` reads its group here too.
 
     The boundaries must compose to zero, which `product_gaps` checks;
-    `_composable` is for `ChainComplex.homology` only, whose boundaries
-    were checked when the complex was built."""
+    `_composable` is for `ChainComplex.homology` only (directly or through
+    `HomologyData`), whose boundaries were checked when the complex was
+    built."""
     if dn.cols != dnp1.rows:
         raise ValidationError("boundary shapes are not composable")
     if not _composable and any(product_gaps((dn, dnp1))):
@@ -1112,12 +1116,21 @@ class HomologyData:
     Generators are ordered torsion-first by increasing invariant factor,
     then free generators.  Coordinates of torsion generators are reduced
     modulo the invariant factor.
-    """
 
-    def __init__(self, dn: IntMatrix, dnp1: IntMatrix):
-        if dn.cols != dnp1.rows:
-            raise ValidationError("boundary shapes are not composable")
-        chain_rank = dn.cols
+    The group comes from `homology_group`, on the sparse unit-pivot front,
+    which also refuses boundaries that do not compose (`_composable` as
+    there).  A zero group ends the work: there are no generators, and a
+    vector is a cycle when d_n v = 0 on sparse columns.  Only a nonzero
+    group runs the dense engine, with transforms, for the coordinates;
+    Smith invariants are unique, so it finds the same group."""
+
+    def __init__(self, dn: IntMatrix, dnp1: IntMatrix, *, _composable: bool = False):
+        self.group = homology_group(dn, dnp1, _composable=_composable)
+        self.degree_rank = chain_rank = dn.cols
+        self._dn = dn
+        self._surviving: List[int] = []
+        if self.group.is_trivial():
+            return
         b = dnp1
         if b.cols > b.rows:
             b = column_image_basis(b)
@@ -1136,7 +1149,6 @@ class HomologyData:
         d = eng2.diag()
         r2 = eng2.rank
         surviving = [i for i in range(r2) if d[i] > 1] + list(range(r2, z))
-        self.degree_rank = chain_rank
         self._r = r
         self._z = z
         self._cinv = eng1.cinv
@@ -1147,9 +1159,6 @@ class HomologyData:
         self._r2inv = eng2.rinv
         self._orders = [d[i] if i < r2 else 0 for i in surviving]
         self._surviving = surviving
-        self.group = FgAbGroup(
-            z - r2, [d[i] for i in range(r2) if d[i] > 1]
-        )
 
     def generator_cycles(self) -> List[List[int]]:
         """Cycle vectors (in chain coordinates) for the normalized generators."""
@@ -1169,6 +1178,10 @@ class HomologyData:
     def coords_of_cycle(self, vec: Sequence[int]) -> List[int]:
         if len(vec) != self.degree_rank:
             raise ValidationError("cycle vector length mismatch")
+        if self.group.is_trivial():
+            if _sparse_apply(_sparse_columns(self._dn), {i: x for i, x in enumerate(vec) if x}):
+                raise ValidationError("vector is not a cycle")
+            return []
         y = []
         for i in range(self.degree_rank):
             s = 0
@@ -1249,7 +1262,9 @@ class ChainComplex:
             dn = self.boundary(n)
             dnp1 = self.boundary(n + 1)
             if coords:
-                self._homology_cache[key] = HomologyData(dn, dnp1)
+                self._homology_cache[key] = HomologyData(
+                    dn, dnp1, _composable=self._validated
+                )
             else:
                 self._homology_cache[key] = homology_group(
                     dn, dnp1, _composable=self._validated
@@ -1405,11 +1420,10 @@ def sequence_exact_at(
     c: FgAbGroup,
 ) -> Tuple[bool, str]:
     """Is im(f: A -> B) equal to ker(g: B -> C)?  Maps in canonical coords."""
-    comp = g @ f
-    if not is_zero_map(comp, c):
+    rel_c = c.relation_matrix()
+    if any(product_gaps((g, f), modulo=LatticeAccumulator.spanned_by(rel_c))):
         return False, "composite is nonzero"
     # lattice of cycles: x with g x in relations of C
-    rel_c = c.relation_matrix()
     stacked = hstack([g, rel_c]) if rel_c.cols else g
     ker = kernel_basis(stacked)
     nb = b.presentation_rank()

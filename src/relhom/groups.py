@@ -101,7 +101,13 @@ class FiniteGroup:
         return Subgroup(self, elements)
 
     def subgroup_generated(self, gens: Iterable[int]) -> "Subgroup":
-        return Subgroup(self, _closure(self, list(gens)))
+        gens = list(gens)
+        for g in gens:
+            if not 0 <= g < self.order:
+                raise ValidationError(
+                    f"generator {g} is not an element of the group (0..{self.order - 1})"
+                )
+        return Subgroup(self, _closure(self, gens))
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,))

@@ -14,7 +14,11 @@
   standard resolution, the reference for `takasu_homology`;
 - `DenseSolver`, the solver that eliminates the whole matrix densely with
   both transforms: the reference for `IntSolver`, which splits off its
-  unit pivots sparsely first.
+  unit pivots sparsely first;
+- `DenseHomologyData`, homology with coordinates read from the dense engine
+  in every degree: the reference for `HomologyData`, which reads its group
+  from the sparse unit-pivot front and runs the dense engine only when the
+  group is nonzero.
 """
 
 from dataclasses import dataclass
@@ -30,6 +34,7 @@ from relhom.exactla import (
     IntSolver,
     PresentedChainMap,
     _Eliminator,
+    column_image_basis,
 )
 from relhom.groups import FiniteGroup, Subgroup, coset_space, cyclic_group
 from relhom.modres import (
@@ -354,4 +359,80 @@ class DenseSolver:
                     v = self._c[i][j]
                     if v:
                         out[i] += v * yj
+        return out
+
+
+# ---------------------------------------------------------------------------
+# Dense homology with coordinates
+
+
+class DenseHomologyData:
+    """`HomologyData` with every degree, the zero group included, read
+    from the dense engine: the boundary image reduced to a lattice basis,
+    d_n diagonalized with both column transforms while the image is carried
+    along as a mirror, and the image's rows below the rank of d_n
+    diagonalized with both row transforms.  The API of `HomologyData`:
+    group, degree_rank, generator_cycles and coords_of_cycle."""
+
+    def __init__(self, dn: IntMatrix, dnp1: IntMatrix):
+        if dn.cols != dnp1.rows:
+            raise ValidationError("boundary shapes are not composable")
+        chain_rank = dn.cols
+        b = dnp1
+        if b.cols > b.rows:
+            b = column_image_basis(b)
+        mirror = b.to_rows() if b.cols else [[] for _ in range(chain_rank)]
+        eng1 = _Eliminator(dn, track_c=True, track_cinv=True, mirror=mirror)
+        eng1.diagonalize()
+        r = eng1.rank
+        z = chain_rank - r
+        for i in range(r):
+            if any(mirror[i]):
+                raise ValidationError("boundaries do not compose to zero")
+        bpp = IntMatrix(mirror[r:], cols=b.cols) if z else IntMatrix.zeros(0, b.cols)
+        eng2 = _Eliminator(bpp, track_r=True, track_rinv=True)
+        eng2.diagonalize()
+        eng2.make_divisible()
+        d = eng2.diag()
+        r2 = eng2.rank
+        surviving = [i for i in range(r2) if d[i] > 1] + list(range(r2, z))
+        self.degree_rank = chain_rank
+        self._r = r
+        self._z = z
+        self._cinv = eng1.cinv
+        self._kernel_cols = [
+            [eng1.c[i][r + j] for i in range(chain_rank)] for j in range(z)
+        ]
+        self._r2 = eng2.r
+        self._r2inv = eng2.rinv
+        self._orders = [d[i] if i < r2 else 0 for i in surviving]
+        self._surviving = surviving
+        self.group = FgAbGroup(z - r2, [d[i] for i in range(r2) if d[i] > 1])
+
+    def generator_cycles(self) -> List[List[int]]:
+        out = []
+        for idx in self._surviving:
+            vec = [0] * self.degree_rank
+            for j in range(self._z):
+                u = self._r2inv[j][idx]
+                if u:
+                    col = self._kernel_cols[j]
+                    for i in range(self.degree_rank):
+                        if col[i]:
+                            vec[i] += u * col[i]
+            out.append(vec)
+        return out
+
+    def coords_of_cycle(self, vec: Sequence[int]) -> List[int]:
+        if len(vec) != self.degree_rank:
+            raise ValidationError("cycle vector length mismatch")
+        y = [sum(a * x for a, x in zip(row, vec)) for row in self._cinv]
+        if any(y[: self._r]):
+            raise ValidationError("vector is not a cycle")
+        ker = y[self._r:]
+        out = []
+        for pos, idx in enumerate(self._surviving):
+            s = sum(a * x for a, x in zip(self._r2[idx], ker))
+            order = self._orders[pos]
+            out.append(s % order if order else s)
         return out

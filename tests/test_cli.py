@@ -121,32 +121,26 @@ def test_oracle_normal_command(tmp_path, capsys):
     assert "all match: true" in out
 
 
+BREDON_JOB = {
+    "command": "bredon",
+    "group": {"kind": "cyclic", "n": 2},
+    "coefficients": {"kind": "trivial_Z"},
+    "degrees": "0..1",
+    "complex": {
+        "format_version": 1,
+        "dimensions": [
+            [{"stabilizer": [1], "boundary": []}, {"stabilizer": [1], "boundary": []}],
+            [{"stabilizer": [], "boundary": [
+                {"cell": 1, "a": 0, "coeff": 1},
+                {"cell": 0, "a": 0, "coeff": -1},
+            ]}],
+        ],
+    },
+}
+
+
 def test_bredon_command(tmp_path, capsys):
-    job = {
-        "command": "bredon",
-        "group": {"kind": "cyclic", "n": 2},
-        "coefficients": {"kind": "trivial_Z"},
-        "degrees": "0..1",
-        "complex": {
-            "format_version": 1,
-            "dimensions": [
-                [
-                    {"stabilizer": [1], "boundary": []},
-                    {"stabilizer": [1], "boundary": []},
-                ],
-                [
-                    {
-                        "stabilizer": [],
-                        "boundary": [
-                            {"cell": 1, "a": 0, "coeff": 1},
-                            {"cell": 0, "a": 0, "coeff": -1},
-                        ],
-                    }
-                ],
-            ],
-        },
-    }
-    code, out = run_capture(tmp_path, capsys, job)
+    code, out = run_capture(tmp_path, capsys, BREDON_JOB)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[-2].startswith("0      | Z")
@@ -349,3 +343,47 @@ def test_job_numbers_must_be_integers(tmp_path, capsys, change, field):
     error = json.loads(out)["error"]
     assert error["kind"] == "validation"
     assert error["message"].startswith(field)
+
+
+@pytest.mark.parametrize("gen", [-1, 4, 7])
+def test_subgroup_generators_must_be_group_elements(tmp_path, capsys, gen):
+    # on C4, -1 used to wrap to element 3 and 7 to end in an IndexError
+    job = dict(COMPARE_JOB, subgroup={"generators": [gen]})
+    code, out = run_capture(tmp_path, capsys, job, ("--output", "json"))
+    assert code == cli.EXIT_VALIDATION
+    error = json.loads(out)["error"]
+    assert error["kind"] == "validation"
+    assert error["message"].startswith("job.subgroup.generators")
+
+
+def _bredon_job(stabilizer=(1,), **entry):
+    job = json.loads(json.dumps(BREDON_JOB))
+    job["complex"]["dimensions"][0][0]["stabilizer"] = list(stabilizer)
+    job["complex"]["dimensions"][1][0]["boundary"][0].update(entry)
+    return job
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        _bredon_job(coeff=1.9),
+        _bredon_job(coeff=1.0),
+        _bredon_job(coeff=True),
+        _bredon_job(coeff="1"),
+        _bredon_job(cell=1.0),
+        _bredon_job(cell=True),
+        _bredon_job(a=0.0),
+        _bredon_job(a=False),
+        _bredon_job(a=-1),
+        _bredon_job(a=5),
+        _bredon_job(stabilizer=[2]),
+        _bredon_job(stabilizer=[-1]),
+        _bredon_job(stabilizer=[True]),
+    ],
+)
+def test_bredon_cell_data_must_be_integers_in_range(tmp_path, capsys, job):
+    code, out = run_capture(tmp_path, capsys, job, ("--output", "json"))
+    assert code == cli.EXIT_VALIDATION
+    error = json.loads(out)["error"]
+    assert error["kind"] == "validation"
+    assert error["message"].startswith("job.complex: ")

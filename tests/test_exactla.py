@@ -226,7 +226,17 @@ def test_sequence_exact_at():
     assert ok
     # Z -4-> Z -> Z/2 is not
     ok, why = R.sequence_exact_at(IntMatrix([[4]]), z, z, IntMatrix([[1]]), z2)
-    assert not ok and why
+    assert not ok and why == "kernel not contained in image"
+    # Z -1-> Z -> Z/2: the composite is 1, not 0 modulo 2
+    ok, why = R.sequence_exact_at(IntMatrix([[1]]), z, z, IntMatrix([[1]]), z2)
+    assert (ok, why) == (False, "composite is nonzero")
+    # Z -1-> Z -> Z: a free target has no relations to reduce by
+    ok, why = R.sequence_exact_at(IntMatrix([[1]]), z, z, IntMatrix([[2]]), z)
+    assert (ok, why) == (False, "composite is nonzero")
+    # Z -2-> Z/4 -> Z/2: the composite 2 is 0 modulo 2, and the sequence
+    # is exact at Z/4
+    ok, why = R.sequence_exact_at(IntMatrix([[2]]), z, FgAbGroup(0, [4]), IntMatrix([[1]]), z2)
+    assert (ok, why) == (True, "")
 
 
 def test_presented_complex_mod_k():

@@ -191,3 +191,9 @@ def test_make_group_interns_by_table_and_label():
     assert R.coset_space(c4.subgroup_generated([2])) is R.coset_space(
         R.make_group("cyclic", 4).subgroup_generated([2])
     )
+
+
+@pytest.mark.parametrize("gen", [-1, 4, 7])
+def test_subgroup_generated_refuses_non_elements(gen):
+    with pytest.raises(ValidationError, match="not an element of the group"):
+        R.cyclic_group(4).subgroup_generated([2, gen])

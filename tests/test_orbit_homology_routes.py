@@ -1,9 +1,11 @@
-"""Coordinate-free homology against the coordinate route on orbit shapes.
+"""Coordinate-free homology against the dense coordinate route on orbit
+shapes.
 
 `homology(n)` reads the group from `rank_z` and `smith_invariants`, which
 split off unit pivots sparsely before the dense Smith engine;
-`homology_data(n)` reduces the boundary image to a lattice basis and runs
-the dense engine with transforms.  The two routes must give the same group
+`oracles.DenseHomologyData` reduces the boundary image to a lattice basis
+and runs the dense engine with transforms on the whole boundaries, in
+every degree.  The two routes must give the same group
 in every degree that the orbit benchmark jobs read (the top degree of a
 truncated coset-tuple complex is left out), and the first must not reduce
 any lattice basis even where a boundary is wider than tall.
@@ -15,6 +17,7 @@ import relhom as R
 from relhom import GModule, exactla
 
 from conftest import alternating4
+from oracles import DenseHomologyData
 
 
 def _adamson(group, gens, coeff, top):
@@ -59,7 +62,7 @@ def test_group_read_matches_coordinate_route(case, monkeypatch):
     groups = [cone.homology(n) for n in degrees]
     assert calls[0] == 0
     for n, group in zip(degrees, groups):
-        assert group == cone.homology_data(n).group, n
+        assert group == DenseHomologyData(cone.boundary(n), cone.boundary(n + 1)).group, n
 
 
 def test_wide_cone_boundary_needs_no_lattice_basis(monkeypatch):
