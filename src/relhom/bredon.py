@@ -156,10 +156,7 @@ class CoefficientSystem:
         mor = cat.morphism(source, target, cat.group.inverse[g])
         rows = self._rows.get(mor)
         if rows is None:
-            rows = self._rows[mor] = tuple(
-                tuple((b, v) for b, v in enumerate(row) if v)
-                for row in self.matrix(mor).data
-            )
+            rows = self._rows[mor] = self.matrix(mor)._row_pairs()
         return rows
 
     def validate(self):

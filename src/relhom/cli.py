@@ -333,7 +333,7 @@ def run(job: Job) -> Dict[str, Any]:
                     "takasu": str(d.takasu),
                     "adamson": str(d.adamson),
                     "phi": _phi_description(d),
-                    "matrix": [list(r) for r in d.matrix.data],
+                    "matrix": d.matrix.to_rows(),
                     "kernel": str(d.kernel),
                     "cokernel": str(d.cokernel),
                 }

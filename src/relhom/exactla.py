@@ -37,12 +37,18 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
 
 
 class IntMatrix:
-    """Dense integer matrix, immutable after construction."""
+    """Integer matrix, immutable after construction, stored as sparse
+    columns: `_cols[j]` maps the row of each nonzero entry of column j to
+    that entry, and holds no zero and no row outside `range(rows)`.  The
+    column dicts may be shared between matrices, so nothing mutates them.
+    Dense rows are built on demand by `to_rows` and never kept; only the
+    dense Smith engine, `det`, `HomologyData`'s mirror and the CLI output
+    read them."""
 
-    __slots__ = ("rows", "cols", "data", "_scols")
+    __slots__ = ("rows", "cols", "_cols")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: Optional[int] = None):
-        rows = tuple(tuple(int(x) for x in r) for r in data)
+        rows = [tuple(int(x) for x in r) for r in data]
         if rows:
             ncols = len(rows[0])
             for r in rows:
@@ -53,43 +59,41 @@ class IntMatrix:
             cols = ncols
         elif cols is None:
             cols = 0
+        elif cols < 0:
+            raise ValidationError(f"negative column count {cols}")
         self.rows = len(rows)
         self.cols = cols
-        self.data = rows
-        self._scols: Optional[List[Dict[int, int]]] = None
+        self._cols: List[Dict[int, int]] = [{} for _ in range(cols)]
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                if x:
+                    self._cols[j][i] = x
 
     # -- constructors
 
     @classmethod
-    def _from_sparse_columns(
-        cls, columns: List[Dict[int, int]], rows: int, keep: bool = True
-    ) -> "IntMatrix":
+    def _from_sparse_columns(cls, columns: List[Dict[int, int]], rows: int) -> "IntMatrix":
         """Internal: the matrix whose column j has the nonzero entries
-        columns[j] (row -> int).  The entries are taken as given, without
-        conversion.  With `keep`, the dicts are kept as the matrix's sparse
-        columns (`_sparse_columns` returns them), so the caller must not mutate
-        them; a matrix that is cached for long and used densely drops
-        them, as they cost more memory than its dense rows."""
-        out = [[0] * len(columns) for _ in range(rows)]
-        for j, col in enumerate(columns):
-            for i, x in col.items():
-                out[i][j] = x
+        columns[j] (row -> int).  The dicts become the matrix's columns as
+        given, without conversion or copy, so they must hold no zero and no
+        row outside `range(rows)`, and nobody may mutate them afterwards."""
         mat = cls.__new__(cls)
         mat.rows = rows
         mat.cols = len(columns)
-        mat.data = tuple(map(tuple, out))
-        mat._scols = columns if keep else None
+        mat._cols = columns
         return mat
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(((0,) * cols for _ in range(rows)), cols=cols)
+        if rows < 0 or cols < 0:
+            raise ValidationError(f"negative matrix shape ({rows}, {cols})")
+        return cls._from_sparse_columns([{} for _ in range(cols)], rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(
-            (tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n
-        )
+        if n < 0:
+            raise ValidationError(f"negative identity size {n}")
+        return cls._from_sparse_columns([{j: 1} for j in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -98,71 +102,75 @@ class IntMatrix:
             if not cols:
                 raise ValidationError("from_columns needs rows= when no columns given")
             rows = len(cols[0])
+        elif rows < 0:
+            raise ValidationError(f"negative row count {rows}")
         for c in cols:
             if len(c) != rows:
                 raise ValidationError("column length mismatch")
-        return cls(
-            (tuple(c[i] for c in cols) for i in range(rows)), cols=len(cols)
+        return cls._from_sparse_columns(
+            [{i: x for i, x in enumerate(map(int, c)) if x} for c in cols], rows
         )
 
     # -- access
 
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.data[i]
-
     def column(self, j: int) -> Tuple[int, ...]:
-        return tuple(r[j] for r in self.data)
+        col = self._cols[j]
+        return tuple(col.get(i, 0) for i in range(self.rows))
 
     def columns(self) -> List[List[int]]:
-        return [[r[j] for r in self.data] for j in range(self.cols)]
+        return [[col.get(i, 0) for i in range(self.rows)] for col in self._cols]
 
     def to_rows(self) -> List[List[int]]:
-        return [list(r) for r in self.data]
+        """The dense rows, built anew on each call."""
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self._cols):
+            for i, x in col.items():
+                out[i][j] = x
+        return out
+
+    @property
+    def data(self) -> List[List[int]]:
+        """The dense rows (`to_rows`)."""
+        return self.to_rows()
+
+    def _row_pairs(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Each row as the (column, entry) pairs of its nonzero entries, by
+        increasing column."""
+        out: List[List[Tuple[int, int]]] = [[] for _ in range(self.rows)]
+        for j, col in enumerate(self._cols):
+            for i, x in col.items():
+                out[i].append((j, x))
+        return tuple(map(tuple, out))
 
     def entry(self, i: int, j: int) -> int:
-        return self.data[i][j]
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside a matrix of {self.rows} rows")
+        return self._cols[j].get(i, 0)
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.data)
+        return not any(self._cols)
 
     # -- arithmetic
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValidationError(
-                f"shape mismatch in product: {self.shape} @ {other.shape}"
-            )
-        ob = other.data
-        out = []
-        for r in self.data:
-            row = [0] * other.cols
-            for k, a in enumerate(r):
-                if a:
-                    brow = ob[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            row[j] += a * b
-            out.append(tuple(row))
-        return IntMatrix(out, cols=other.cols)
+        (rows, _), cols = _product((self, other))
+        return IntMatrix._from_sparse_columns(list(cols), rows)
 
     def apply(self, vec: Sequence[int]) -> List[int]:
         if len(vec) != self.cols:
             raise ValidationError("vector length mismatch")
-        out = []
-        for r in self.data:
-            s = 0
-            for a, x in zip(r, vec):
-                if a and x:
-                    s += a * x
-            out.append(s)
+        out = [0] * self.rows
+        for col, x in zip(self._cols, vec):
+            if x:
+                for i, a in col.items():
+                    out[i] += a * x
         return out
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValidationError("shape mismatch in sum")
-        return IntMatrix(
-            (tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.data, other.data)),
-            cols=self.cols,
+        return IntMatrix._from_sparse_columns(
+            [_combine(a, 1, b, 1) for a, b in zip(self._cols, other._cols)], self.rows
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
@@ -172,7 +180,11 @@ class IntMatrix:
         return self.scale(-1)
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix((tuple(k * x for x in r) for r in self.data), cols=self.cols)
+        k = int(k)
+        return IntMatrix._from_sparse_columns(
+            [{i: k * x for i, x in col.items()} if k else {} for col in self._cols],
+            self.rows,
+        )
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -209,42 +221,30 @@ class IntMatrix:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
+            and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self._cols == other._cols
         )
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.data))
+        # frozensets, so that the hash does not depend on dict order
+        cols = tuple(frozenset(c.items()) for c in self._cols)
+        return hash((self.rows, self.cols, cols))
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 36:
-            return f"IntMatrix({[list(r) for r in self.data]})"
+            return f"IntMatrix({self.to_rows()})"
         return f"IntMatrix(<{self.rows}x{self.cols}>)"
 
 
 def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
+    if not mats:
+        raise ValidationError("hstack of no matrices")
     rows = mats[0].rows
     for m in mats:
         if m.rows != rows:
             raise ValidationError("hstack row mismatch")
-    return IntMatrix(
-        (tuple(x for m in mats for x in m.data[i]) for i in range(rows)),
-        cols=sum(m.cols for m in mats),
-    )
-
-
-def _sparse_columns(mat: IntMatrix) -> List[Dict[int, int]]:
-    """Internal: the columns of `mat` as dicts row -> nonzero entry: the
-    matrix's own if it keeps them (which callers must not mutate), else new
-    dicts, which are not kept on it."""
-    if mat._scols is not None:
-        return mat._scols
-    cols: List[Dict[int, int]] = [dict() for _ in range(mat.cols)]
-    for i, row in enumerate(mat.data):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    return cols
+    return IntMatrix._from_sparse_columns([c for m in mats for c in m._cols], rows)
 
 
 def _sparse_apply(cols_a: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]:
@@ -292,7 +292,7 @@ class LatticeAccumulator:
     def spanned_by(cls, mat: IntMatrix) -> "LatticeAccumulator":
         """The lattice spanned by the columns of `mat`."""
         acc = cls(mat.rows)
-        for col in _sparse_columns(mat):
+        for col in mat._cols:
             acc.insert(col)
         return acc
 
@@ -358,16 +358,16 @@ def column_image_basis(mat: IntMatrix) -> IntMatrix:
 def _product(
     factors: Sequence[IntMatrix],
 ) -> Tuple[Tuple[int, int], Iterator[Dict[int, int]]]:
-    """Internal: the shape of the product of `factors`, checked to compose
-    as `IntMatrix.__matmul__` checks them, and its sparse columns, made one
-    at a time."""
+    """Internal: the shape of the product of `factors`, checked to
+    compose, and its sparse columns, made one at a time (a single factor's
+    are its own)."""
     for a, b in zip(factors, factors[1:]):
         if a.cols != b.rows:
             raise ValidationError(f"shape mismatch in product: {a.shape} @ {b.shape}")
-    outer = [_sparse_columns(a) for a in reversed(factors[:-1])]
+    outer = [a._cols for a in reversed(factors[:-1])]
 
     def columns():
-        for col in _sparse_columns(factors[-1]):
+        for col in factors[-1]._cols:
             for acols in outer:
                 col = _sparse_apply(acols, col)
             yield col
@@ -389,9 +389,8 @@ def product_gaps(
     a(g) a(h) = a(gh), exactly or modulo relations: the law holds when
     every gap is empty, so a check reads `any(product_gaps(...))` and stops
     at the first failing column.  Shapes are checked at the call.  Products
-    are taken through `_sparse_apply` on the factors' sparse columns, a
-    matrix's own where it keeps them and local dicts otherwise, so none are
-    left on it; a gap may be such a column, not to be mutated."""
+    are taken through `_sparse_apply` on the factors' columns; a gap may be
+    a factor's own column, not to be mutated."""
     shape, gaps = _product(lhs)
     if rhs is not None:
         rshape, rcols = _product(rhs)
@@ -784,9 +783,9 @@ def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
     its row, column and unit entry, row r off the pivot as (j, entry) pairs
     and column c off the pivot as a dict, all as they stood when it was
     taken; the result is then (k, R, R's rows, R's columns), the last two
-    as indices into `mat`.  No sparse columns are left on `mat`."""
-    fresh = mat._scols is None
-    cols = {j: c if fresh else dict(c) for j, c in enumerate(_sparse_columns(mat)) if c}
+    as indices into `mat`.  The elimination works on copies of `mat`'s
+    columns, so `mat` is left as it was."""
+    cols = {j: dict(c) for j, c in enumerate(mat._cols) if c}
     rows: Dict[int, set] = {}
     for j, col in cols.items():
         for i in col:
@@ -1033,10 +1032,9 @@ class FgAbGroup:
         return len(self.torsion) + self.free_rank
 
     def relation_matrix(self) -> IntMatrix:
-        t = len(self.torsion)
-        n = self.presentation_rank()
-        cols = [[self.torsion[i] if r == i else 0 for r in range(n)] for i in range(t)]
-        return IntMatrix.from_columns(cols, rows=n) if cols else IntMatrix.zeros(n, 0)
+        return IntMatrix._from_sparse_columns(
+            [{i: d} for i, d in enumerate(self.torsion)], self.presentation_rank()
+        )
 
     def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
         return FgAbGroup(
@@ -1179,7 +1177,7 @@ class HomologyData:
         if len(vec) != self.degree_rank:
             raise ValidationError("cycle vector length mismatch")
         if self.group.is_trivial():
-            if _sparse_apply(_sparse_columns(self._dn), {i: x for i, x in enumerate(vec) if x}):
+            if _sparse_apply(self._dn._cols, {i: x for i, x in enumerate(vec) if x}):
                 raise ValidationError("vector is not a cycle")
             return []
         y = []
@@ -1361,17 +1359,19 @@ def induced_map(f: ChainMap, n: int) -> IntMatrix:
 
 def hom_cokernel(mat: IntMatrix, target: FgAbGroup) -> FgAbGroup:
     rel = target.relation_matrix()
-    stacked = hstack([mat, rel]) if rel.cols else mat
-    inv = smith_invariants(stacked)
+    inv = smith_invariants(hstack([mat, rel]))
     return FgAbGroup.from_invariants(inv, target.presentation_rank())
 
 
 def hom_kernel(mat: IntMatrix, source: FgAbGroup, target: FgAbGroup) -> FgAbGroup:
-    reln = target.relation_matrix()
-    stacked = hstack([mat, reln]) if reln.cols else mat
-    ker = kernel_basis(stacked)
+    ker = kernel_basis(hstack([mat, target.relation_matrix()]))
     # the projection of the kernel onto the source coordinates
-    lat = column_image_basis(IntMatrix(ker.data[: source.presentation_rank()], cols=ker.cols))
+    top = source.presentation_rank()
+    lat = column_image_basis(
+        IntMatrix._from_sparse_columns(
+            [{i: x for i, x in c.items() if i < top} for c in ker._cols], top
+        )
+    )
     # kernel subgroup = lat / source relations; express relations in lat basis
     rel_a = source.relation_matrix()
     if lat.cols == 0:
@@ -1401,15 +1401,9 @@ def is_isomorphism(mat: IntMatrix, source: FgAbGroup, target: FgAbGroup) -> bool
 
 def is_zero_map(mat: IntMatrix, target: FgAbGroup) -> bool:
     t = len(target.torsion)
-    for j in range(mat.cols):
-        for i in range(mat.rows):
-            x = mat.entry(i, j)
-            if i < t:
-                if x % target.torsion[i]:
-                    return False
-            elif x:
-                return False
-    return True
+    return not any(
+        i >= t or x % target.torsion[i] for col in mat._cols for i, x in col.items()
+    )
 
 
 def sequence_exact_at(
@@ -1424,20 +1418,12 @@ def sequence_exact_at(
     if any(product_gaps((g, f), modulo=LatticeAccumulator.spanned_by(rel_c))):
         return False, "composite is nonzero"
     # lattice of cycles: x with g x in relations of C
-    stacked = hstack([g, rel_c]) if rel_c.cols else g
-    ker = kernel_basis(stacked)
+    ker = kernel_basis(hstack([g, rel_c]))
     nb = b.presentation_rank()
-    rel_b = b.relation_matrix()
-    image_cols = [f.column(j) for j in range(f.cols)] + [
-        rel_b.column(j) for j in range(rel_b.cols)
-    ]
-    if image_cols:
-        img = IntMatrix.from_columns(image_cols, rows=nb)
-        solver = IntSolver(img)
-    else:
-        solver = None
-    for j in range(ker.cols):
-        v = [ker.entry(i, j) for i in range(nb)]
+    img = hstack([f, b.relation_matrix()])
+    solver = IntSolver(img) if img.cols else None
+    for col in ker.columns():
+        v = col[:nb]
         if solver is None:
             if any(v):
                 return False, "kernel not contained in image"
@@ -1507,7 +1493,7 @@ class PresentedComplex:
                     k = index[mat] = len(self._reduced)
                     self._reduced.append(column_image_basis(mat))
                     self._solvers.append(None)
-                basis = _sparse_columns(self._reduced[k])
+                basis = self._reduced[k]._cols
                 if basis:
                     starts.append(offset)
                     placed.append((mat.rows, len(cols), k))
@@ -1617,13 +1603,11 @@ class PresentedComplex:
         for n in range(self.lo + 1, self.hi + 2):
             rows_f = self.rank(n - 1)
             rows_r = self._cone_rel_counts[n - 1]
-            dprev_cols = _sparse_columns(self.boundary(n - 1)) if rows_r else []
+            dprev_cols = self.boundary(n - 1)._cols if rows_r else []
             out_cols: List[Dict[int, int]] = []
             # columns (D x, E x) from F_n, with rho_{n-2} E = -D_{n-1} D_n x,
             # then (rho r, -B r) from R_{n-1}, with rho_{n-2} B = D_{n-1} rho r
-            heads = _sparse_columns(self.boundary(n)) + _sparse_columns(
-                self.relations(n - 1)
-            )
+            heads = self.boundary(n)._cols + self.relations(n - 1)._cols
             for head in heads:
                 img = _sparse_apply(dprev_cols, head) if rows_r else None
                 if img:
@@ -1691,7 +1675,7 @@ class PresentedChainMap:
         for n in range(src.lo, src_cone.hi + 1):
             f_n = self.component(n)
             offset = tgt.rank(n)
-            cols = list(_sparse_columns(f_n))
+            cols = list(f_n._cols)
             g_cols: List[Dict[int, int]] = [
                 {} for _ in range(src_cone.rank(n) - src.rank(n))
             ]

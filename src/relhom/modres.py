@@ -14,6 +14,8 @@ from .exactla import (
     LatticeAccumulator,
     PresentedComplex,
     FgAbGroup,
+    _combine,
+    _sparse_apply,
     kernel_basis,
     product_gaps,
     smith_invariants,
@@ -30,7 +32,7 @@ class GModule:
     """A Z[G]-module: an integer lattice with a (left) action of G.
 
     The action is stored either as index permutations (free and permutation
-    modules) or as dense unimodular matrices.  An optional relation matrix
+    modules) or as unimodular matrices.  An optional relation matrix
     turns the lattice into a finitely presented module; the group law and
     equivariance are then only required modulo the relation lattice.
     """
@@ -93,11 +95,7 @@ class GModule:
         if self._act_inv is None:
             inv = self.group.inverse
             self._act_inv = tuple(
-                tuple(
-                    tuple((b, v) for b, v in enumerate(row) if v)
-                    for row in self.action_matrix(inv[g]).data
-                )
-                for g in self.group.elements()
+                self.action_matrix(inv[g])._row_pairs() for g in self.group.elements()
             )
         return self._act_inv
 
@@ -117,18 +115,15 @@ class GModule:
         return self._inverse_action_rows()[g]
 
     def _validate(self):
-        """a(e) = 1 and a(g) a(h) = a(gh), modulo the relations, for every
-        pair when |G| <= 12 and for generators g otherwise, and the
-        relation lattice is G-stable.  Every a(g) is then invertible over Z
-        (modulo the relations): a(g) a(g^-1) = a(e) = 1 when all pairs are
-        checked, and otherwise a(s) a(s^(m-1)) = a(e) = 1 for a generator s
-        of order m, while every a(g) is a product of such a(s)."""
+        """a(e) = 1 and a(s) a(h) = a(sh), modulo the relations, for every
+        generator s and element h, and the relation lattice is G-stable.
+        That is the action law for every pair: writing g = s1 ... sk,
+        induction on k gives a(g) = a(s1) ... a(sk) and a(g) a(h) =
+        a(gh), where each a(s) carries the relations into themselves.
+        Every a(g) is then invertible over Z (modulo the relations), as
+        a(g) a(g^-1) = a(e) = 1."""
         G, acc = self.group, self._rel_acc
-        pairs = (
-            [(g, h) for g in G.elements() for h in G.elements()]
-            if G.order <= 12
-            else [(g, h) for g in G.generators() for h in G.elements()]
-        )
+        pairs = [(g, h) for g in G.generators() for h in G.elements()]
         if self._perms is not None:
             if len(self._perms) != G.order:
                 raise ValidationError("need one permutation per group element")
@@ -390,9 +385,7 @@ class FreeResolution:
                 for base in self.gen_images[0]
                 for g in self.group.elements()
             ]
-            self._matrix_cache[0] = IntMatrix._from_sparse_columns(
-                cols, self.module.rank, keep=False
-            )
+            self._matrix_cache[0] = IntMatrix._from_sparse_columns(cols, self.module.rank)
         return self._matrix_cache[0]
 
     def boundary_matrix(self, k: int) -> IntMatrix:
@@ -403,8 +396,8 @@ class FreeResolution:
         return mat
 
     def _build_boundary(self, k: int) -> IntMatrix:
-        """The boundary `boundary_matrix(k)` returns, built anew and not
-        cached, with no sparse columns kept on it."""
+        """The boundary `boundary_matrix(k)` returns, built anew on sparse
+        columns and not cached."""
         if not (1 <= k <= self.length):
             raise ValidationError(f"no boundary at degree {k}")
         G = self.group
@@ -414,7 +407,7 @@ class FreeResolution:
             entries = [(*divmod(idx, n), c) for idx, c in enumerate(base) if c]
             for row_g in G.table:
                 cols.append({i * n + row_g[hh]: c for i, hh, c in entries})
-        return IntMatrix._from_sparse_columns(cols, self.z_rank(k - 1), keep=False)
+        return IntMatrix._from_sparse_columns(cols, self.z_rank(k - 1))
 
     def validate(self, exactness_cap: int = VALIDATION_RANK_CAP):
         """Check the augmented complex: boundaries compose to zero, and
@@ -475,18 +468,13 @@ def coinvariant_relations(m: GModule, k: Subgroup) -> IntMatrix:
     """Relations presenting the coinvariants M_K = Z[G/K] tensor_Z[G] M on
     the lattice of M: the relations of M, then the nonzero columns
     (a_kappa - 1) e_i for each generator kappa of K and basis vector e_i."""
-    rk = m.rank
-    cols: List[List[int]] = []
-    if m.relations is not None:
-        cols.extend(list(m.relations.column(j)) for j in range(m.relations.cols))
+    cols = list(m.relations._cols) if m.relations is not None else []
     for kappa in k.generators():
-        ak = m.action_matrix(kappa)
-        for i in range(rk):
-            col = [ak.entry(x, i) for x in range(rk)]
-            col[i] -= 1
-            if any(col):
+        for i, acol in enumerate(m.action_matrix(kappa)._cols):
+            col = _combine(acol, 1, {i: 1}, -1)
+            if col:
                 cols.append(col)
-    return IntMatrix.from_columns(cols, rows=rk)
+    return IntMatrix._from_sparse_columns(cols, m.rank)
 
 
 def orbit_map_matrix(
@@ -598,53 +586,32 @@ def tensor_gmodule_complex(
     via diagonal coinvariants of the termwise tensor product."""
     G = m.group
     gens = G.generators()
+    rm = m.rank
     ranks = []
     rel_blocks: Dict[int, List[Tuple[int, IntMatrix]]] = {}
     for n, c in enumerate(terms):
         if c.group is not G:
             raise ValidationError("complex and module over different groups")
-        rc, rm = c.rank, m.rank
+        rc = c.rank
         ranks.append(rc * rm)
-        cols: List[List[int]] = []
+        cols: List[Dict[int, int]] = []
         for g in gens:
-            ag = c.action_matrix(g)
-            bg = m.action_matrix(g)
-            for i in range(rc):
-                ai = ag.column(i)
-                for b in range(rm):
-                    bb = bg.column(b)
-                    col = [0] * (rc * rm)
-                    for x, av in enumerate(ai):
-                        if av:
-                            off = x * rm
-                            for y, bv in enumerate(bb):
-                                if bv:
-                                    col[off + y] += av * bv
-                    col[i * rm + b] -= 1
-                    cols.append(col)
+            bg = m.action_matrix(g)._cols
+            for i, ai in enumerate(c.action_matrix(g)._cols):
+                for b, bb in enumerate(bg):
+                    prod = {x * rm + y: av * bv for x, av in ai.items() for y, bv in bb.items()}
+                    cols.append(_combine(prod, 1, {i * rm + b: 1}, -1))
         if m.relations is not None:
             for i in range(rc):
-                for j in range(m.relations.cols):
-                    col = [0] * (rc * rm)
-                    for y in range(rm):
-                        v = m.relations.entry(y, j)
-                        if v:
-                            col[i * rm + y] = v
-                    cols.append(col)
+                cols.extend({i * rm + y: v for y, v in r.items()} for r in m.relations._cols)
         if cols:
-            rel_blocks[n] = [(0, IntMatrix.from_columns(cols, rows=rc * rm))]
+            rel_blocks[n] = [(0, IntMatrix._from_sparse_columns(cols, rc * rm))]
     bounds: Dict[int, IntMatrix] = {}
     for k, d in enumerate(boundaries, start=1):
-        rc_prev, rc = terms[k - 1].rank, terms[k].rank
-        rm = m.rank
-        out = [[0] * (rc * rm) for _ in range(rc_prev * rm)]
-        for i in range(rc_prev):
-            for j in range(rc):
-                v = d.entry(i, j)
-                if v:
-                    for b in range(rm):
-                        out[i * rm + b][j * rm + b] = v
-        bounds[k] = IntMatrix(out, cols=rc * rm)
+        bounds[k] = IntMatrix._from_sparse_columns(
+            [{i * rm + b: v for i, v in dcol.items()} for dcol in d._cols for b in range(rm)],
+            terms[k - 1].rank * rm,
+        )
     return PresentedComplex(0, ranks, bounds, rel_blocks)
 
 
@@ -683,7 +650,7 @@ def tensor_perm_complex(
         orbit, trans, _ = orbit_data[k - 1]
         rep_boundaries.append(
             [
-                [(orbit[b], trans[b], c) for b, c in enumerate(d.column(rep)) if c]
+                [(orbit[b], trans[b], c) for b, c in d._cols[rep].items()]
                 for rep in orbit_data[k][2]
             ]
         )
@@ -751,12 +718,12 @@ def _extend_resolution(
     for k in range(res.length + 1, length + 1):
         prev = out.augmentation_matrix() if k == 1 else out.boundary_matrix(k - 1)
         ker = kernel_basis(prev)
-        cols = [ker.column(j) for j in range(ker.cols)]
+        cols = ker.columns()
         free_prev = GModule.free(G, out.free_ranks[k - 1])
         gens = (
             _minimize_generators(G, free_prev.act, cols, ker.rows)
             if minimize
-            else [list(c) for c in cols]
+            else cols
         )
         _check_budget(f"resolution term {k}", G.order * len(gens), rank_cap)
         out.free_ranks.append(len(gens))
@@ -984,7 +951,7 @@ class _ResolutionTarget:
 
     def boundary(self, n: int, vec):
         if n == 0:
-            return _sparse(self.bottom.apply(_dense(vec, self.bottom.cols)))
+            return _sparse_apply(self.bottom._cols, vec)
         entries = self._entries.get(n)
         if entries is None:
             entries = self._entries[n] = _sparse_level(

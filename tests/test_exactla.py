@@ -25,6 +25,23 @@ def test_smith_zero_and_identity():
     assert R.smith_invariants(ident) == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntMatrix.identity(-3),
+        lambda: IntMatrix.zeros(-1, 2),
+        lambda: IntMatrix.zeros(2, -1),
+        lambda: IntMatrix([], cols=-1),
+        lambda: IntMatrix.from_columns([], rows=-1),
+        lambda: R.hstack([]),
+    ],
+    ids=["identity", "zeros-rows", "zeros-cols", "rows", "from-columns", "hstack"],
+)
+def test_constructors_refuse_bad_shapes(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_smith_2468():
     a = IntMatrix([[2, 4], [6, 8]])
     sf = R.smith_form(a)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relhom as R
-from relhom import ChainComplex, FreeResolution, GModule, GModuleHom, IntMatrix
+from relhom import ChainComplex, FreeResolution, GModule, GModuleHom, IntMatrix, hstack
 from relhom.bredon import CoefficientSystem
 from relhom.errors import ValidationError
 from relhom.exactla import LatticeAccumulator, product_gaps
@@ -14,6 +14,30 @@ from relhom.exactla import LatticeAccumulator, product_gaps
 def _dense_columns(mat):
     """The columns of `mat` as dicts row -> nonzero entry, from its rows."""
     return [{i: x for i, x in enumerate(col) if x} for col in mat.columns()]
+
+
+def _rows_product(a, b):
+    """a @ b by the schoolbook sum on dense rows."""
+    rb = b.to_rows()
+    return IntMatrix(
+        [[sum(x * rb[k][j] for k, x in enumerate(r)) for j in range(b.cols)] for r in a.to_rows()],
+        cols=b.cols,
+    )
+
+
+def _rows_sum(a, b, k=1):
+    """a + k b entry by entry on dense rows."""
+    return IntMatrix(
+        [[x + k * y for x, y in zip(r, s)] for r, s in zip(a.to_rows(), b.to_rows())],
+        cols=a.cols,
+    )
+
+
+def _assert_well_formed(mat):
+    """One stored column per column, each without a 0 entry or a row
+    outside the matrix."""
+    assert len(mat._cols) == mat.cols
+    assert all(x and 0 <= i < mat.rows for col in mat._cols for i, x in col.items())
 
 
 def _matrix(draw, rows, cols):
@@ -33,20 +57,45 @@ def _law(draw):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(_law())
-def test_product_gaps_match_the_dense_products(law):
+@given(_law(), st.integers(-2, 2))
+def test_product_gaps_match_the_dense_products(law, k):
     a, b, c, lat = law
-    assert list(product_gaps((a, b))) == _dense_columns(a @ b)
-    assert list(product_gaps((a, b), (c,))) == _dense_columns(a @ b - c)
-    assert list(product_gaps((a, b, IntMatrix.identity(b.cols)))) == _dense_columns(a @ b)
+    ab = _rows_product(a, b)
+    assert list(product_gaps((a, b))) == _dense_columns(ab)
+    assert list(product_gaps((a, b), (c,))) == _dense_columns(_rows_sum(ab, c, -1))
+    assert list(product_gaps((a, b, IntMatrix.identity(b.cols)))) == _dense_columns(ab)
     # modulo a lattice: a gap is empty exactly when the column lies in it
     acc = LatticeAccumulator.spanned_by(lat)
     gaps = product_gaps((a, b), (c,), acc)
-    assert [not gap for gap in gaps] == [acc.contains(col) for col in (a @ b - c).columns()]
-    # kept sparse columns give the same answer; none are left on the others
+    assert [not gap for gap in gaps] == [acc.contains(col) for col in _rows_sum(ab, c, -1).columns()]
+    # a matrix built on the same columns gives the same answer, and no
+    # check mutates a factor's columns
     kept = IntMatrix._from_sparse_columns(_dense_columns(a), a.rows)
     assert list(product_gaps((kept, b), (c,))) == list(product_gaps((a, b), (c,)))
-    assert a._scols is b._scols is c._scols is None
+    assert [m._cols for m in (a, b, c)] == [_dense_columns(m) for m in (a, b, c)]
+    # each operation equals, and hashes as, the matrix built from the dense
+    # rows it gives, and its stored columns are well formed
+    shuffled = [dict(reversed(list(col.items()))) for col in c._cols]
+    cases = [
+        (a @ b, ab),
+        (c + a @ b, _rows_sum(c, ab)),
+        (c - lat @ IntMatrix.zeros(lat.cols, c.cols), c),
+        (c.scale(k), IntMatrix([[k * x for x in r] for r in c.to_rows()], cols=c.cols)),
+        (
+            hstack([c, lat]),
+            IntMatrix([r + s for r, s in zip(c.to_rows(), lat.to_rows())], cols=c.cols + lat.cols),
+        ),
+        (IntMatrix.from_columns(c.columns(), rows=c.rows), c),
+        (IntMatrix._from_sparse_columns(_dense_columns(c), c.rows), c),
+        (IntMatrix._from_sparse_columns(shuffled, c.rows), c),
+        (IntMatrix.identity(c.rows) @ c, c),
+    ]
+    for got, want in cases:
+        _assert_well_formed(got)
+        _assert_well_formed(want)
+        assert got == want and hash(got) == hash(want)
+        assert got.shape == want.shape and got.to_rows() == want.to_rows()
+    assert c.is_zero() == (c == IntMatrix.zeros(*c.shape))
 
 
 def test_product_gaps_refuse_shapes_as_the_dense_products_do():

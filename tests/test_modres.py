@@ -327,5 +327,5 @@ def test_resolution_matrices_match_the_dense_build(c4, c4_c2, s3, s3_transpositi
         for mine, want in zip(got, [aug] + bounds):
             assert mine == want and hash(mine) == hash(want), res
             assert mine.shape == want.shape
-            # cached with the resolution and used densely: no dict columns
-            assert mine._scols is None
+            # the stored columns hold no zero and no row outside the matrix
+            assert all(x and 0 <= i < mine.rows for col in mine._cols for i, x in col.items())

@@ -57,7 +57,7 @@ def reference_bredon_complex(x, system, rank_cap=DEFAULT_RANK_CAP):
             for (tgt, a, coeff) in cell.boundary:
                 mor = cat.morphism(cell.stabilizer, x.cells[d - 1][tgt].stabilizer, a)
                 roff = offsets[d - 1][tgt]
-                for j, mcol in enumerate(R.exactla._sparse_columns(system.matrix(mor))):
+                for j, mcol in enumerate(system.matrix(mor)._cols):
                     col = out[coff + j]
                     for i, v in mcol.items():
                         w = col.get(roff + i, 0) + coeff * v

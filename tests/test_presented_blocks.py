@@ -17,7 +17,6 @@ from relhom.exactla import (
     IntSolver,
     PresentedComplex,
     _sparse_apply,
-    _sparse_columns,
     column_image_basis,
 )
 from relhom.groups import SubgroupFamily, all_subgroups, is_subconjugate
@@ -110,13 +109,13 @@ def _reference_cone(cx, rels):
     bounds = {}
     for n in range(cx.lo + 1, cx.hi + 2):
         rows_f, rows_r = cx.rank(n - 1), rels[n - 2].cols if n - 2 >= cx.lo else 0
-        heads = _sparse_columns(cx.boundary(n)) + _sparse_columns(rels[n - 1])
+        heads = cx.boundary(n)._cols + rels[n - 1]._cols
         cols = []
         for head in heads:
             col = [0] * (rows_f + rows_r)
             for i, v in head.items():
                 col[i] = v
-            img = _sparse_apply(_sparse_columns(cx.boundary(n - 1)), head) if rows_r else {}
+            img = _sparse_apply(cx.boundary(n - 1)._cols, head) if rows_r else {}
             if img:
                 want = _joint_solve(solvers[n - 2], cx.rank(n - 2), img)
                 assert cx.solve_relations(n - 2, img) == want
@@ -204,5 +203,24 @@ def test_sparse_constructor_equals_dense():
     assert sparse == dense and dense == sparse
     assert hash(sparse) == hash(dense)
     assert sparse.shape == dense.shape == (3, 3)
-    assert _sparse_columns(sparse) == _sparse_columns(dense) == cols
+    assert sparse._cols == dense._cols == cols
     assert IntMatrix._from_sparse_columns([], 2) == IntMatrix.zeros(2, 0)
+    # every constructor stores the columns of the dense rows, without a 0
+    # entry or a row outside the matrix, and agrees on == and hash
+    pairs = [
+        (IntMatrix.zeros(2, 3), IntMatrix([[0, 0, 0], [0, 0, 0]])),
+        (IntMatrix.zeros(2, 0), IntMatrix([[], []])),
+        (IntMatrix.zeros(0, 2), IntMatrix([], cols=2)),
+        (IntMatrix.identity(3), IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+        (IntMatrix.identity(0), IntMatrix([])),
+        (IntMatrix.from_columns([[1, 0, -3], [0, 0, 0], [0, 5, 0]]), dense),
+        (IntMatrix.from_columns([], rows=2), IntMatrix.zeros(2, 0)),
+    ]
+    for got, want in pairs:
+        assert got == want and hash(got) == hash(want) and got.shape == want.shape
+        for mat in (got, want):
+            assert len(mat._cols) == mat.cols
+            assert all(x and 0 <= i < mat.rows for col in mat._cols for i, x in col.items())
+    # the shape is part of the value, also where there are no entries
+    assert IntMatrix.zeros(2, 0) != IntMatrix.zeros(3, 0)
+    assert IntMatrix.zeros(0, 2) != IntMatrix.zeros(0, 3)
