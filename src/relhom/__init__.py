@@ -65,7 +65,6 @@ from .modres import (
     GModuleHom,
     HorseshoeData,
     StandardModules,
-    bar_resolution,
     coinvariants,
     cyclic_resolution,
     group_homology,
@@ -91,7 +90,6 @@ from .bredon import (
     bredon_complex,
     bredon_homology,
     build_orbit_category,
-    cellular_chain_modules,
     coinvariants_system,
     constant_system,
     takasu_pair_complex,
@@ -107,7 +105,6 @@ from .pairhom import (
     adamson_homology,
     comparison,
     j_module,
-    lift_is_chain_map_check,
     normal_quotient_oracle,
     takasu_homology,
     verify_takasu_les,

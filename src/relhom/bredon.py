@@ -15,7 +15,7 @@ from .exactla import (
     PresentedComplex,
     product_gaps,
 )
-from .groups import FiniteGroup, Subgroup, SubgroupFamily, coset_space
+from .groups import FiniteGroup, Subgroup, SubgroupFamily
 from .modres import DEFAULT_RANK_CAP, GModule, _bar_faces, tensor_orbit_complex
 
 
@@ -340,9 +340,11 @@ def bredon_complex(
     1967; Lueck, LNM 1408, section 9): degree d is the direct sum of the
     values at the d-cell stabilizers.  F is a `CoefficientSystem`, whose
     category must hold every stabilizer, or a `GModule` M standing for
-    K |-> M_K.  A boundary entry (tgt, a, coeff) sits at a^-1 * tgt (see
-    `cellular_chain_modules`): the orbit entry (tgt, a^-1, coeff) of
-    `modres.tensor_orbit_complex`, which lays out the blocks."""
+    K |-> M_K.  A boundary entry (tgt, a, coeff) sits at a^-1 * tgt (the
+    cell at coset g is g * (its representative cell), so its entry sits at
+    the coset g a^-1 of the target's stabilizer): the orbit entry
+    (tgt, a^-1, coeff) of `modres.tensor_orbit_complex`, which lays out
+    the blocks."""
     if isinstance(coefficients, CoefficientSystem):
         family = set(coefficients.category.objects)
     elif coefficients.group is not x.group:
@@ -377,50 +379,6 @@ def bredon_homology(
     rank_cap: int = DEFAULT_RANK_CAP,
 ) -> FgAbGroup:
     return bredon_complex(x, coefficients, rank_cap).homology(degree)
-
-
-def cellular_chain_modules(x: GCWData) -> Tuple[List[GModule], List[IntMatrix]]:
-    """The ordinary cellular chain complex of the cell data, as permutation
-    modules (one coset block per orbit cell) with equivariant boundaries."""
-    G = x.group
-    terms: List[GModule] = []
-    bases: List[List[Tuple[int, int]]] = []  # (cell index, coset index)
-    index_maps: List[Dict[Tuple[int, int], int]] = []
-    coset_spaces = []
-    for d, dim_cells in enumerate(x.cells):
-        spaces = [coset_space(cell.stabilizer) for cell in dim_cells]
-        coset_spaces.append(spaces)
-        basis = [
-            (ci, c)
-            for ci, cell in enumerate(dim_cells)
-            for c in range(spaces[ci].size)
-        ]
-        idx = {b: i for i, b in enumerate(basis)}
-        perms = []
-        for g in G.elements():
-            perms.append(
-                tuple(idx[(ci, spaces[ci].act(g, c))] for (ci, c) in basis)
-            )
-        terms.append(GModule(G, len(basis), perms=perms, validate=False))
-        bases.append(basis)
-        index_maps.append(idx)
-    bounds: List[IntMatrix] = []
-    for d in range(1, len(x.cells)):
-        rows = terms[d - 1].rank
-        cols_out: List[List[int]] = []
-        for (ci, c) in bases[d]:
-            cell = x.cells[d][ci]
-            g_rep = coset_spaces[d][ci].rep(c)
-            col = [0] * rows
-            for (tgt, a, coeff) in cell.boundary:
-                # the cell at coset c is g_rep * (rep cell); its boundary
-                # entry sits at the coset g_rep * a^-1 * (target stabilizer)
-                elt = G.mult(g_rep, G.inverse[a])
-                tcs = coset_spaces[d - 1][tgt]
-                col[index_maps[d - 1][(tgt, tcs.coset_of[elt])]] += coeff
-            cols_out.append(col)
-        bounds.append(IntMatrix.from_columns(cols_out, rows=rows))
-    return terms, bounds
 
 
 def takasu_pair_complex(

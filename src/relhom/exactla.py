@@ -43,9 +43,15 @@ class IntMatrix:
     column dicts may be shared between matrices, so nothing mutates them.
     Dense rows are built on demand by `to_rows` and never kept; only the
     dense Smith engine, `det`, `HomologyData`'s mirror and the CLI output
-    read them."""
+    read them.
 
-    __slots__ = ("rows", "cols", "_cols")
+    Because the matrix never changes, it memoizes its Smith invariants on
+    first use (`_smith`, None until then) as the pair (k, rest): the
+    number k of +-1 pivots the sparse front splits off and the invariants
+    of its residual.  `smith_invariants` and `rank_z` both read the memo,
+    so a boundary shared by two adjacent degrees is fronted once."""
+
+    __slots__ = ("rows", "cols", "_cols", "_smith")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: Optional[int] = None):
         rows = [tuple(int(x) for x in r) for r in data]
@@ -63,6 +69,7 @@ class IntMatrix:
             raise ValidationError(f"negative column count {cols}")
         self.rows = len(rows)
         self.cols = cols
+        self._smith: Optional[Tuple[int, List[int]]] = None
         self._cols: List[Dict[int, int]] = [{} for _ in range(cols)]
         for i, r in enumerate(rows):
             for j, x in enumerate(r):
@@ -81,6 +88,7 @@ class IntMatrix:
         mat.rows = rows
         mat.cols = len(columns)
         mat._cols = columns
+        mat._smith = None
         return mat
 
     @classmethod
@@ -249,9 +257,10 @@ def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
 
 def _sparse_apply(cols_a: List[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]:
     out: Dict[int, int] = {}
+    get = out.get
     for j, x in vec.items():
         for i, a in cols_a[j].items():
-            v = out.get(i, 0) + a * x
+            v = get(i, 0) + a * x
             if v:
                 out[i] = v
             elif i in out:
@@ -272,6 +281,19 @@ def _combine(a: Dict[int, int], ca: int, b: Dict[int, int], cb: int) -> Dict[int
     return out
 
 
+def _add_multiple(v: Dict[int, int], b: Dict[int, int], q: int):
+    """Internal: v += q * b in place, for q != 0.  The keys of `v` change
+    exactly as in `_combine(v, 1, b, q)`, so its iteration order is that of
+    the dict `_combine` returns."""
+    get = v.get
+    for k, x in b.items():
+        w = get(k, 0) + q * x
+        if w:
+            v[k] = w
+        else:
+            del v[k]
+
+
 # ---------------------------------------------------------------------------
 # Lattices
 
@@ -282,6 +304,12 @@ class LatticeAccumulator:
     Columns are sparse dicts; each basis column is keyed by its minimal
     nonzero row (its pivot).  Supports incremental insertion and exact
     membership tests.
+
+    Reduction runs in place (`_add_multiple`): `insert` works on a private
+    copy of its vector, which may become a basis column, and `remainder`
+    copies its vector on the first reduction step only, so neither
+    mutates the vector it is given (a gap of `product_gaps` may be a
+    factor's own column).
     """
 
     def __init__(self, dim: int):
@@ -309,12 +337,14 @@ class LatticeAccumulator:
             p = piv[r]
             c = v[r]
             if c % p == 0:
-                v = _combine(v, 1, piv, -(c // p))
+                _add_multiple(v, piv, -(c // p))
             else:
                 g, x, y = xgcd(p, c)
-                newpiv = _combine(piv, x, v, y)
-                v = _combine(v, p // g, piv, -(c // g))
-                self.pivots[r] = newpiv
+                self.pivots[r] = _combine(piv, x, v, y)
+                s = p // g
+                for i in v:
+                    v[i] *= s
+                _add_multiple(v, piv, -(c // g))
                 grew = True
         return grew
 
@@ -331,7 +361,9 @@ class LatticeAccumulator:
             piv = self.pivots.get(r)
             if piv is None or v[r] % piv[r]:
                 break
-            v = _combine(v, 1, piv, -(v[r] // piv[r]))
+            if v is vec:
+                v = dict(vec)
+            _add_multiple(v, piv, -(v[r] // piv[r]))
         return v
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -784,7 +816,15 @@ def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
     and column c off the pivot as a dict, all as they stood when it was
     taken; the result is then (k, R, R's rows, R's columns), the last two
     as indices into `mat`.  The elimination works on copies of `mat`'s
-    columns, so `mat` is left as it was."""
+    columns, so `mat` is left as it was.
+
+    The pivot row is found in one pass over the column, with no list of
+    unit rows, and each Schur update walks the pivot column's entries
+    once, binding the target column's `get`; every dict and set sees the
+    same operations in the same order as in the plain loop, so pivots, R
+    and their dict orders are unchanged.  `smith_invariants` and `rank_z`
+    front a matrix once and keep the result on it (`IntMatrix._smith`);
+    `IntSolver` needs the pivots and fronts its matrix itself."""
     cols = {j: dict(c) for j, c in enumerate(mat._cols) if c}
     rows: Dict[int, set] = {}
     for j, col in cols.items():
@@ -799,34 +839,44 @@ def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
         col = cols.get(c)
         if col is None or len(col) != n:
             continue
-        units = [i for i, x in col.items() if x == 1 or x == -1]
-        if not units:
+        # the unit entry on the shortest row, the least row among those
+        r = -1
+        for i, x in col.items():
+            if x == 1 or x == -1:
+                size = len(rows[i])
+                if r < 0 or size < best or (size == best and i < r):
+                    r, best = i, size
+        if r < 0:
             parked.add(c)
             continue
-        r = min(units, key=lambda i: (len(rows[i]), i))
         u = col.pop(r)
         del cols[c]
         for i in col:
             rows[i].discard(c)
         k += 1
         prow = []
+        items = tuple(col.items())
         for j in rows.pop(r):
             if j == c:
                 continue
             cj = cols[j]
+            get = cj.get
             before = len(cj)
             a = cj.pop(r)
             prow.append((j, a))
             q = a * u
-            for i, v in col.items():
-                w = cj.get(i, 0) - q * v
-                if w:
-                    if i not in cj:
-                        rows[i].add(j)
-                    cj[i] = w
+            for i, v in items:
+                x = get(i)
+                if x is None:
+                    cj[i] = -q * v
+                    rows[i].add(j)
                 else:
-                    del cj[i]
-                    rows[i].discard(j)
+                    w = x - q * v
+                    if w:
+                        cj[i] = w
+                    else:
+                        del cj[i]
+                        rows[i].discard(j)
             if not cj:
                 del cols[j]
                 parked.discard(j)
@@ -845,9 +895,23 @@ def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
     return k, residual, row_ids, left
 
 
+def _smith_split(a: IntMatrix) -> Tuple[int, List[int]]:
+    """Internal: (k, invariants of R) for `a ~ I_k (+) R`, computed on the
+    first call and memoized on `a` (`IntMatrix._smith`).  The list is the
+    memo's own; callers do not mutate it."""
+    memo = a._smith
+    if memo is None:
+        k, rest = _unit_pivot_reduce(a)
+        eng = _Eliminator(rest)
+        eng.diagonalize()
+        eng.make_divisible()
+        memo = a._smith = (k, eng.diag())
+    return memo
+
+
 def smith_invariants(a: IntMatrix) -> List[int]:
     """The invariant factors d1 | d2 | ... of `a` (its nonzero Smith
-    diagonal), all positive.
+    diagonal), all positive, as a new list.
 
     A sparse pass first splits off the unit pivots, `a ~ I_k (+) R`
     (`_unit_pivot_reduce`), and the dense engine then runs on the small
@@ -855,21 +919,18 @@ def smith_invariants(a: IntMatrix) -> List[int]:
     is the unit-pivot front of J.-G. Dumas, B. D. Saunders and G. Villard,
     "On efficient sparse integer matrix Smith normal form computations",
     J. Symbolic Comput. 32 (2001).  Smith invariants are unique, so the
-    result is that of the dense engine on `a`."""
-    k, rest = _unit_pivot_reduce(a)
-    eng = _Eliminator(rest)
-    eng.diagonalize()
-    eng.make_divisible()
-    return [1] * k + eng.diag()
+    result is that of the dense engine on `a`.  The pair (k, R's
+    invariants) is memoized on `a`, so later calls on the same matrix,
+    here or in `rank_z`, do no elimination."""
+    k, rest = _smith_split(a)
+    return [1] * k + rest
 
 
 def rank_z(a: IntMatrix) -> int:
-    """Rank of `a`: its unit pivots plus the dense engine's rank of the
-    residual (see `smith_invariants`)."""
-    k, rest = _unit_pivot_reduce(a)
-    eng = _Eliminator(rest)
-    eng.diagonalize()
-    return k + eng.rank
+    """Rank of `a`: its unit pivots plus the number of invariants of the
+    residual, read from the memo that `smith_invariants` shares."""
+    k, rest = _smith_split(a)
+    return k + len(rest)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -1119,8 +1180,12 @@ class HomologyData:
     which also refuses boundaries that do not compose (`_composable` as
     there).  A zero group ends the work: there are no generators, and a
     vector is a cycle when d_n v = 0 on sparse columns.  Only a nonzero
-    group runs the dense engine, with transforms, for the coordinates;
-    Smith invariants are unique, so it finds the same group."""
+    group runs the dense engine, with transforms, for the coordinates.
+    Smith invariants are unique, so it must find the same group; it is
+    compared with the front's, and a difference raises `ValidationError`.
+    The front's invariants are memoized on the boundaries
+    (`IntMatrix._smith`), so the group costs no elimination when the
+    adjacent degree has fronted them already."""
 
     def __init__(self, dn: IntMatrix, dnp1: IntMatrix, *, _composable: bool = False):
         self.group = homology_group(dn, dnp1, _composable=_composable)
@@ -1147,6 +1212,12 @@ class HomologyData:
         d = eng2.diag()
         r2 = eng2.rank
         surviving = [i for i in range(r2) if d[i] > 1] + list(range(r2, z))
+        dense = FgAbGroup(z - r2, d)
+        if dense != self.group:
+            raise ValidationError(
+                f"homology {self.group} from the sparse front disagrees with "
+                f"{dense} from the dense engine"
+            )
         self._r = r
         self._z = z
         self._cinv = eng1.cinv

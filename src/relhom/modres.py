@@ -745,41 +745,6 @@ def _bar_faces(group: FiniteGroup, rest: Tuple[int, ...]):
         yield rest[: i - 1] + rest[i:], 0, -1 if i % 2 else 1
 
 
-def bar_resolution(
-    group: FiniteGroup, length: int, rank_cap: int = DEFAULT_RANK_CAP
-) -> FreeResolution:
-    """Homogeneous standard resolution of the trivial module: degree k is
-    free on the (k+1)-tuples with first entry the identity, with the
-    alternating face-deletion boundary."""
-    import itertools as _it
-
-    n = group.order
-    triv = GModule.trivial(group)
-    gen_images: List[List[List[int]]] = [[[1]]]
-    free_ranks = [1]
-    prev_index: Dict[Tuple[int, ...], int] = {(): 0}
-    for k in range(1, length + 1):
-        _check_budget(
-            f"standard resolution term {k} of {group.label} (Z-rank |G|^{k + 1})",
-            n ** (k + 1),
-            rank_cap,
-        )
-        tuples = list(_it.product(range(n), repeat=k))
-        level: List[List[int]] = []
-        prev_rank = n * free_ranks[k - 1]
-        for rest in tuples:
-            col = [0] * prev_rank
-            for rest2, translate, sign in _bar_faces(group, rest):
-                col[prev_index[rest2] * n + translate] += sign
-            level.append(col)
-        gen_images.append(level)
-        free_ranks.append(len(tuples))
-        prev_index = {t: i for i, t in enumerate(tuples)}
-    return FreeResolution(
-        group, triv, free_ranks, gen_images, label=f"bar({group.label})"
-    )
-
-
 def cyclic_resolution(group: FiniteGroup, length: int) -> FreeResolution:
     """Periodic rank-one resolution of Z over a cyclic group generated by
     element 1: boundaries alternate t-1 and the norm element."""
@@ -1011,15 +976,6 @@ def _chain_lift(p: FreeResolution, target, length: int) -> list:
                 raise ValidationError(f"no integral lift at stage {n}")
             level.append(x)
     return comps
-
-
-def _is_chain_lift(p: FreeResolution, target, comps) -> bool:
-    """The check `_chain_lift` makes, run on stored components."""
-    return all(
-        target.boundary(n, x) == _lift_image(p, target, comps, n, j)
-        for n, level in enumerate(comps)
-        for j, x in enumerate(level)
-    )
 
 
 @dataclass

@@ -25,7 +25,6 @@ from .groups import Subgroup, coset_space, family_generated, family_gh, fixed_co
 from .modres import (
     DEFAULT_RANK_CAP,
     _chain_lift,
-    _is_chain_lift,
     FreeResolution,
     GModule,
     cached_resolution,
@@ -162,29 +161,6 @@ class AdamsonComplex:
         larger than degree 1."""
         self._check_tensor_budget(m, rank_cap, 1)
         return self.tensor(m, rank_cap).shifted()
-
-    def validate_acyclic(self):
-        """Check the augmented tuple-level complex tuple by tuple: d d = 0 in
-        every degree, and ds + sd = id below the top degree for the cone
-        homotopy s(t) = (H, *t) (in degree 0, ds(c) = c - c_0), which makes
-        the complex exact there."""
-        for n, tups in enumerate(self.tuples):
-            for t in tups:
-                d = _tuple_boundary({t: 1})
-                if _tuple_boundary(d):
-                    raise ValidationError(
-                        f"standard complex boundary squares to nonzero at degree {n}"
-                    )
-                if n == self.truncation:
-                    continue
-                dsd = _tuple_boundary(_cone({t: 1}))
-                for face, v in _cone(d).items():
-                    dsd[face] = dsd.get(face, 0) + v
-                if {u: v for u, v in dsd.items() if v} != {t: 1}:
-                    raise ValidationError(
-                        f"standard complex not exact at degree {n}"
-                    )
-
 
 def adamson_complex(h: Subgroup, truncation: int, rank_cap: int = DEFAULT_RANK_CAP) -> AdamsonComplex:
     """`AdamsonComplex(h, truncation)`, cached in the group's memo by the
@@ -385,11 +361,6 @@ def comparison(
             is_zero=is_zero_map(mat, adm),
         )
     return data
-
-
-def lift_is_chain_map_check(data: ComparisonData) -> bool:
-    """Re-verify that the stored lift commutes with the boundaries."""
-    return _is_chain_lift(data.resolution, _ConeTarget(data.complex.cosets), data.lift)
 
 
 # ---------------------------------------------------------------------------

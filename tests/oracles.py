@@ -18,32 +18,47 @@
 - `DenseHomologyData`, homology with coordinates read from the dense engine
   in every degree: the reference for `HomologyData`, which reads its group
   from the sparse unit-pivot front and runs the dense engine only when the
-  group is nonzero.
+  group is nonzero;
+- `listing_unit_pivot_reduce` and `CopyingLatticeAccumulator`, the sparse
+  kernels as they were before the pivot search was tightened and lattice
+  reduction ran in place: the references for bit-identical pivots,
+  residuals and lattice bases;
+- `bar_resolution`, `cellular_chain_modules`, `lift_is_chain_map_check`
+  (through `is_chain_lift`) and `validate_acyclic`: routes and checks that
+  nothing in the library calls, kept as references for the tests.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from relhom import pairhom
+from relhom.bredon import GCWData
 from relhom.errors import TruncationError, ValidationError
 from relhom.exactla import (
     FgAbGroup,
     IntMatrix,
     IntSolver,
+    LatticeAccumulator,
     PresentedChainMap,
+    _combine,
     _Eliminator,
     column_image_basis,
+    xgcd,
 )
 from relhom.groups import FiniteGroup, Subgroup, coset_space, cyclic_group
 from relhom.modres import (
     DEFAULT_RANK_CAP,
     FreeResolution,
     GModule,
+    _bar_faces,
     _chain_lift,
+    _check_budget,
     _dense,
-    _is_chain_lift,
+    _lift_image,
     _sparse,
     standard_modules,
     takasu_resolution,
@@ -297,7 +312,7 @@ def reference_induced_maps(
 def reference_lift_is_chain_map(ref: ReferenceLift) -> bool:
     """Verify that the hard-coded reference lift commutes with the boundaries."""
     comps = [[_sparse(col) for col in level] for level in ref.lift]
-    return _is_chain_lift(ref.resolution, _reference_target(ref), comps)
+    return is_chain_lift(ref.resolution, _reference_target(ref), comps)
 
 
 # ---------------------------------------------------------------------------
@@ -436,3 +451,242 @@ class DenseHomologyData:
             order = self._orders[pos]
             out.append(s % order if order else s)
         return out
+
+
+# ---------------------------------------------------------------------------
+# The sparse kernels as they were before in-place reduction
+
+
+def listing_unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
+    """(k, R) with `mat` equivalent over Z to I_k (+) R, as
+    `exactla._unit_pivot_reduce` computed it before its loop was tightened:
+    the unit rows listed and the shortest taken by `min` with a key.
+
+    Sparse elimination on unit pivots: take the shortest live column that
+    has a +-1 entry, pivot on the shortest row among its unit entries, and
+    replace the rest by its Schur complement, which stays integral since the
+    pivot is a unit.  A column without a unit waits until an update gives it
+    one.  R holds the nonzero columns left, on the rows they touch.
+
+    With a list `pivots`, each pivot is appended as (r, c, u, row, col):
+    its row, column and unit entry, row r off the pivot as (j, entry) pairs
+    and column c off the pivot as a dict, all as they stood when it was
+    taken; the result is then (k, R, R's rows, R's columns), the last two
+    as indices into `mat`.  The elimination works on copies of `mat`'s
+    columns, so `mat` is left as it was."""
+    cols = {j: dict(c) for j, c in enumerate(mat._cols) if c}
+    rows: Dict[int, set] = {}
+    for j, col in cols.items():
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapify(heap)
+    parked = set()
+    k = 0
+    while heap:
+        n, c = heappop(heap)
+        col = cols.get(c)
+        if col is None or len(col) != n:
+            continue
+        units = [i for i, x in col.items() if x == 1 or x == -1]
+        if not units:
+            parked.add(c)
+            continue
+        r = min(units, key=lambda i: (len(rows[i]), i))
+        u = col.pop(r)
+        del cols[c]
+        for i in col:
+            rows[i].discard(c)
+        k += 1
+        prow = []
+        for j in rows.pop(r):
+            if j == c:
+                continue
+            cj = cols[j]
+            before = len(cj)
+            a = cj.pop(r)
+            prow.append((j, a))
+            q = a * u
+            for i, v in col.items():
+                w = cj.get(i, 0) - q * v
+                if w:
+                    if i not in cj:
+                        rows[i].add(j)
+                    cj[i] = w
+                else:
+                    del cj[i]
+                    rows[i].discard(j)
+            if not cj:
+                del cols[j]
+                parked.discard(j)
+            elif j in parked or len(cj) != before:
+                parked.discard(j)
+                heappush(heap, (len(cj), j))
+        if pivots is not None:
+            pivots.append((r, c, u, prow, col))
+    left = sorted(cols)
+    row_ids = sorted({i for j in left for i in cols[j]})
+    index = {i: t for t, i in enumerate(row_ids)}
+    rest = [{index[i]: x for i, x in cols[j].items()} for j in left]
+    residual = IntMatrix._from_sparse_columns(rest, len(index))
+    if pivots is None:
+        return k, residual
+    return k, residual, row_ids, left
+
+
+class CopyingLatticeAccumulator(LatticeAccumulator):
+    """`LatticeAccumulator` with `insert` and `remainder` as they were
+    before reduction ran in place: every reduction step builds a new dict
+    through `_combine`.  The reference for the in-place kernels, which must
+    give the same bases, remainders and dict orders."""
+
+    def insert(self, vec: Dict[int, int]) -> bool:
+        v = {k: x for k, x in vec.items() if x}
+        grew = False
+        while v:
+            r = min(v)
+            piv = self.pivots.get(r)
+            if piv is None:
+                self.pivots[r] = v
+                return True
+            p = piv[r]
+            c = v[r]
+            if c % p == 0:
+                v = _combine(v, 1, piv, -(c // p))
+            else:
+                g, x, y = xgcd(p, c)
+                newpiv = _combine(piv, x, v, y)
+                v = _combine(v, p // g, piv, -(c // g))
+                self.pivots[r] = newpiv
+                grew = True
+        return grew
+
+    def remainder(self, vec: Dict[int, int]) -> Dict[int, int]:
+        v = vec
+        while v:
+            r = min(v)
+            piv = self.pivots.get(r)
+            if piv is None or v[r] % piv[r]:
+                break
+            v = _combine(v, 1, piv, -(v[r] // piv[r]))
+        return v
+
+
+# ---------------------------------------------------------------------------
+# Routes that only the tests read: the bar resolution, the cellular chain
+# modules of G-CW data, and the checks of a stored lift and of the
+# coset-tuple complex's cone homotopy
+
+
+def bar_resolution(
+    group: FiniteGroup, length: int, rank_cap: int = DEFAULT_RANK_CAP
+) -> FreeResolution:
+    """Homogeneous standard resolution of the trivial module: degree k is
+    free on the (k+1)-tuples with first entry the identity, with the
+    alternating face-deletion boundary."""
+    n = group.order
+    triv = GModule.trivial(group)
+    gen_images: List[List[List[int]]] = [[[1]]]
+    free_ranks = [1]
+    prev_index: Dict[Tuple[int, ...], int] = {(): 0}
+    for k in range(1, length + 1):
+        _check_budget(
+            f"standard resolution term {k} of {group.label} (Z-rank |G|^{k + 1})",
+            n ** (k + 1),
+            rank_cap,
+        )
+        tuples = list(itertools.product(range(n), repeat=k))
+        level: List[List[int]] = []
+        prev_rank = n * free_ranks[k - 1]
+        for rest in tuples:
+            col = [0] * prev_rank
+            for rest2, translate, sign in _bar_faces(group, rest):
+                col[prev_index[rest2] * n + translate] += sign
+            level.append(col)
+        gen_images.append(level)
+        free_ranks.append(len(tuples))
+        prev_index = {t: i for i, t in enumerate(tuples)}
+    return FreeResolution(
+        group, triv, free_ranks, gen_images, label=f"bar({group.label})"
+    )
+
+
+def cellular_chain_modules(x: GCWData) -> Tuple[List[GModule], List[IntMatrix]]:
+    """The ordinary cellular chain complex of the cell data, as permutation
+    modules (one coset block per orbit cell) with equivariant boundaries."""
+    G = x.group
+    terms: List[GModule] = []
+    bases: List[List[Tuple[int, int]]] = []  # (cell index, coset index)
+    index_maps: List[Dict[Tuple[int, int], int]] = []
+    coset_spaces = []
+    for d, dim_cells in enumerate(x.cells):
+        spaces = [coset_space(cell.stabilizer) for cell in dim_cells]
+        coset_spaces.append(spaces)
+        basis = [
+            (ci, c)
+            for ci, cell in enumerate(dim_cells)
+            for c in range(spaces[ci].size)
+        ]
+        idx = {b: i for i, b in enumerate(basis)}
+        perms = []
+        for g in G.elements():
+            perms.append(
+                tuple(idx[(ci, spaces[ci].act(g, c))] for (ci, c) in basis)
+            )
+        terms.append(GModule(G, len(basis), perms=perms, validate=False))
+        bases.append(basis)
+        index_maps.append(idx)
+    bounds: List[IntMatrix] = []
+    for d in range(1, len(x.cells)):
+        rows = terms[d - 1].rank
+        cols_out: List[List[int]] = []
+        for (ci, c) in bases[d]:
+            cell = x.cells[d][ci]
+            g_rep = coset_spaces[d][ci].rep(c)
+            col = [0] * rows
+            for (tgt, a, coeff) in cell.boundary:
+                # the cell at coset c is g_rep * (rep cell); its boundary
+                # entry sits at the coset g_rep * a^-1 * (target stabilizer)
+                elt = G.mult(g_rep, G.inverse[a])
+                tcs = coset_spaces[d - 1][tgt]
+                col[index_maps[d - 1][(tgt, tcs.coset_of[elt])]] += coeff
+            cols_out.append(col)
+        bounds.append(IntMatrix.from_columns(cols_out, rows=rows))
+    return terms, bounds
+
+
+def is_chain_lift(p: FreeResolution, target, comps) -> bool:
+    """The check `modres._chain_lift` makes, run on stored components."""
+    return all(
+        target.boundary(n, x) == _lift_image(p, target, comps, n, j)
+        for n, level in enumerate(comps)
+        for j, x in enumerate(level)
+    )
+
+
+def lift_is_chain_map_check(data: pairhom.ComparisonData) -> bool:
+    """Re-verify that the stored comparison lift commutes with the
+    boundaries."""
+    return is_chain_lift(data.resolution, pairhom._ConeTarget(data.complex.cosets), data.lift)
+
+
+def validate_acyclic(cx: pairhom.AdamsonComplex):
+    """Check the augmented tuple-level complex of `cx` tuple by tuple:
+    d d = 0 in every degree, and ds + sd = id below the top degree for the
+    cone homotopy s(t) = (H, *t) (in degree 0, ds(c) = c - c_0), which
+    makes the complex exact there."""
+    boundary, cone = pairhom._tuple_boundary, pairhom._cone
+    for n, tups in enumerate(cx.tuples):
+        for t in tups:
+            d = boundary({t: 1})
+            if boundary(d):
+                raise ValidationError(
+                    f"standard complex boundary squares to nonzero at degree {n}"
+                )
+            if n == cx.truncation:
+                continue
+            dsd = boundary(cone({t: 1}))
+            for face, v in cone(d).items():
+                dsd[face] = dsd.get(face, 0) + v
+            if {u: v for u, v in dsd.items() if v} != {t: 1}:
+                raise ValidationError(f"standard complex not exact at degree {n}")

@@ -12,6 +12,9 @@ from relhom.errors import BudgetError
 
 from conftest import alternating4, cyclic_homology_list, quaternion_group
 from oracles import (
+    bar_resolution,
+    cellular_chain_modules,
+    lift_is_chain_map_check,
     reference_induced_maps,
     reference_lift_c4c2,
     reference_lift_is_chain_map,
@@ -46,7 +49,7 @@ def test_criterion_1_c4_c2_regression():
     for n in (2, 3, 4):
         assert data.phi(n).is_zero
     assert str(data.phi(3).takasu) == "Z/2" and str(data.phi(3).adamson) == "Z/2"
-    assert R.lift_is_chain_map_check(data)
+    assert lift_is_chain_map_check(data)
     ref = reference_lift_c4c2()
     assert reference_lift_is_chain_map(ref)
     assert ref.tensored_values()[:5] == [1, -1, 2, -2, 4]
@@ -226,10 +229,10 @@ def test_criterion_6_engine_cross_validation():
         cyc = R.cyclic_resolution(g, 4).tensor(triv)
         gen = R.resolve(triv, 4).tensor(triv)
         try:
-            bar = R.bar_resolution(g, 4)
+            bar = bar_resolution(g, 4)
             bar_top = 3
         except BudgetError:
-            bar = R.bar_resolution(g, 3)
+            bar = bar_resolution(g, 3)
             bar_top = 2
         barx = bar.tensor(triv)
         for n in range(4):
@@ -259,7 +262,7 @@ def test_criterion_7_bredon_examples():
     )
     for m in (GModule.regular(c2), sign):
         system = R.coinvariants_system(m, cat2)
-        terms, bounds = R.cellular_chain_modules(refl)
+        terms, bounds = cellular_chain_modules(refl)
         tensored = R.tensor_gmodule_complex(terms, bounds, m)
         for n in range(2):
             assert R.bredon_homology(refl, system, n) == tensored.homology(n)
@@ -269,7 +272,7 @@ def test_criterion_7_bredon_examples():
     T = R.takasu_pair_complex(h, 4)
     cat4 = R.build_orbit_category(c4, R.family_generated(h))
     const4 = R.constant_system(cat4)
-    terms4, bounds4 = R.cellular_chain_modules(T)
+    terms4, bounds4 = cellular_chain_modules(T)
     triv4 = GModule.trivial(c4)
     quotient_complex = R.tensor_perm_complex(terms4, bounds4, triv4)
     for n in range(4):

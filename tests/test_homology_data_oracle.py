@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 
 import relhom as R  # noqa: E402
-from relhom import FgAbGroup, HomologyData, IntMatrix, ValidationError  # noqa: E402
+from relhom import FgAbGroup, HomologyData, IntMatrix, ValidationError, exactla  # noqa: E402
 
 from oracles import DenseHomologyData  # noqa: E402
 
@@ -125,3 +125,23 @@ def test_direct_construction_keeps_its_refusals():
         HomologyData(IntMatrix([[1, 0]]), IntMatrix([[1], [0]]))
     with pytest.raises(ValidationError, match="boundaries do not compose to zero"):
         HomologyData(IntMatrix([[1, 0], [0, 0]]), IntMatrix([[1], [1]]))
+
+
+def test_front_and_dense_engine_must_agree_on_a_nonzero_group(monkeypatch):
+    # Z <-0- Z <-(2 0)- Z^2: degree-1 homology Z/2
+    d1, d2 = IntMatrix([[0]]), IntMatrix([[2, 0]])
+    assert HomologyData(d1, d2).group == FgAbGroup(0, [2])
+    real = exactla._smith_split
+
+    def wrong(a):
+        k, rest = real(a)
+        return (k, [3]) if a is d2 else (k, rest)
+
+    monkeypatch.setattr(exactla, "_smith_split", wrong)
+    assert R.homology_group(d1, d2) == FgAbGroup(0, [3])
+    with pytest.raises(ValidationError, match=r"Z/3 from the sparse front disagrees with Z/2"):
+        HomologyData(d1, d2)
+    # a free rank the front gets wrong is caught as well
+    monkeypatch.setattr(exactla, "_smith_split", lambda a: (0, []))
+    with pytest.raises(ValidationError, match=r"Z from the sparse front disagrees with Z/2"):
+        HomologyData(d1, d2)

@@ -7,6 +7,7 @@ from relhom import GModule, IntMatrix
 from relhom.errors import BudgetError, ValidationError
 
 from conftest import cyclic_homology_list
+from oracles import bar_resolution
 
 
 def test_standard_modules_c4_c2(c4, c4_c2):
@@ -49,7 +50,7 @@ def test_gmodule_from_generator_action(c4):
 
 
 def test_bar_resolution_ranks_and_homology(c2):
-    bar = R.bar_resolution(c2, 2)
+    bar = bar_resolution(c2, 2)
     assert bar.free_ranks == [1, 2, 4]
     bar.validate()
     cx = bar.tensor(GModule.trivial(c2))
@@ -59,7 +60,7 @@ def test_bar_resolution_ranks_and_homology(c2):
 
 def test_bar_budget_error(c6):
     with pytest.raises(BudgetError):
-        R.bar_resolution(c6, 4)
+        bar_resolution(c6, 4)
 
 
 def test_cyclic_resolution(c4, c2):
@@ -161,7 +162,7 @@ def test_tor_group_homology(c2, c6):
 
 def test_tor_independence_of_engine(c4):
     triv = GModule.trivial(c4)
-    bar = R.bar_resolution(c4, 4)
+    bar = bar_resolution(c4, 4)
     cyc = R.cyclic_resolution(c4, 4)
     gen = R.resolve(triv, 4)
     for n in range(3):
@@ -317,7 +318,7 @@ def test_resolution_matrices_match_the_dense_build(c4, c4_c2, s3, s3_transpositi
         R.resolve(GModule.regular(c4), 2),
         R.resolve(R.standard_modules(c4_c2).i_module, 3),
         R.resolve(R.standard_modules(s3_transposition).i_module, 3),
-        R.bar_resolution(s3, 2),
+        bar_resolution(s3, 2),
         R.takasu_resolution(c4_c2, 2),
         R.induce_resolution(R.resolve(GModule.trivial(R.subgroup_as_group(c4_c2)[0]), 3), c4_c2),
     ]
