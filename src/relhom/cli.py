@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
 from .errors import BudgetError, RelhomError, TruncationError, ValidationError
-from .exactla import IntMatrix, smith_invariants
+from .exactla import IntMatrix, _is_int, smith_invariants
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -66,11 +66,6 @@ class JobError(ValidationError):
         super().__init__(f"{path}: {reason}")
         self.path = path
         self.reason = reason
-
-
-def _is_int(val) -> bool:
-    """A JSON integer: an int that is not a bool (bool subclasses int)."""
-    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _expect(doc: dict, path: str, key: str, types, required: bool = True, default=None):

@@ -32,6 +32,20 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return g, x, y
 
 
+def _is_int(val) -> bool:
+    """An integer: an int that is not a bool (bool subclasses int)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _entry(x, i: int, j: int) -> int:
+    """Internal: matrix entry x at (i, j), not a plain int, as an int; one
+    that is not an integer (`_is_int`), such as 1.5 or 2.0, raises
+    `ValidationError` rather than being truncated."""
+    if _is_int(x):
+        return int(x)
+    raise ValidationError(f"matrix entry ({i}, {j}) is not an integer: {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # Matrices
 
@@ -54,7 +68,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_cols", "_smith")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: Optional[int] = None):
-        rows = [tuple(int(x) for x in r) for r in data]
+        rows = [tuple(r) for r in data]
         if rows:
             ncols = len(rows[0])
             for r in rows:
@@ -73,6 +87,8 @@ class IntMatrix:
         self._cols: List[Dict[int, int]] = [{} for _ in range(cols)]
         for i, r in enumerate(rows):
             for j, x in enumerate(r):
+                if type(x) is not int:
+                    x = _entry(x, i, j)
                 if x:
                     self._cols[j][i] = x
 
@@ -115,9 +131,16 @@ class IntMatrix:
         for c in cols:
             if len(c) != rows:
                 raise ValidationError("column length mismatch")
-        return cls._from_sparse_columns(
-            [{i: x for i, x in enumerate(map(int, c)) if x} for c in cols], rows
-        )
+        sparse = []
+        for j, c in enumerate(cols):
+            col = {}
+            for i, x in enumerate(c):
+                if type(x) is not int:
+                    x = _entry(x, i, j)
+                if x:
+                    col[i] = x
+            sparse.append(col)
+        return cls._from_sparse_columns(sparse, rows)
 
     # -- access
 
@@ -822,9 +845,11 @@ def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
     unit rows, and each Schur update walks the pivot column's entries
     once, binding the target column's `get`; every dict and set sees the
     same operations in the same order as in the plain loop, so pivots, R
-    and their dict orders are unchanged.  `smith_invariants` and `rank_z`
-    front a matrix once and keep the result on it (`IntMatrix._smith`);
-    `IntSolver` needs the pivots and fronts its matrix itself."""
+    and their dict orders are unchanged.  `IntSolver` needs the pivots and
+    fronts its matrix here, in this orientation; `smith_invariants` and
+    `rank_z` front a matrix once and keep the result on it
+    (`IntMatrix._smith`), here unless it is wide, where they use
+    `_unit_pivot_reduce_by_rows`."""
     cols = {j: dict(c) for j, c in enumerate(mat._cols) if c}
     rows: Dict[int, set] = {}
     for j, col in cols.items():
@@ -885,23 +910,133 @@ def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
                 heappush(heap, (len(cj), j))
         if pivots is not None:
             pivots.append((r, c, u, prow, col))
-    left = sorted(cols)
-    row_ids = sorted({i for j in left for i in cols[j]})
-    index = {i: t for t, i in enumerate(row_ids)}
-    rest = [{index[i]: x for i, x in cols[j].items()} for j in left]
-    residual = IntMatrix._from_sparse_columns(rest, len(index))
+    residual, row_ids, left = _residual(cols)
     if pivots is None:
         return k, residual
     return k, residual, row_ids, left
 
 
+def _unit_pivot_reduce_by_rows(mat: IntMatrix) -> Tuple[int, IntMatrix]:
+    """Internal: (k, R) with `mat` equivalent over Z to I_k (+) R^T, for a
+    wide matrix, eliminating along its rows.
+
+    The pivot rule is `_unit_pivot_reduce`'s: the shortest live column
+    that has a +-1 entry, and the shortest row among its unit entries.
+    But the entries are kept by row, and the columns only as sets of rows,
+    so a Schur update subtracts a multiple of the pivot row from each
+    other row of the pivot column.  On a wide matrix the rows are the long
+    side: an update walks one long row into the few rows of a short
+    column, where the column layout walks a short column into each of the
+    many columns of a long row.  The columns wait in a bucket queue by
+    length, which an update keeps current for every column it touches.
+    Within a bucket the order is the set's, so pivots differ from those of
+    the column layout on ties, but never the invariants: they are unique,
+    and A and A^T have the same ones.  R holds the nonzero rows left, as
+    its columns, on the columns of `mat` they touch.  The rows are copies,
+    so `mat` is left as it was."""
+    rows: Dict[int, Dict[int, int]] = {}
+    cols: Dict[int, set] = {}
+    for j, col in enumerate(mat._cols):
+        if col:
+            cols[j] = set(col)
+            for i, x in col.items():
+                row = rows.get(i)
+                if row is None:
+                    rows[i] = {j: x}
+                else:
+                    row[j] = x
+    queued = {j: len(s) for j, s in cols.items()}
+    buckets: Dict[int, set] = {}
+    for j, n in queued.items():
+        buckets.setdefault(n, set()).add(j)
+    k = 0
+    while buckets:
+        n = min(buckets)
+        bucket = buckets[n]
+        c = bucket.pop()
+        if not bucket:
+            del buckets[n]
+        del queued[c]
+        col = cols[c]
+        r = -1
+        for i in col:
+            x = rows[i][c]
+            if x == 1 or x == -1:
+                size = len(rows[i])
+                if r < 0 or size < best or (size == best and i < r):
+                    r, best = i, size
+        if r < 0:
+            continue  # out of the queue until an update touches it
+        del cols[c]
+        row = rows.pop(r)
+        u = row.pop(c)
+        for j in row:
+            cols[j].discard(r)
+        k += 1
+        items = tuple(row.items())
+        for t in col:
+            if t == r:
+                continue
+            rt = rows[t]
+            get = rt.get
+            q = rt.pop(c) * u
+            for j, v in items:
+                x = get(j)
+                if x is None:
+                    rt[j] = -q * v
+                    cols[j].add(t)
+                else:
+                    w = x - q * v
+                    if w:
+                        rt[j] = w
+                    else:
+                        del rt[j]
+                        cols[j].discard(t)
+            if not rt:
+                del rows[t]
+        for j in row:
+            n = len(cols[j])
+            old = queued.get(j)
+            if n == old:
+                continue
+            if old is not None:
+                bucket = buckets[old]
+                bucket.discard(j)
+                if not bucket:
+                    del buckets[old]
+            if n:
+                queued[j] = n
+                buckets.setdefault(n, set()).add(j)
+            else:
+                del cols[j]
+                queued.pop(j, None)
+    return k, _residual(rows)[0]
+
+
+def _residual(cols: Dict[int, Dict[int, int]]) -> Tuple[IntMatrix, List[int], List[int]]:
+    """Internal: the matrix of the live working columns `cols` (index ->
+    {row: entry}) in index order, on the rows they touch, with those rows
+    and the columns' indices."""
+    left = sorted(cols)
+    row_ids = sorted({i for j in left for i in cols[j]})
+    index = {i: t for t, i in enumerate(row_ids)}
+    rest = [{index[i]: x for i, x in cols[j].items()} for j in left]
+    return IntMatrix._from_sparse_columns(rest, len(index)), row_ids, left
+
+
 def _smith_split(a: IntMatrix) -> Tuple[int, List[int]]:
     """Internal: (k, invariants of R) for `a ~ I_k (+) R`, computed on the
     first call and memoized on `a` (`IntMatrix._smith`).  The list is the
-    memo's own; callers do not mutate it."""
+    memo's own; callers do not mutate it.
+
+    A wide matrix (at least twice as many columns as rows) is fronted
+    along its rows (`_unit_pivot_reduce_by_rows`), any other along its
+    columns (`_unit_pivot_reduce`); R is then that of a^T or of a, whose
+    invariants are the same.  The memo holds them for `a` either way."""
     memo = a._smith
     if memo is None:
-        k, rest = _unit_pivot_reduce(a)
+        wide = a.cols >= 2 * a.rows
+        k, rest = (_unit_pivot_reduce_by_rows if wide else _unit_pivot_reduce)(a)
         eng = _Eliminator(rest)
         eng.diagonalize()
         eng.make_divisible()
@@ -913,12 +1048,16 @@ def smith_invariants(a: IntMatrix) -> List[int]:
     """The invariant factors d1 | d2 | ... of `a` (its nonzero Smith
     diagonal), all positive, as a new list.
 
-    A sparse pass first splits off the unit pivots, `a ~ I_k (+) R`
-    (`_unit_pivot_reduce`), and the dense engine then runs on the small
-    residual R only; the invariants are 1 (k times) followed by R's.  This
-    is the unit-pivot front of J.-G. Dumas, B. D. Saunders and G. Villard,
-    "On efficient sparse integer matrix Smith normal form computations",
-    J. Symbolic Comput. 32 (2001).  Smith invariants are unique, so the
+    A sparse pass first splits off the unit pivots, `a ~ I_k (+) R`, and
+    the dense engine then runs on the small residual R only; the
+    invariants are 1 (k times) followed by R's.  This is the unit-pivot
+    front of J.-G. Dumas, B. D. Saunders and G. Villard, "On efficient
+    sparse integer matrix Smith normal form computations", J. Symbolic
+    Comput. 32 (2001).  A wide matrix (columns >= 2 rows) is eliminated
+    along its rows (`_unit_pivot_reduce_by_rows`), where each update
+    walks a long row into a few others, and any other along its columns
+    (`_unit_pivot_reduce`).  The side does not change the result: Smith
+    invariants are unique, those of a and a^T are the same, and so the
     result is that of the dense engine on `a`.  The pair (k, R's
     invariants) is memoized on `a`, so later calls on the same matrix,
     here or in `rank_z`, do no elimination."""
@@ -1037,7 +1176,7 @@ def _invariant_chain(cyclic_orders: Sequence[int]) -> Tuple[int, ...]:
     """Canonical divisibility chain of a direct sum of finite cyclic groups."""
     by_prime: Dict[int, List[int]] = {}
     for d in cyclic_orders:
-        if d in (0, 1):
+        if d == 1:
             continue
         for p, e in _factorize(d).items():
             by_prime.setdefault(p, []).append(e)
@@ -1066,11 +1205,18 @@ class FgAbGroup:
         if free_rank < 0:
             raise ValidationError("negative free rank")
         self.free_rank = int(free_rank)
-        self.torsion = _invariant_chain([int(d) for d in torsion])
+        orders = [int(d) for d in torsion]
+        for d in orders:
+            if d < 1:
+                raise ValidationError(f"torsion order {d} is not positive")
+        self.torsion = _invariant_chain(orders)
 
     @classmethod
     def from_invariants(cls, invariants: Sequence[int], ambient_rank: int) -> "FgAbGroup":
-        inv = [d for d in invariants if d]
+        """Z^ambient_rank modulo the relations d of `invariants`: each
+        nonzero d gives Z/|d| (Smith invariants are defined up to sign),
+        and a zero one no relation."""
+        inv = [abs(d) for d in invariants if d]
         return cls(ambient_rank - len(inv), [d for d in inv if d > 1])
 
     @classmethod

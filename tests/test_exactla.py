@@ -42,6 +42,31 @@ def test_constructors_refuse_bad_shapes(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, where",
+    [
+        (lambda: IntMatrix([[1.5, 2]]), r"\(0, 0\)"),
+        (lambda: IntMatrix([[1, 2], [3, 4.0]]), r"\(1, 1\)"),
+        (lambda: IntMatrix([[0, True]]), r"\(0, 1\)"),
+        (lambda: IntMatrix([[1, "2"]]), r"\(0, 1\)"),
+        (lambda: IntMatrix.from_columns([[1, 2], [0.5, 0]]), r"\(0, 1\)"),
+        (lambda: IntMatrix.from_columns([[1, 0], [2, 3.0]], rows=2), r"\(1, 1\)"),
+    ],
+    ids=["init-fraction", "init-integral-float", "init-bool", "init-str",
+         "columns-fraction", "columns-integral-float"],
+)
+def test_constructors_refuse_entries_that_are_not_integers(build, where):
+    with pytest.raises(ValidationError, match=f"^matrix entry {where} is not an integer"):
+        build()
+
+
+def test_constructors_keep_large_integers_exact():
+    big = 3 ** 80 + 1
+    assert IntMatrix([[big, -big]]).entry(0, 1) == -big
+    assert IntMatrix.from_columns([[big], [0]]).column(0) == (big,)
+    assert R.smith_invariants(IntMatrix([[big, 0], [0, 2 * big]])) == [big, 2 * big]
+
+
 def test_smith_2468():
     a = IntMatrix([[2, 4], [6, 8]])
     sf = R.smith_form(a)
@@ -218,6 +243,18 @@ def test_fgabgroup_formatting_and_arithmetic():
     assert str(a.tensor(a)) == "Z + Z/4 + Z/4 + Z/4"
     assert str(a.tor(a)) == "Z/4"
     assert str(a.direct_sum(FgAbGroup(0, [2]))) == "Z + Z/2 + Z/4"
+
+
+@pytest.mark.parametrize("torsion", [[-2], [0], [3, -4], [2, 0]])
+def test_fgabgroup_refuses_torsion_orders_that_are_not_positive(torsion):
+    with pytest.raises(ValidationError, match="^torsion order -?[0-9]+ is not positive$"):
+        FgAbGroup(0, torsion)
+
+
+def test_fgabgroup_from_invariants_takes_absolute_values():
+    assert FgAbGroup.from_invariants([-2, 3], 3) == FgAbGroup(1, [6])
+    assert str(FgAbGroup.from_invariants([-2, 3], 3)) == "Z + Z/6"
+    assert FgAbGroup.from_invariants([-1, 0, -5], 4) == FgAbGroup(2, [5])
 
 
 def test_hom_kernel_cokernel():

@@ -1,7 +1,7 @@
 """Property tests of the Smith engine against sympy as an independent
 oracle, on small integer matrices, and of the sparse unit-pivot front of
 `smith_invariants` and `rank_z` against sympy and the dense engine run
-directly."""
+directly: along the columns, and along the rows for wide matrices."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 
 import relhom as R  # noqa: E402
 from relhom import IntMatrix  # noqa: E402
-from relhom.exactla import _Eliminator, _unit_pivot_reduce  # noqa: E402
+from relhom.exactla import _Eliminator, _unit_pivot_reduce, _unit_pivot_reduce_by_rows  # noqa: E402
 
 
 @st.composite
@@ -57,7 +57,27 @@ def _sparse(entries, max_rows=12, max_cols=16):
 
 
 # mostly zeros and +-1, so that unit pivots chain and fill in
-UNIT_HEAVY = _sparse([0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -3])
+UNIT_HEAVY_ENTRIES = [0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -3]
+UNIT_HEAVY = _sparse(UNIT_HEAVY_ENTRIES)
+
+
+def _narrow(tall):
+    """1..6 rows and at least twice as many columns, up to 30, with the
+    UNIT_HEAVY entries; transposed when `tall`."""
+
+    @st.composite
+    def draw_matrix(draw):
+        short = draw(st.integers(1, 6))
+        long = draw(st.integers(2 * short, 30))
+        rows, cols = (long, short) if tall else (short, long)
+        row = st.lists(st.sampled_from(UNIT_HEAVY_ENTRIES), min_size=cols, max_size=cols)
+        return IntMatrix(draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
+
+    return draw_matrix()
+
+
+WIDE = _narrow(tall=False)
+TALL = _narrow(tall=True)
 # no unit entry at all: the front splits nothing off by itself
 NO_UNITS = _sparse([0, 0, 0, 2, -2, 3, 4, -6], max_rows=6, max_cols=7)
 EMPTY = st.one_of(
@@ -86,11 +106,13 @@ def _check_front(a):
     assert inv == dense_inv
     assert R.rank_z(a) == dense_rank == len(inv)
     assert inv == _sympy_invariants(a)
-    k, rest = _unit_pivot_reduce(a)
-    assert k <= min(a.rows, a.cols)
-    assert not any(x in (1, -1) for row in rest.data for x in row)
-    assert all(any(row) for row in rest.data)
-    assert all(any(rest.column(j)) for j in range(rest.cols))
+    for front in (_unit_pivot_reduce, _unit_pivot_reduce_by_rows):
+        k, rest = front(a)
+        assert k <= min(a.rows, a.cols)
+        assert not any(x in (1, -1) for row in rest.data for x in row)
+        assert all(any(row) for row in rest.data)
+        assert all(any(rest.column(j)) for j in range(rest.cols))
+        assert [1] * k + _dense(rest)[0] == inv
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -110,3 +132,29 @@ def test_unit_pivot_front_on_matrices_without_units(a):
 def test_unit_pivot_front_on_empty_shapes(a):
     _check_front(a)
     assert R.smith_invariants(a) == [] and R.rank_z(a) == 0
+
+
+def _transpose(a):
+    return IntMatrix.from_columns(a.to_rows(), rows=a.cols)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.one_of(WIDE, TALL))
+def test_unit_pivot_front_on_wide_and_tall_matrices(a):
+    _check_front(a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.one_of(WIDE, TALL, UNIT_HEAVY))
+def test_a_matrix_and_its_transpose_have_the_same_invariants(a):
+    assert R.smith_invariants(a) == R.smith_invariants(_transpose(a))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.one_of(WIDE, TALL))
+def test_rank_reads_the_same_before_and_after_the_invariants(a):
+    fresh = IntMatrix(a.to_rows(), cols=a.cols)
+    rank = R.rank_z(a)
+    inv = R.smith_invariants(a)
+    assert R.rank_z(a) == rank == len(inv) == len(R.smith_invariants(fresh))
+    assert R.rank_z(fresh) == rank
