@@ -190,19 +190,30 @@ class CoefficientSystem:
 
 
 def coinvariants_system(m: GModule, category: OrbitCategory) -> CoefficientSystem:
-    """The coefficient system K |-> M_K with maps induced by the morphism
-    representatives acting on M."""
+    """The coefficient system K |-> M_K = Z[G/K] tensor_Z[G] M, built from
+    the module's own orbit answers (`GModule.orbit_value` and
+    `GModule.orbit_map_rows`, as `modres.tensor_orbit_complex` reads
+    them): the value at G/K, and for R_a : G/K -> G/L the block of the
+    orbit map with g = a^-1.  For a permutation module Z[X] without
+    relations that is Z[K\\X], free on the K-orbits, with the class of
+    x going to that of a x (Brown, Cohomology of Groups, ch. III);
+    otherwise M_K on the lattice of M, with a acting on it."""
     if m.group is not category.group:
         raise ValidationError("module over a different group")
     values: Dict[Subgroup, Tuple[int, Optional[IntMatrix]]] = {}
     for obj in category.objects:
         rank, rel = m.orbit_value(obj)
-        values[obj] = (rank, rel if rel.cols else None)
+        values[obj] = (rank, rel if rel is not None and rel.cols else None)
+    inv = category.group.inverse
     maps = {}
     for src in category.objects:
         for tgt in category.objects:
             for mor in category.hom(src, tgt):
-                maps[mor] = m.action_matrix(mor.rep)
+                cols: List[Dict[int, int]] = [{} for _ in range(values[src][0])]
+                for a, row in enumerate(m.orbit_map_rows(src, tgt, inv[mor.rep])):
+                    for b, v in row:
+                        cols[b][a] = v
+                maps[mor] = IntMatrix._from_sparse_columns(cols, values[tgt][0])
     return CoefficientSystem(category, values, maps)
 
 
@@ -358,7 +369,10 @@ def bredon_complex(
                 raise ValidationError(
                     f"stabilizer {list(cell.stabilizer.elements)} outside the family"
                 )
-            total += coefficients.orbit_value(cell.stabilizer)[0]
+            if family is None:  # a module's budget is its rank per cell
+                total += coefficients.rank
+            else:
+                total += coefficients.orbit_value(cell.stabilizer)[0]
         if total > rank_cap:
             raise BudgetError(f"equivariant chain group in dimension {d}", total, rank_cap)
     inv = x.group.inverse

@@ -1202,11 +1202,15 @@ class FgAbGroup:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int = 0, torsion: Sequence[int] = ()):
+        if not _is_int(free_rank):
+            raise ValidationError(f"free rank {free_rank!r} is not an integer")
         if free_rank < 0:
             raise ValidationError("negative free rank")
-        self.free_rank = int(free_rank)
-        orders = [int(d) for d in torsion]
+        self.free_rank = free_rank
+        orders = list(torsion)
         for d in orders:
+            if not _is_int(d):
+                raise ValidationError(f"torsion order {d!r} is not an integer")
             if d < 1:
                 raise ValidationError(f"torsion order {d} is not positive")
         self.torsion = _invariant_chain(orders)

@@ -63,7 +63,9 @@ class GModule:
         self.label = label
         self._rel_acc = None
         self._act_inv = None
-        self._coinv: Dict[Subgroup, IntMatrix] = {}
+        # per stabilizer, keyed by its elements: the presented value, or for
+        # a permutation module without relations its orbit classes
+        self._coinv: Dict[Tuple[int, ...], object] = {}
         if relations is not None:
             if relations.rows != self.rank:
                 raise ValidationError("relation matrix row count != rank")
@@ -101,18 +103,57 @@ class GModule:
 
     # -- as orbit coefficients (see tensor_orbit_complex)
 
-    def orbit_value(self, k: Subgroup) -> Tuple[int, IntMatrix]:
-        """M_K = Z[G/K] tensor_Z[G] M on the lattice of M, presented by
-        `coinvariant_relations` (computed once per K)."""
-        rel = self._coinv.get(k)
+    def orbit_value(self, k: Subgroup) -> Tuple[int, Optional[IntMatrix]]:
+        """M_K = Z[G/K] tensor_Z[G] M, computed once per K.
+
+        A permutation module Z[X] without relations gives the free group
+        Z[K\\X] on the K-orbits of its basis X (Brown, Cohomology of
+        Groups, ch. III, the coinvariants of a permutation module): the
+        orbit count and no relations.  Any other module gives M_K on the
+        lattice of M, presented by `coinvariant_relations`."""
+        if self._perms is not None and self.relations is None:
+            return len(self._orbit_classes(k)[1]), None
+        rel = self._coinv.get(k.elements)
         if rel is None:
-            rel = self._coinv[k] = coinvariant_relations(self, k)
+            rel = self._coinv[k.elements] = coinvariant_relations(self, k)
         return self.rank, rel
 
+    def _orbit_classes(self, k: Subgroup):
+        """(orbit of each basis point, least point of each orbit) for the
+        K-orbits of the permutation basis, numbered by their least points
+        (computed once per K)."""
+        key = k.elements
+        classes = self._coinv.get(key)
+        if classes is None:
+            orbit_of = [-1] * self.rank
+            least: List[int] = []
+            perms = [self._perms[g] for g in key]
+            for x in range(self.rank):
+                if orbit_of[x] < 0:
+                    for p in perms:
+                        orbit_of[p[x]] = len(least)
+                    least.append(x)
+            classes = self._coinv[key] = (orbit_of, least)
+        return classes
+
     def orbit_map_rows(self, source: Subgroup, target: Subgroup, g: int):
-        """a(g^-1) for every source and target, as g x tensor v = x tensor
-        g^-1 v in the coinvariants; rows as in `_inverse_action_rows`."""
-        return self._inverse_action_rows()[g]
+        """The block of the orbit map G/K -> G/L, xK |-> xgL, on the values
+        (K = source, L = target), as rows of (column, value) pairs: g x
+        tensor v = x tensor g^-1 v in the coinvariants.
+
+        On presented values, and on free orbits (L trivial, so K is too),
+        this is a(g^-1) whatever K and L are.  On the orbit classes of a
+        permutation module, the class of a K-orbit with least point x goes
+        to the L-orbit of g^-1 x; that is well defined, because K is in
+        g L g^-1."""
+        if len(target.elements) == 1 or self._perms is None or self.relations is not None:
+            return self._inverse_action_rows()[g]
+        tgt_of, tgt_least = self._orbit_classes(target)
+        back = self._perms[self.group.inverse[g]]
+        rows: List[List[Tuple[int, int]]] = [[] for _ in tgt_least]
+        for b, x in enumerate(self._orbit_classes(source)[1]):
+            rows[tgt_of[back[x]]].append((b, 1))
+        return rows
 
     def _validate(self):
         """a(e) = 1 and a(s) a(h) = a(sh), modulo the relations, for every
@@ -528,9 +569,14 @@ def tensor_orbit_complex(
     at an orbit with stabilizer K as a rank and a relation matrix (or
     None), and ``orbit_map_rows(K, L, g)``, the block of the orbit map
     G/K -> G/L, xK |-> xgL, as rows of (column, value) pairs.  Block
-    offsets are running sums of the ranks.  A `GModule` M answers with
-    M_K presented on the lattice of M and with a(g^-1), giving
-    C tensor_Z[G] M by diagonal coinvariants (orbit s at offset s * rank).
+    offsets are running sums of the ranks, and a value with relations
+    adds a relation block.  A `GModule` M answers with its coinvariants
+    M_K = Z[G/K] tensor_Z[G] M, giving C tensor_Z[G] M.  A permutation
+    module Z[X] without relations answers with the free Z[K\\X] on the
+    K-orbits of X (Brown, Cohomology of Groups, ch. III), so the result
+    has no relation blocks and its cone is the complex itself; any other
+    module answers with M_K presented on the lattice of M and with
+    a(g^-1) (orbit s at offset s * rank).
     A `bredon.CoefficientSystem` F answers with F(G/K) and F(R_{g^-1}),
     giving C tensor_Or(G) F over the orbit category (Bredon, Equivariant
     cohomology theories, LNM 34, 1967; Lueck, Transformation Groups and

@@ -92,17 +92,16 @@ class AdamsonComplex:
                     continue
                 o = len(reps)
                 reps.append(ti)
-                stab = [
-                    g
-                    for g in G.elements()
-                    if all(cs.act(g, c) == c for c in t)
-                ]
-                stabs.append(G.subgroup(stab))
+                stab: List[int] = []
                 for g in G.elements():
-                    img = index[tuple(cs.act(g, c) for c in t)]
+                    act = cs.action[g]
+                    img = index[tuple(act[c] for c in t)]
+                    if img == ti:
+                        stab.append(g)
                     if orbit[img] < 0:
                         orbit[img] = o
                         trans[img] = g
+                stabs.append(G.subgroup(stab))
             self.tuples.append(tups)
             self.tuple_index.append(index)
             self.orbit_of.append(orbit)

@@ -25,7 +25,10 @@
   residuals and lattice bases;
 - `bar_resolution`, `cellular_chain_modules`, `lift_is_chain_map_check`
   (through `is_chain_lift`) and `validate_acyclic`: routes and checks that
-  nothing in the library calls, kept as references for the tests.
+  nothing in the library calls, kept as references for the tests;
+- `PresentedCoefficients`, a module's coinvariants presented on its whole
+  lattice with a(g^-1) on every orbit map: the reference for the free
+  orbit-class values of permutation modules.
 """
 
 import itertools
@@ -60,6 +63,7 @@ from relhom.modres import (
     _dense,
     _lift_image,
     _sparse,
+    coinvariant_relations,
     standard_modules,
     takasu_resolution,
     tensor_gmodule_complex,
@@ -690,3 +694,30 @@ def validate_acyclic(cx: pairhom.AdamsonComplex):
                 dsd[face] = dsd.get(face, 0) + v
             if {u: v for u, v in dsd.items() if v} != {t: 1}:
                 raise ValidationError(f"standard complex not exact at degree {n}")
+
+
+# ---------------------------------------------------------------------------
+# Coinvariants presented on the module's lattice
+
+
+class PresentedCoefficients:
+    """A module M as orbit coefficients for `modres.tensor_orbit_complex`,
+    answering as every module did before permutation modules answered with
+    their orbit classes: M_K on the lattice of M, presented by
+    `coinvariant_relations`, and a(g^-1) for every orbit map.  `group` and
+    `rank` let `bredon_complex` take it in place of the module."""
+
+    def __init__(self, m: GModule):
+        self.module = m
+        self.group = m.group
+        self.rank = m.rank
+        self._relations: Dict[Tuple[int, ...], IntMatrix] = {}
+
+    def orbit_value(self, k: Subgroup) -> Tuple[int, IntMatrix]:
+        rel = self._relations.get(k.elements)
+        if rel is None:
+            rel = self._relations[k.elements] = coinvariant_relations(self.module, k)
+        return self.rank, rel
+
+    def orbit_map_rows(self, source: Subgroup, target: Subgroup, g: int):
+        return self.module._inverse_action_rows()[g]

@@ -251,6 +251,31 @@ def test_fgabgroup_refuses_torsion_orders_that_are_not_positive(torsion):
         FgAbGroup(0, torsion)
 
 
+def test_fgabgroup_refuses_a_fractional_torsion_order():
+    with pytest.raises(ValidationError, match=r"^torsion order 2\.5 is not an integer$"):
+        FgAbGroup(0, [2.5])
+
+
+def test_fgabgroup_refuses_a_fractional_free_rank():
+    with pytest.raises(ValidationError, match=r"^free rank 1\.7 is not an integer$"):
+        FgAbGroup(1.7, [3])
+
+
+def test_fgabgroup_refuses_a_boolean_free_rank():
+    with pytest.raises(ValidationError, match="^free rank True is not an integer$"):
+        FgAbGroup(True, [2])
+
+
+def test_fgabgroup_refuses_a_boolean_torsion_order():
+    with pytest.raises(ValidationError, match="^torsion order True is not an integer$"):
+        FgAbGroup(2, [True])
+
+
+def test_fgabgroup_refuses_a_string_free_rank():
+    with pytest.raises(ValidationError, match="^free rank '1' is not an integer$"):
+        FgAbGroup("1", [3])
+
+
 def test_fgabgroup_from_invariants_takes_absolute_values():
     assert FgAbGroup.from_invariants([-2, 3], 3) == FgAbGroup(1, [6])
     assert str(FgAbGroup.from_invariants([-2, 3], 3)) == "Z + Z/6"

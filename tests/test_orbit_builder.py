@@ -259,6 +259,9 @@ def test_cli_bredon_matches_the_system_route(monkeypatch, tmp_path, capsys, pair
     [
         (10, "equivariant chain group in dimension 2 needs rank 48, exceeding the budget cap 10"),
         (5, "equivariant chain group in dimension 1 needs rank 8, exceeding the budget cap 5"),
+        # the fixed 0-cell's value Z[C2\C4] has rank 2, but a module's
+        # budget counts its rank, 4, per cell
+        (3, "equivariant chain group in dimension 0 needs rank 4, exceeding the budget cap 3"),
     ],
 )
 def test_capped_cli_bredon_job_reports_the_first_dimension_over(tmp_path, capsys, cap, message):

@@ -35,13 +35,22 @@ def _pair(name):
     return alternating4().subgroup_generated([1])
 
 
+def _by_matrices(m):
+    """The same module with its action given by matrices: it answers with
+    M_K presented on its lattice, where the permutation module answers with
+    free orbit classes, so its complexes keep their relation blocks."""
+    return GModule.from_action_matrices(m.group, [m.action_matrix(x) for x in m.group.elements()])
+
+
 def _coefficients(h, name):
     g = h.parent
     return {
         "Z": lambda: GModule.trivial(g),
         "Z/2": lambda: GModule.trivial_mod(g, 2),
         "Z[G/H]": lambda: GModule.permutation(h),
+        "Z[G/H] by matrices": lambda: _by_matrices(GModule.permutation(h)),
         "regular": lambda: GModule.regular(g),
+        "regular by matrices": lambda: _by_matrices(GModule.regular(g)),
     }[name]()
 
 
@@ -68,9 +77,9 @@ BUILDERS = {
 CASES = [
     (p, c, b)
     for p in ("C4>C2", "S3>C2", "D4>refl", "A4>C3")
-    for c in ("Z", "Z/2", "Z[G/H]", "regular")
+    for c in ("Z", "Z/2", "Z[G/H]", "Z[G/H] by matrices", "regular", "regular by matrices")
     for b in BUILDERS
-    if not (c == "regular" and p == "A4>C3")
+    if not (c.startswith("regular") and p == "A4>C3")
 ]
 
 
