@@ -79,13 +79,19 @@ def test_adamson_groups_match_the_presented_route(pair):
             assert free.homology(n) == presented.homology(n), (name, n)
 
 
-@pytest.mark.parametrize("key", sorted(workloads._bredon_cells()))
-def test_bredon_groups_match_the_presented_route(key):
-    group_doc = next(g for g, _ in workloads.BREDON_PAIRS if key.startswith(workloads.job_key(g)))
-    group = cli.parse_group(group_doc, "group")
-    gens = [int(x) for x in key.split(":")[1].split(",")]
+# the cell data of the orbit workload's bredon jobs, by group and subgroup
+CELLS = [
+    (cli.parse_group(group_doc, "group"), sub, workloads.cells_key(group_doc, sub))
+    for group_doc, gens in workloads.BREDON_PAIRS
+    for sub in workloads.subgroup_variants(group_doc, gens)
+]
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0].label}>{c[1]}")
+def test_bredon_groups_match_the_presented_route(cell):
+    group, sub, key = cell
     x = GCWData.from_json(group, workloads._bredon_cells()[key])
-    for name, m in _modules(group.subgroup_generated(gens)).items():
+    for name, m in _modules(group.subgroup_generated(sub)).items():
         free = R.bredon_complex(x, m)
         presented = R.bredon_complex(x, PresentedCoefficients(m))
         assert not free.has_relations(), name
