@@ -16,7 +16,13 @@ from .exactla import (
     product_gaps,
 )
 from .groups import FiniteGroup, Subgroup, SubgroupFamily
-from .modres import DEFAULT_RANK_CAP, GModule, _bar_faces, tensor_orbit_complex
+from .modres import (
+    DEFAULT_RANK_CAP,
+    GModule,
+    _bar_faces,
+    orbit_map_matrix,
+    tensor_orbit_complex,
+)
 
 
 @dataclass(frozen=True)
@@ -209,11 +215,7 @@ def coinvariants_system(m: GModule, category: OrbitCategory) -> CoefficientSyste
     for src in category.objects:
         for tgt in category.objects:
             for mor in category.hom(src, tgt):
-                cols: List[Dict[int, int]] = [{} for _ in range(values[src][0])]
-                for a, row in enumerate(m.orbit_map_rows(src, tgt, inv[mor.rep])):
-                    for b, v in row:
-                        cols[b][a] = v
-                maps[mor] = IntMatrix._from_sparse_columns(cols, values[tgt][0])
+                maps[mor] = orbit_map_matrix([[(0, inv[mor.rep], 1)]], [src], [tgt], m)
     return CoefficientSystem(category, values, maps)
 
 

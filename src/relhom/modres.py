@@ -39,7 +39,7 @@ class GModule:
 
     __slots__ = (
         "group", "rank", "_perms", "_mats", "relations", "label", "_rel_acc", "_act_inv",
-        "_coinv",
+        "_coinv", "_orbits",
     )
 
     def __init__(
@@ -63,9 +63,10 @@ class GModule:
         self.label = label
         self._rel_acc = None
         self._act_inv = None
-        # per stabilizer, keyed by its elements: the presented value, or for
-        # a permutation module without relations its orbit classes
-        self._coinv: Dict[Tuple[int, ...], object] = {}
+        # per stabilizer, keyed by its elements: the presented value, and
+        # for a permutation module without relations its orbit classes
+        self._coinv: Dict[Tuple[int, ...], IntMatrix] = {}
+        self._orbits: Dict[Tuple[int, ...], Tuple[List[int], List[int]]] = {}
         if relations is not None:
             if relations.rows != self.rank:
                 raise ValidationError("relation matrix row count != rank")
@@ -123,7 +124,7 @@ class GModule:
         K-orbits of the permutation basis, numbered by their least points
         (computed once per K)."""
         key = k.elements
-        classes = self._coinv.get(key)
+        classes = self._orbits.get(key)
         if classes is None:
             orbit_of = [-1] * self.rank
             least: List[int] = []
@@ -133,7 +134,7 @@ class GModule:
                     for p in perms:
                         orbit_of[p[x]] = len(least)
                     least.append(x)
-            classes = self._coinv[key] = (orbit_of, least)
+            classes = self._orbits[key] = (orbit_of, least)
         return classes
 
     def orbit_map_rows(self, source: Subgroup, target: Subgroup, g: int):
@@ -141,11 +142,13 @@ class GModule:
         (K = source, L = target), as rows of (column, value) pairs: g x
         tensor v = x tensor g^-1 v in the coinvariants.
 
-        On presented values, and on free orbits (L trivial, so K is too),
-        this is a(g^-1) whatever K and L are.  On the orbit classes of a
-        permutation module, the class of a K-orbit with least point x goes
-        to the L-orbit of g^-1 x; that is well defined, because K is in
-        g L g^-1."""
+        On presented values this is a(g^-1) whatever K and L are.  On the
+        orbit classes of a permutation module, the class of a K-orbit with
+        least point x goes to the L-orbit of g^-1 x; that is well defined,
+        because K is in g L g^-1.  With L trivial (so K is too) every orbit
+        is a point and that block is a(g^-1) again, so the rows computed
+        once are returned rather than rebuilt per call (free resolutions
+        and the free orbits of coset-tuple complexes take this path)."""
         if len(target.elements) == 1 or self._perms is None or self.relations is not None:
             return self._inverse_action_rows()[g]
         tgt_of, tgt_least = self._orbit_classes(target)
