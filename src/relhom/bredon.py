@@ -59,9 +59,10 @@ class OrbitCategory:
         for src in self.objects:
             for tgt in self.objects:
                 reps = set()
+                tset = tgt.eset
                 for a in group.elements():
                     if all(
-                        group.conjugate(group.inverse[a], x) in set(tgt.elements)
+                        group.conjugate(group.inverse[a], x) in tset
                         for x in src.elements
                     ):
                         # a x a^-1 in tgt for all x in src
@@ -75,7 +76,7 @@ class OrbitCategory:
 
     def morphism(self, src: Subgroup, tgt: Subgroup, a: int) -> OrbitMorphism:
         if any(
-            self.group.conjugate(self.group.inverse[a], x) not in set(tgt.elements)
+            self.group.conjugate(self.group.inverse[a], x) not in tgt.eset
             for x in src.elements
         ):
             raise ValidationError(
@@ -282,9 +283,9 @@ class GCWData:
                             f"boundary entry of cell {ci} in dimension {d} has "
                             f"a = {a}, not an element of the group"
                         )
-                    tstab = self.cells[d - 1][tgt].stabilizer
+                    tset = self.cells[d - 1][tgt].stabilizer.eset
                     for x in cell.stabilizer.elements:
-                        if G.conjugate(G.inverse[a], x) not in set(tstab.elements):
+                        if G.conjugate(G.inverse[a], x) not in tset:
                             raise ValidationError(
                                 f"boundary entry of cell {ci} in dimension {d} "
                                 "is not an orbit map"
@@ -407,7 +408,7 @@ def takasu_pair_complex(
     contractible complex to a cone point: one fixed orbit of 0-cells and
     free orbits of tuple cells in higher dimensions."""
     G = h.parent
-    hset = set(h.elements)
+    hset = h.eset
     trivial = G.trivial_subgroup()
     cells: List[List[GCWCell]] = [[GCWCell(h)]]
     prev_index: Dict[Tuple[int, ...], int] = {}

@@ -143,9 +143,10 @@ def _closure(group_or_table, gens: List[int]) -> set:
 
 
 class Subgroup:
-    """Subgroup of a FiniteGroup, stored as a sorted element tuple."""
+    """Subgroup of a FiniteGroup, stored as a sorted element tuple and, for
+    membership tests, as the set `eset` of the same elements."""
 
-    __slots__ = ("parent", "elements")
+    __slots__ = ("parent", "elements", "eset")
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[int]):
         elts = tuple(sorted(set(int(x) for x in elements)))
@@ -153,7 +154,7 @@ class Subgroup:
             raise ValidationError("subgroup must contain the identity")
         if elts[-1] >= parent.order:
             raise ValidationError("subgroup element out of range")
-        eset = set(elts)
+        eset = frozenset(elts)
         for a in elts:
             if parent.inverse[a] not in eset:
                 raise ValidationError(f"subgroup not closed under inversion at {a}")
@@ -164,16 +165,17 @@ class Subgroup:
                     )
         self.parent = parent
         self.elements = elts
+        self.eset = eset
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, g: int) -> bool:
-        return g in set(self.elements)
+        return g in self.eset
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
-        return set(other.elements) <= set(self.elements)
+        return other.eset <= self.eset
 
     def conjugate(self, g: int) -> "Subgroup":
         """The subgroup g^-1 * H * g."""
@@ -183,7 +185,7 @@ class Subgroup:
     def intersect(self, other: "Subgroup") -> "Subgroup":
         if other.parent is not self.parent:
             raise ValidationError("subgroups of different parent groups")
-        return Subgroup(self.parent, set(self.elements) & set(other.elements))
+        return Subgroup(self.parent, self.eset & other.eset)
 
     def is_normal(self) -> bool:
         return all(self.conjugate(g) == self for g in self.parent.elements())
@@ -503,7 +505,7 @@ def is_subconjugate(l: Subgroup, k: Subgroup) -> bool:
 def is_malnormal(h: Subgroup) -> bool:
     """True iff g^-1 H g meets H trivially for every g outside H."""
     G = h.parent
-    hset = set(h.elements)
+    hset = h.eset
     for g in G.elements():
         if g in hset:
             continue
@@ -574,7 +576,7 @@ def is_good_triple(h: Subgroup, k: Subgroup) -> Tuple[bool, Optional[int]]:
     G = h.parent
     if not h.contains_subgroup(k):
         raise ValidationError("K must be contained in H")
-    hset = set(h.elements)
+    hset = h.eset
     for g in G.elements():
         if g in hset:
             continue

@@ -832,7 +832,7 @@ def takasu_resolution(
             n * (n ** (k + 1) - h.order ** (k + 1)),
             rank_cap,
         )
-    hset = set(h.elements)
+    hset = h.eset
     cs = coset_space(h)
     std = standard_modules(h)
 

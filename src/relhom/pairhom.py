@@ -60,9 +60,34 @@ class AdamsonComplex:
 
     Degree n holds the tuples of length n+1; the augmented complex (with
     the sum-of-coefficients map onto Z in degree 0) is exact.
+
+    With `normalized` (the default) the complex is the normalized one,
+    C/D: a tuple with two equal neighbours is degenerate, the degenerate
+    tuples span a G-stable acyclic subcomplex D, and C -> C/D is a natural
+    chain homotopy equivalence (Weibel, An Introduction to Homological
+    Algebra, §8.3; May, Simplicial Objects in Algebraic Topology, §22).
+    Being natural it is G-equivariant, so C/D tensored with M has the
+    homology of C tensored with M.  Degree n of C/D keeps the k(k-1)^n
+    tuples with no equal neighbours (k = [G:H]) and drops each degenerate
+    face from the boundary; C has k^(n+1) tuples there.  `comparison`
+    asks for the full complex (`normalized=False`): its lift and the phi
+    coordinates pinned in the benchmark references are written in C's
+    homology coordinates, which the projection moves.
+
+    Budgets count the standard complex C on either complex: the tuple
+    budget its k^(n+1) tuples, the tensor budget its G-orbits, which
+    `standard_orbits[n]` holds by Burnside's count sum_g fix(g)^(n+1)/|G|
+    over the cosets fix(g) that g fixes.
     """
 
-    def __init__(self, h: Subgroup, truncation: int, rank_cap: int = DEFAULT_RANK_CAP):
+    def __init__(
+        self,
+        h: Subgroup,
+        truncation: int,
+        rank_cap: int = DEFAULT_RANK_CAP,
+        *,
+        normalized: bool = True,
+    ):
         _check_tuple_budget(h, truncation, rank_cap)
         G = h.parent
         cs = coset_space(h)
@@ -71,6 +96,11 @@ class AdamsonComplex:
         self.group = G
         self.cosets = cs
         self.truncation = truncation
+        self.normalized = normalized
+        fix = [sum(1 for c in range(k) if act[c] == c) for act in cs.action]
+        self.standard_orbits = [
+            sum(f ** (n + 1) for f in fix) // G.order for n in range(truncation + 1)
+        ]
         self.tuples: List[List[Tuple[int, ...]]] = []
         self.tuple_index: List[Dict[Tuple[int, ...], int]] = []
         self.orbit_of: List[List[int]] = []
@@ -80,8 +110,11 @@ class AdamsonComplex:
         self.rep_boundary: List[List[List[Tuple[int, int, int]]]] = []
         self._tensor_cache: Dict[tuple, PresentedComplex] = {}
         for n in range(truncation + 1):
-            count = k ** (n + 1)
-            tups = list(itertools.product(range(k), repeat=n + 1))
+            if normalized and n:
+                tups = [t + (c,) for t in self.tuples[n - 1] for c in range(k) if c != t[-1]]
+            else:
+                tups = list(itertools.product(range(k), repeat=n + 1))
+            count = len(tups)
             index = {t: i for i, t in enumerate(tups)}
             orbit = [-1] * count
             trans = [0] * count
@@ -117,8 +150,10 @@ class AdamsonComplex:
                 t = tups[ri]
                 acc: Dict[Tuple[int, int], int] = {}
                 for i in range(n + 1):
-                    face = t[:i] + t[i + 1 :]
-                    fi = prev_index[face]
+                    if normalized and 0 < i < n and t[i - 1] == t[i + 1]:
+                        # a degenerate face, zero in C/D
+                        continue
+                    fi = prev_index[t[:i] + t[i + 1 :]]
                     key = (self.orbit_of[n - 1][fi], self.transporter[n - 1][fi])
                     acc[key] = acc.get(key, 0) + (1 if i % 2 == 0 else -1)
                 bdry.append([(o, g, c) for (o, g), c in acc.items() if c])
@@ -129,7 +164,7 @@ class AdamsonComplex:
 
     def _check_tensor_budget(self, m: GModule, rank_cap: int, lo: int):
         for n in range(lo, self.truncation + 1):
-            rank_n = self.num_orbits(n) * m.rank
+            rank_n = self.standard_orbits[n] * m.rank
             if rank_n > rank_cap:
                 raise BudgetError(
                     f"tensored pair complex degree {n}", rank_n, rank_cap
@@ -161,20 +196,27 @@ class AdamsonComplex:
         self._check_tensor_budget(m, rank_cap, 1)
         return self.tensor(m, rank_cap).shifted()
 
-def adamson_complex(h: Subgroup, truncation: int, rank_cap: int = DEFAULT_RANK_CAP) -> AdamsonComplex:
-    """`AdamsonComplex(h, truncation)`, cached in the group's memo by the
-    subgroup's elements.  `groups.make_group` interns groups, so the entry
+def adamson_complex(
+    h: Subgroup,
+    truncation: int,
+    rank_cap: int = DEFAULT_RANK_CAP,
+    *,
+    normalized: bool = True,
+) -> AdamsonComplex:
+    """`AdamsonComplex(h, truncation, normalized=normalized)`, cached in the
+    group's memo by the subgroup's elements and by which complex it holds
+    (normalized or full).  `groups.make_group` interns groups, so the entry
     serves every job that asks about the same pair.  The cached complex is
     reused only at the same truncation, so a call gets exactly the degrees
     it asks for and is held to their budget, on a hit as on a miss.  A
     caller that needs several degrees asks once, at the largest truncation
     (see `adamson_homology`)."""
-    memo, key = h.parent.memo, ("adamson_complex", h.elements)
+    memo, key = h.parent.memo, ("adamson_complex", h.elements, normalized)
     cx = memo.get(key)
     if cx is not None and cx.truncation == truncation:
         _check_tuple_budget(h, truncation, rank_cap)
         return cx
-    cx = memo[key] = AdamsonComplex(h, truncation, rank_cap)
+    cx = memo[key] = AdamsonComplex(h, truncation, rank_cap, normalized=normalized)
     return cx
 
 
@@ -188,7 +230,13 @@ def adamson_homology(
     """Homology of the coset-tuple standard complex with coefficients, read
     from the complex truncated at `truncation` (default degree + 1).  Calls
     for several degrees that pass one truncation share one enumerated and
-    tensored complex; each is held to that truncation's budget."""
+    tensored complex; each is held to that truncation's budget.
+
+    The groups are read from the normalized complex C/D, which drops the
+    tuples with two equal neighbours and has the homology of the standard
+    complex C (see `AdamsonComplex`: Weibel §8.3, May §22).  The budgets are
+    those of C.  `comparison` reads the same groups from C itself, whose
+    coordinates its phi matrices are written in."""
     if degree < 0:
         raise ValidationError("negative degree")
     needed = degree + 1
@@ -324,7 +372,9 @@ def comparison(
     top = degs[-1]
     std = standard_modules(h)
     p = cached_resolution(std.i_module, top, rank_cap)
-    cx = adamson_complex(h, top + 1, rank_cap)
+    # the full complex: the lift runs along its cone homotopy, and phi is
+    # read in its homology coordinates
+    cx = adamson_complex(h, top + 1, rank_cap, normalized=False)
     lift = _lift_along_exact_target(p, _ConeTarget(cx.cosets), top + 1)
     data = ComparisonData(h, m, p, cx, lift)
     sp = p.tensor(m)

@@ -78,7 +78,9 @@ _term_cache = WeakKeyDictionary()
 
 
 def full_boundary(cx: pairhom.AdamsonComplex, n: int) -> IntMatrix:
-    """Tuple-level boundary matrix C_n -> C_{n-1} (1 <= n <= truncation)."""
+    """Tuple-level boundary matrix C_n -> C_{n-1} (1 <= n <= truncation).
+    A face outside the complex's index is a degenerate tuple, which is zero
+    in the normalized complex; the full complex indexes every face."""
     if not (1 <= n <= cx.truncation):
         raise TruncationError(
             f"degree {n} boundary needs truncation >= {n}; increase N"
@@ -91,8 +93,9 @@ def full_boundary(cx: pairhom.AdamsonComplex, n: int) -> IntMatrix:
         for t in cx.tuples[n]:
             col = [0] * rows
             for i in range(n + 1):
-                face = t[:i] + t[i + 1 :]
-                col[prev_index[face]] += 1 if i % 2 == 0 else -1
+                fi = prev_index.get(t[:i] + t[i + 1 :])
+                if fi is not None:
+                    col[fi] += 1 if i % 2 == 0 else -1
             cols.append(col)
         cache[n] = IntMatrix.from_columns(cols, rows=rows)
     return cache[n]
@@ -678,8 +681,20 @@ def validate_acyclic(cx: pairhom.AdamsonComplex):
     """Check the augmented tuple-level complex of `cx` tuple by tuple:
     d d = 0 in every degree, and ds + sd = id below the top degree for the
     cone homotopy s(t) = (H, *t) (in degree 0, ds(c) = c - c_0), which
-    makes the complex exact there."""
-    boundary, cone = pairhom._tuple_boundary, pairhom._cone
+    makes the complex exact there.  Every chain is projected onto the
+    complex's tuples, so on the normalized complex C/D the degenerate
+    tuples are zero (s maps D into D, so it passes to C/D); on the full
+    complex the projection keeps everything."""
+
+    def project(vec):
+        return {u: v for u, v in vec.items() if not u or u in cx.tuple_index[len(u) - 1]}
+
+    def boundary(vec):
+        return project(pairhom._tuple_boundary(vec))
+
+    def cone(vec):
+        return project(pairhom._cone(vec))
+
     for n, tups in enumerate(cx.tuples):
         for t in tups:
             d = boundary({t: 1})

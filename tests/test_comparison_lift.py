@@ -77,8 +77,8 @@ def solver_lifts():
     lifts = {}
     for name in PAIRS:
         h = _pair(name)
-        cx = R.adamson_complex(h, TOP + 1)
-        p = R.comparison(h, GModule.trivial(h.parent), [TOP]).resolution
+        data = R.comparison(h, GModule.trivial(h.parent), [TOP])
+        p, cx = data.resolution, data.complex
         lift = pairhom._lift_along_exact_target(p, _solver_target(cx), TOP + 1)
         lifts[name] = (h, p, [
             [{cx.tuples[n + 1][i]: c for i, c in x.items()} for x in level]

@@ -229,8 +229,10 @@ def test_adamson_refuses_a_module_over_another_group(s3):
 
 
 def test_adamson_complex_acyclicity(c4_c2):
-    cx = R.adamson_complex(c4_c2, 4)
-    validate_acyclic(cx)
+    for normalized in (True, False):
+        cx = R.adamson_complex(c4_c2, 4, normalized=normalized)
+        assert cx.normalized is normalized
+        validate_acyclic(cx)
 
 
 def _budget_outcome(call):
