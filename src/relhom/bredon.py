@@ -4,7 +4,6 @@ of finite-type cell data over a finite group."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetError, ValidationError
@@ -25,16 +24,33 @@ from .modres import (
 )
 
 
-@dataclass(frozen=True)
 class OrbitMorphism:
     """A G-map between homogeneous sets G/H' -> G/K', i.e. the class of
     right translation by a representative a with a H' a^-1 <= K'.
     Two representatives give the same map iff they lie in the same right
-    coset of K'; `rep` is the minimal element of that coset."""
+    coset of K'; `rep` is the minimal element of that coset.  Immutable,
+    compared and hashed by value."""
 
-    source: Subgroup
-    target: Subgroup
-    rep: int
+    __slots__ = ("source", "target", "rep")
+
+    def __init__(self, source: Subgroup, target: Subgroup, rep: int):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "rep", rep)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not OrbitMorphism:
+            return NotImplemented
+        return (self.source, self.target, self.rep) == (other.source, other.target, other.rep)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.rep))
 
     def __repr__(self) -> str:
         return f"R_{self.rep}"
@@ -43,6 +59,18 @@ class OrbitMorphism:
 def _canonical_rep(target: Subgroup, a: int) -> int:
     G = target.parent
     return min(G.mult(k, a) for k in target.elements)
+
+
+def _canonical_table(target: Subgroup) -> List[int]:
+    """`_canonical_rep(target, a)` for every element a.  Scanning upwards,
+    the first element met in a right coset is its minimum."""
+    G = target.parent
+    table = [-1] * G.order
+    for a in range(G.order):
+        if table[a] < 0:
+            for k in target.elements:
+                table[G.mult(k, a)] = a
+    return table
 
 
 class OrbitCategory:
@@ -232,14 +260,16 @@ def constant_system(category: OrbitCategory, modulus: int = 0) -> CoefficientSys
 # Equivariant cell data
 
 
-@dataclass
 class GCWCell:
     """One orbit of cells: its stabilizer and the boundary as a formal sum
     of (target cell index in the dimension below, translating element a,
     integer coefficient), where a encodes the orbit map R_a."""
 
-    stabilizer: Subgroup
-    boundary: Tuple[Tuple[int, int, int], ...] = ()
+    __slots__ = ("stabilizer", "boundary")
+
+    def __init__(self, stabilizer: Subgroup, boundary: Tuple[Tuple[int, int, int], ...] = ()):
+        self.stabilizer = stabilizer
+        self.boundary = boundary
 
 
 def _json_int(val, what: str) -> int:
@@ -290,14 +320,21 @@ class GCWData:
                                 f"boundary entry of cell {ci} in dimension {d} "
                                 "is not an orbit map"
                             )
-        # formal boundary-squared must vanish in the free morphism algebra
+        # formal boundary-squared must vanish in the free morphism algebra;
+        # canonical representatives come from one table per stabilizer
+        tables: Dict[Subgroup, List[int]] = {}
         for d in range(2, len(self.cells)):
+            canon = []
+            for cell in self.cells[d - 2]:
+                table = tables.get(cell.stabilizer)
+                if table is None:
+                    table = tables[cell.stabilizer] = _canonical_table(cell.stabilizer)
+                canon.append(table)
             for ci, cell in enumerate(self.cells[d]):
                 acc: Dict[Tuple[int, int], int] = {}
                 for (tgt, a1, c1) in cell.boundary:
                     for (tgt2, a2, c2) in self.cells[d - 1][tgt].boundary:
-                        stab2 = self.cells[d - 2][tgt2].stabilizer
-                        key = (tgt2, _canonical_rep(stab2, self.group.mult(a2, a1)))
+                        key = (tgt2, canon[tgt2][G.mult(a2, a1)])
                         acc[key] = acc.get(key, 0) + c1 * c2
                 if any(acc.values()):
                     raise ValidationError(
@@ -330,14 +367,22 @@ class GCWData:
         if doc.get("format_version") != cls.FORMAT_VERSION:
             raise ValidationError("unsupported cell-data format version")
         cells: List[List[GCWCell]] = []
+        stabilizers: Dict[Tuple[int, ...], Subgroup] = {}  # by generator tuple
         for dim_cells in doc["dimensions"]:
             level = []
             for cell in dim_cells:
-                stab = group.subgroup_generated(
+                gens = tuple(
                     _json_int(g, "stabilizer generator") for g in cell.get("stabilizer", [])
                 )
+                stab = stabilizers.get(gens)
+                if stab is None:
+                    stab = stabilizers[gens] = group.subgroup_generated(gens)
                 bdry = tuple(
-                    tuple(_json_int(e[key], f"boundary {key}") for key in ("cell", "a", "coeff"))
+                    (
+                        _json_int(e["cell"], "boundary cell"),
+                        _json_int(e["a"], "boundary a"),
+                        _json_int(e["coeff"], "boundary coeff"),
+                    )
                     for e in cell.get("boundary", [])
                 )
                 level.append(GCWCell(stab, bdry))

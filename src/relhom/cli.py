@@ -8,7 +8,6 @@ oracle mismatch).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -501,6 +500,8 @@ def print_json(document: Dict[str, Any]) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    import argparse  # only the command line needs it; library imports stay light
+
     parser = argparse.ArgumentParser(
         prog="relhom",
         description="Exact relative group homology computations for pairs of finite groups.",

@@ -10,7 +10,6 @@ no floating point anywhere.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -796,14 +795,23 @@ class _Eliminator:
         return IntMatrix(self.s, cols=self.n)
 
 
-@dataclass(frozen=True)
 class SmithForm:
     """Decomposition a == u @ s @ v with u, v unimodular and s diagonal
-    with a positive divisibility chain d1 | d2 | ... followed by zeros."""
+    with a positive divisibility chain d1 | d2 | ... followed by zeros.
+    Immutable."""
 
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
+    __slots__ = ("u", "s", "v")
+
+    def __init__(self, u: IntMatrix, s: IntMatrix, v: IntMatrix):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "v", v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def invariants(self) -> List[int]:

@@ -4,7 +4,6 @@ tensor products over the group ring, and Tor."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, ValidationError
@@ -324,16 +323,25 @@ class GModuleHom:
                     raise ValidationError(f"hom is not equivariant at {g}")
 
 
-@dataclass
 class StandardModules:
     """The permutation module Z[G/H], its augmentation onto Z, the kernel
     module with basis {g_iH - H}, and its embedding into Z[G/H]."""
 
-    subgroup: Subgroup
-    perm: GModule
-    augmentation: GModuleHom
-    i_module: GModule
-    embedding: GModuleHom
+    __slots__ = ("subgroup", "perm", "augmentation", "i_module", "embedding")
+
+    def __init__(
+        self,
+        subgroup: Subgroup,
+        perm: GModule,
+        augmentation: GModuleHom,
+        i_module: GModule,
+        embedding: GModuleHom,
+    ):
+        self.subgroup = subgroup
+        self.perm = perm
+        self.augmentation = augmentation
+        self.i_module = i_module
+        self.embedding = embedding
 
 
 @memoized
@@ -1027,15 +1035,23 @@ def _chain_lift(p: FreeResolution, target, length: int) -> list:
     return comps
 
 
-@dataclass
 class HorseshoeData:
     """Resolution of Z[G/H] assembled from resolutions of the augmentation
     kernel and of Z, together with the connecting components."""
 
-    middle: FreeResolution
-    res_i: FreeResolution
-    res_z: FreeResolution
-    h_gen_images: List[List[List[int]]]  # h_k on the Z-side generators, k >= 1
+    __slots__ = ("middle", "res_i", "res_z", "h_gen_images")
+
+    def __init__(
+        self,
+        middle: FreeResolution,
+        res_i: FreeResolution,
+        res_z: FreeResolution,
+        h_gen_images: List[List[List[int]]],  # h_k on the Z-side generators, k >= 1
+    ):
+        self.middle = middle
+        self.res_i = res_i
+        self.res_z = res_z
+        self.h_gen_images = h_gen_images
 
 
 class _HorseshoeTarget(_ResolutionTarget):
@@ -1289,7 +1305,6 @@ def quotient_group(n_sub: Subgroup) -> Tuple[FiniteGroup, Tuple[int, ...]]:
     return q, cs.coset_of
 
 
-@dataclass
 class Coinvariants:
     """N-coinvariants of a module, as a module over G/N.
 
@@ -1297,10 +1312,19 @@ class Coinvariants:
     rank plus relations); `group` reports the abelian group it presents.
     """
 
-    quotient: FiniteGroup
-    projection: Tuple[int, ...]
-    module: GModule
-    group: FgAbGroup
+    __slots__ = ("quotient", "projection", "module", "group")
+
+    def __init__(
+        self,
+        quotient: FiniteGroup,
+        projection: Tuple[int, ...],
+        module: GModule,
+        group: FgAbGroup,
+    ):
+        self.quotient = quotient
+        self.projection = projection
+        self.module = module
+        self.group = group
 
 
 def coinvariants(m: GModule, n_sub: Subgroup) -> Coinvariants:

@@ -6,7 +6,6 @@ cosets, long-exact-sequence certificates, and the normal-quotient oracle."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, TruncationError, ValidationError
@@ -320,19 +319,39 @@ def _lift_along_exact_target(p: FreeResolution, target, length: int) -> list:
     return _chain_lift(p, target, length)
 
 
-@dataclass
 class DegreeComparison:
-    degree: int
-    takasu: FgAbGroup
-    adamson: FgAbGroup
-    matrix: IntMatrix
-    kernel: FgAbGroup
-    cokernel: FgAbGroup
-    is_iso: bool
-    is_zero: bool
+    __slots__ = (
+        "degree", "takasu", "adamson", "matrix", "kernel", "cokernel", "is_iso", "is_zero",
+    )
+
+    def __init__(
+        self,
+        degree: int,
+        takasu: FgAbGroup,
+        adamson: FgAbGroup,
+        matrix: IntMatrix,
+        kernel: FgAbGroup,
+        cokernel: FgAbGroup,
+        is_iso: bool,
+        is_zero: bool,
+    ):
+        self.degree = degree
+        self.takasu = takasu
+        self.adamson = adamson
+        self.matrix = matrix
+        self.kernel = kernel
+        self.cokernel = cokernel
+        self.is_iso = is_iso
+        self.is_zero = is_zero
+
+    def __eq__(self, other):
+        if other.__class__ is not DegreeComparison:
+            return NotImplemented
+        return [getattr(self, f) for f in self.__slots__] == [
+            getattr(other, f) for f in other.__slots__
+        ]
 
 
-@dataclass
 class ComparisonData:
     """The comparison of the pair's two theories with coefficients M.
 
@@ -342,12 +361,23 @@ class ComparisonData:
     along the cone homotopy, phi_n(e) = s(phi_{n-1}(d e)), so every tuple
     in its support starts with the base coset H (index 0)."""
 
-    subgroup: Subgroup
-    coefficients: GModule
-    resolution: FreeResolution
-    complex: AdamsonComplex
-    lift: List[List[Dict[Tuple[int, ...], int]]]
-    degrees: Dict[int, DegreeComparison] = field(default_factory=dict)
+    __slots__ = ("subgroup", "coefficients", "resolution", "complex", "lift", "degrees")
+
+    def __init__(
+        self,
+        subgroup: Subgroup,
+        coefficients: GModule,
+        resolution: FreeResolution,
+        complex: AdamsonComplex,
+        lift: List[List[Dict[Tuple[int, ...], int]]],
+        degrees: Optional[Dict[int, DegreeComparison]] = None,
+    ):
+        self.subgroup = subgroup
+        self.coefficients = coefficients
+        self.resolution = resolution
+        self.complex = complex
+        self.lift = lift
+        self.degrees = {} if degrees is None else degrees
 
     def phi(self, degree: int) -> DegreeComparison:
         return self.degrees[degree]
@@ -416,19 +446,30 @@ def comparison(
 # The obstruction module on fixed cosets
 
 
-@dataclass
 class JModuleEntry:
-    subgroup: Subgroup
-    class_size: int
-    fixed_count: int
-    value: FgAbGroup
-    in_gh_family: bool
+    __slots__ = ("subgroup", "class_size", "fixed_count", "value", "in_gh_family")
+
+    def __init__(
+        self,
+        subgroup: Subgroup,
+        class_size: int,
+        fixed_count: int,
+        value: FgAbGroup,
+        in_gh_family: bool,
+    ):
+        self.subgroup = subgroup
+        self.class_size = class_size
+        self.fixed_count = fixed_count
+        self.value = value
+        self.in_gh_family = in_gh_family
 
 
-@dataclass
 class JModuleReport:
-    subgroup: Subgroup
-    entries: List[JModuleEntry]
+    __slots__ = ("subgroup", "entries")
+
+    def __init__(self, subgroup: Subgroup, entries: List[JModuleEntry]):
+        self.subgroup = subgroup
+        self.entries = entries
 
     def all_trivial(self) -> bool:
         return all(e.value.is_trivial() for e in self.entries)
@@ -466,14 +507,15 @@ def j_module(h: Subgroup) -> JModuleReport:
 # Long exact sequence certificate
 
 
-@dataclass
 class LESSlot:
-    label: str
-    exact: bool
-    detail: str = ""
+    __slots__ = ("label", "exact", "detail")
+
+    def __init__(self, label: str, exact: bool, detail: str = ""):
+        self.label = label
+        self.exact = exact
+        self.detail = detail
 
 
-@dataclass
 class LESCertificate:
     """The long exact sequence of the pair (G, H) with coefficients M,
 
@@ -499,13 +541,27 @@ class LESCertificate:
     H_n(H) -> Tor_n(Z[G/H]; M) is an isomorphism in every degree.
     """
 
-    subgroup: Subgroup
-    coefficients: GModule
-    max_degree: int
-    groups: Dict[str, FgAbGroup]
-    maps: Dict[str, IntMatrix]
-    slots: List[LESSlot]
-    shapiro_ok: bool
+    __slots__ = (
+        "subgroup", "coefficients", "max_degree", "groups", "maps", "slots", "shapiro_ok",
+    )
+
+    def __init__(
+        self,
+        subgroup: Subgroup,
+        coefficients: GModule,
+        max_degree: int,
+        groups: Dict[str, FgAbGroup],
+        maps: Dict[str, IntMatrix],
+        slots: List[LESSlot],
+        shapiro_ok: bool,
+    ):
+        self.subgroup = subgroup
+        self.coefficients = coefficients
+        self.max_degree = max_degree
+        self.groups = groups
+        self.maps = maps
+        self.slots = slots
+        self.shapiro_ok = shapiro_ok
 
     @property
     def all_exact(self) -> bool:
@@ -662,12 +718,14 @@ def verify_takasu_les(
 # Normal-quotient oracle
 
 
-@dataclass
 class OracleReport:
-    degree: int
-    adamson: FgAbGroup
-    quotient_value: FgAbGroup
-    match: bool
+    __slots__ = ("degree", "adamson", "quotient_value", "match")
+
+    def __init__(self, degree: int, adamson: FgAbGroup, quotient_value: FgAbGroup, match: bool):
+        self.degree = degree
+        self.adamson = adamson
+        self.quotient_value = quotient_value
+        self.match = match
 
 
 def normal_quotient_oracle(

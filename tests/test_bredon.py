@@ -158,3 +158,75 @@ def test_gcw_json_roundtrip(reflection_circle, c2):
     assert back.to_json() == doc
     with pytest.raises(ValidationError):
         GCWData.from_json(c2, {"format_version": 99, "dimensions": []})
+
+
+def _cells_doc(*dims):
+    """A cell-data document; each cell is (stabilizer generators, boundary
+    entries as (cell, a, coeff))."""
+    return {
+        "format_version": 1,
+        "dimensions": [
+            [
+                {
+                    "stabilizer": list(stab),
+                    "boundary": [{"cell": t, "a": a, "coeff": c} for t, a, c in bdry],
+                }
+                for stab, bdry in dim
+            ]
+            for dim in dims
+        ],
+    }
+
+
+# On C2: two fixed points, the 0-cells of the reflection circle.
+_POINTS = [((1,), ()), ((1,), ())]
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (_cells_doc([((True,), ())]), "stabilizer generator must be an integer"),
+        (_cells_doc([((1.0,), ())]), "stabilizer generator must be an integer"),
+        # a generator tuple equal to an earlier one as a key is still checked
+        (_cells_doc([((1,), ()), ((True,), ())]), "stabilizer generator must be an integer"),
+        (_cells_doc(_POINTS, [((), ((1, 0, 1.0),))]), "boundary coeff must be an integer"),
+        (_cells_doc(_POINTS, [((), ((True, 0, 1),))]), "boundary cell must be an integer"),
+        (_cells_doc(_POINTS, [((), ((1, False, 1),))]), "boundary a must be an integer"),
+        (_cells_doc([((5,), ())]), "generator 5 is not an element of the group"),
+        (_cells_doc([((1,), ((0, 0, 1),))]), "0-cells cannot have a boundary"),
+        (_cells_doc(_POINTS, [((), ((2, 0, 1),))]), "cell 0 in dimension 1 hits a missing cell"),
+        (_cells_doc(_POINTS, [((), ((1, 2, 1),))]), "has a = 2, not an element of the group"),
+        (_cells_doc(_POINTS, [((), ((1, -1, 1),))]), "has a = -1, not an element of the group"),
+        (
+            _cells_doc([((), ())], [((1,), ((0, 0, 1),))]),
+            "boundary entry of cell 0 in dimension 1 is not an orbit map",
+        ),
+        # R_0 - R_1 into a free orbit: the two maps differ, so d^2 != 0
+        (
+            _cells_doc([((), ())], [((), ((0, 0, 1), (0, 1, -1)))], [((), ((0, 0, 1),))]),
+            "formal boundary squared is nonzero on cell 0 in dimension 2",
+        ),
+    ],
+)
+def test_gcw_from_json_refusals(c2, doc, message):
+    with pytest.raises(ValidationError, match=message):
+        GCWData.from_json(c2, doc)
+
+
+def test_formal_boundary_squared_reads_canonical_representatives(c2):
+    # R_0 - R_1 into the fixed orbit G/G: one map, so d^2 = 0
+    doc = _cells_doc([((1,), ())], [((), ((0, 0, 1), (0, 1, -1)))], [((), ((0, 0, 1),))])
+    assert GCWData.from_json(c2, doc).to_json() == doc
+
+
+def test_gcw_validate_refuses_a_stabilizer_of_another_group(c2, c4):
+    with pytest.raises(ValidationError, match="stabilizer over a different group"):
+        GCWData(c2, [[GCWCell(c4.full_subgroup())]])
+
+
+def test_canonical_table_matches_the_coset_minimum(s3, c6):
+    from relhom.bredon import _canonical_rep, _canonical_table
+
+    for group in (s3, c6):
+        for k in R.all_subgroups(group):
+            assert _canonical_table(k) == [_canonical_rep(k, a) for a in group.elements()]
