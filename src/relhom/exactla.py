@@ -10,7 +10,6 @@ no floating point anywhere.
 from __future__ import annotations
 
 from bisect import bisect_right
-from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
@@ -144,6 +143,8 @@ class IntMatrix:
     # -- access
 
     def column(self, j: int) -> Tuple[int, ...]:
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside a matrix of {self.cols} columns")
         col = self._cols[j]
         return tuple(col.get(i, 0) for i in range(self.rows))
 
@@ -175,6 +176,8 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} outside a matrix of {self.rows} rows")
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside a matrix of {self.cols} columns")
         return self._cols[j].get(i, 0)
 
     def is_zero(self) -> bool:
@@ -210,6 +213,8 @@ class IntMatrix:
         return self.scale(-1)
 
     def scale(self, k: int) -> "IntMatrix":
+        if not _is_int(k):
+            raise ValidationError(f"scalar is not an integer: {k!r}")
         k = int(k)
         return IntMatrix._from_sparse_columns(
             [{i: k * x for i, x in col.items()} if k else {} for col in self._cols],
@@ -834,114 +839,28 @@ def smith_form(a: IntMatrix) -> SmithForm:
 
 
 def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
-    """Internal: (k, R) with `mat` equivalent over Z to I_k (+) R.
+    """Internal: (k, R, R's rows, R's columns) with `mat` equivalent over Z
+    to I_k (+) R, the last two as indices into `mat`.
 
     Sparse elimination on unit pivots: take the shortest live column that
-    has a +-1 entry, pivot on the shortest row among its unit entries, and
-    replace the rest by its Schur complement, which stays integral since the
-    pivot is a unit.  A column without a unit waits until an update gives it
-    one.  R holds the nonzero columns left, on the rows they touch.
+    has a +-1 entry, pivot on the shortest row among its unit entries (the
+    least row on a tie), and replace the rest by its Schur complement,
+    which stays integral since the pivot is a unit.  The entries are kept
+    by row and the columns only as sets of rows, so a Schur update
+    subtracts a multiple of the pivot row from each other row of the pivot
+    column.  The columns wait in a bucket queue by length, which an update
+    keeps current for every column it touches; within a bucket the order
+    is the set's.  A column without a unit leaves the queue until an
+    update touches it.  R holds the nonzero entries left, in `mat`'s
+    orientation, on the rows and columns they touch.  The rows are copies,
+    so `mat` is left as it was.
 
     With a list `pivots`, each pivot is appended as (r, c, u, row, col):
-    its row, column and unit entry, row r off the pivot as (j, entry) pairs
-    and column c off the pivot as a dict, all as they stood when it was
-    taken; the result is then (k, R, R's rows, R's columns), the last two
-    as indices into `mat`.  The elimination works on copies of `mat`'s
-    columns, so `mat` is left as it was.
-
-    The pivot row is found in one pass over the column, with no list of
-    unit rows, and each Schur update walks the pivot column's entries
-    once, binding the target column's `get`; every dict and set sees the
-    same operations in the same order as in the plain loop, so pivots, R
-    and their dict orders are unchanged.  `IntSolver` needs the pivots and
-    fronts its matrix here, in this orientation; `smith_invariants` and
-    `rank_z` front a matrix once and keep the result on it
-    (`IntMatrix._smith`), here unless it is wide, where they use
-    `_unit_pivot_reduce_by_rows`."""
-    cols = {j: dict(c) for j, c in enumerate(mat._cols) if c}
-    rows: Dict[int, set] = {}
-    for j, col in cols.items():
-        for i in col:
-            rows.setdefault(i, set()).add(j)
-    heap = [(len(col), j) for j, col in cols.items()]
-    heapify(heap)
-    parked = set()
-    k = 0
-    while heap:
-        n, c = heappop(heap)
-        col = cols.get(c)
-        if col is None or len(col) != n:
-            continue
-        # the unit entry on the shortest row, the least row among those
-        r = -1
-        for i, x in col.items():
-            if x == 1 or x == -1:
-                size = len(rows[i])
-                if r < 0 or size < best or (size == best and i < r):
-                    r, best = i, size
-        if r < 0:
-            parked.add(c)
-            continue
-        u = col.pop(r)
-        del cols[c]
-        for i in col:
-            rows[i].discard(c)
-        k += 1
-        prow = []
-        items = tuple(col.items())
-        for j in rows.pop(r):
-            if j == c:
-                continue
-            cj = cols[j]
-            get = cj.get
-            before = len(cj)
-            a = cj.pop(r)
-            prow.append((j, a))
-            q = a * u
-            for i, v in items:
-                x = get(i)
-                if x is None:
-                    cj[i] = -q * v
-                    rows[i].add(j)
-                else:
-                    w = x - q * v
-                    if w:
-                        cj[i] = w
-                    else:
-                        del cj[i]
-                        rows[i].discard(j)
-            if not cj:
-                del cols[j]
-                parked.discard(j)
-            elif j in parked or len(cj) != before:
-                parked.discard(j)
-                heappush(heap, (len(cj), j))
-        if pivots is not None:
-            pivots.append((r, c, u, prow, col))
-    residual, row_ids, left = _residual(cols)
-    if pivots is None:
-        return k, residual
-    return k, residual, row_ids, left
-
-
-def _unit_pivot_reduce_by_rows(mat: IntMatrix) -> Tuple[int, IntMatrix]:
-    """Internal: (k, R) with `mat` equivalent over Z to I_k (+) R^T, for a
-    wide matrix, eliminating along its rows.
-
-    The pivot rule is `_unit_pivot_reduce`'s: the shortest live column
-    that has a +-1 entry, and the shortest row among its unit entries.
-    But the entries are kept by row, and the columns only as sets of rows,
-    so a Schur update subtracts a multiple of the pivot row from each
-    other row of the pivot column.  On a wide matrix the rows are the long
-    side: an update walks one long row into the few rows of a short
-    column, where the column layout walks a short column into each of the
-    many columns of a long row.  The columns wait in a bucket queue by
-    length, which an update keeps current for every column it touches.
-    Within a bucket the order is the set's, so pivots differ from those of
-    the column layout on ties, but never the invariants: they are unique,
-    and A and A^T have the same ones.  R holds the nonzero rows left, as
-    its columns, on the columns of `mat` they touch.  The rows are copies,
-    so `mat` is left as it was."""
+    its row, column and unit entry, row r off the pivot as a dict
+    {column: entry} and column c off the pivot as a dict {row: entry}, both
+    as they stood when it was taken.  `IntSolver` reads them;
+    `smith_invariants` and `rank_z` front a matrix once and keep the
+    result on it (`IntMatrix._smith`)."""
     rows: Dict[int, Dict[int, int]] = {}
     cols: Dict[int, set] = {}
     for j, col in enumerate(mat._cols):
@@ -976,18 +895,19 @@ def _unit_pivot_reduce_by_rows(mat: IntMatrix) -> Tuple[int, IntMatrix]:
         if r < 0:
             continue  # out of the queue until an update touches it
         del cols[c]
+        col.discard(r)
         row = rows.pop(r)
         u = row.pop(c)
         for j in row:
             cols[j].discard(r)
         k += 1
         items = tuple(row.items())
+        pcol = {}
         for t in col:
-            if t == r:
-                continue
             rt = rows[t]
             get = rt.get
-            q = rt.pop(c) * u
+            a = pcol[t] = rt.pop(c)
+            q = a * u
             for j, v in items:
                 x = get(j)
                 if x is None:
@@ -1018,33 +938,25 @@ def _unit_pivot_reduce_by_rows(mat: IntMatrix) -> Tuple[int, IntMatrix]:
             else:
                 del cols[j]
                 queued.pop(j, None)
-    return k, _residual(rows)[0]
-
-
-def _residual(cols: Dict[int, Dict[int, int]]) -> Tuple[IntMatrix, List[int], List[int]]:
-    """Internal: the matrix of the live working columns `cols` (index ->
-    {row: entry}) in index order, on the rows they touch, with those rows
-    and the columns' indices."""
+        if pivots is not None:
+            pivots.append((r, c, u, row, pcol))
+    row_ids = sorted(rows)
     left = sorted(cols)
-    row_ids = sorted({i for j in left for i in cols[j]})
-    index = {i: t for t, i in enumerate(row_ids)}
-    rest = [{index[i]: x for i, x in cols[j].items()} for j in left]
-    return IntMatrix._from_sparse_columns(rest, len(index)), row_ids, left
+    index = {j: t for t, j in enumerate(left)}
+    rest: List[Dict[int, int]] = [{} for _ in left]
+    for t, i in enumerate(row_ids):
+        for j, x in rows[i].items():
+            rest[index[j]][t] = x
+    return k, IntMatrix._from_sparse_columns(rest, len(row_ids)), row_ids, left
 
 
 def _smith_split(a: IntMatrix) -> Tuple[int, List[int]]:
     """Internal: (k, invariants of R) for `a ~ I_k (+) R`, computed on the
     first call and memoized on `a` (`IntMatrix._smith`).  The list is the
-    memo's own; callers do not mutate it.
-
-    A wide matrix (at least twice as many columns as rows) is fronted
-    along its rows (`_unit_pivot_reduce_by_rows`), any other along its
-    columns (`_unit_pivot_reduce`); R is then that of a^T or of a, whose
-    invariants are the same.  The memo holds them for `a` either way."""
+    memo's own; callers do not mutate it."""
     memo = a._smith
     if memo is None:
-        wide = a.cols >= 2 * a.rows
-        k, rest = (_unit_pivot_reduce_by_rows if wide else _unit_pivot_reduce)(a)
+        k, rest, _, _ = _unit_pivot_reduce(a)
         eng = _Eliminator(rest)
         eng.diagonalize()
         eng.make_divisible()
@@ -1061,14 +973,12 @@ def smith_invariants(a: IntMatrix) -> List[int]:
     invariants are 1 (k times) followed by R's.  This is the unit-pivot
     front of J.-G. Dumas, B. D. Saunders and G. Villard, "On efficient
     sparse integer matrix Smith normal form computations", J. Symbolic
-    Comput. 32 (2001).  A wide matrix (columns >= 2 rows) is eliminated
-    along its rows (`_unit_pivot_reduce_by_rows`), where each update
-    walks a long row into a few others, and any other along its columns
-    (`_unit_pivot_reduce`).  The side does not change the result: Smith
-    invariants are unique, those of a and a^T are the same, and so the
-    result is that of the dense engine on `a`.  The pair (k, R's
-    invariants) is memoized on `a`, so later calls on the same matrix,
-    here or in `rank_z`, do no elimination."""
+    Comput. 32 (2001), run by `_unit_pivot_reduce`, the one front that
+    `IntSolver` runs too.  Smith invariants are unique, so which pivots
+    the front takes does not change the result: it is that of the dense
+    engine on `a`.  The pair (k, R's invariants) is memoized on `a`, so
+    later calls on the same matrix, here or in `rank_z`, do no
+    elimination."""
     k, rest = _smith_split(a)
     return [1] * k + rest
 
@@ -1091,13 +1001,14 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
 class IntSolver:
     """Repeated exact solving of a*x == b for a fixed integer matrix a.
 
-    The unit pivots are split off sparsely (`_unit_pivot_reduce`, keeping
-    the pivots) and only the residual is eliminated densely, with its
-    transforms.  A right-hand side is reduced by the pivots' row
-    eliminations, in pivot order; it must then vanish on the rows that are
-    neither pivot rows nor residual rows, the residual system is solved by
-    the transforms, and the pivots are back-substituted in reverse order,
-    x_c = u (b_r - sum_j row_r[j] x_j)."""
+    The unit pivots are split off sparsely by the front that Smith
+    invariants use (`_unit_pivot_reduce`, keeping the pivots), and only the
+    residual is eliminated densely, with its transforms.  A right-hand
+    side is reduced by the pivots' row eliminations, in pivot order; it
+    must then vanish on the rows that are neither pivot rows nor residual
+    rows, the residual system is solved by the transforms, and the pivots
+    are back-substituted in reverse order, x_c = u (b_r - sum_j row_r[j]
+    x_j).  The pivots only choose which solution a solvable system gets."""
 
     def __init__(self, a: IntMatrix):
         self.m, self.n = a.rows, a.cols
@@ -1150,7 +1061,7 @@ class IntSolver:
             out[j] = s
         for r, c, u, row, _col in reversed(self._pivots):
             s = b[r]
-            for j, a in row:
+            for j, a in row.items():
                 x = out[j]
                 if x:
                     s -= a * x

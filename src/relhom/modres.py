@@ -742,7 +742,6 @@ def _minimize_generators(group: FiniteGroup, act, vectors: Sequence[Sequence[int
 def resolve(
     m: GModule,
     length: int,
-    minimize: bool = True,
     rank_cap: int = DEFAULT_RANK_CAP,
 ) -> FreeResolution:
     """Free resolution of a lattice module by iterated kernel covers."""
@@ -750,16 +749,15 @@ def resolve(
         raise ValidationError("resolve expects a lattice module without relations")
     G = m.group
     basis = [[1 if i == j else 0 for i in range(m.rank)] for j in range(m.rank)]
-    gens0 = _minimize_generators(G, m.act, basis, m.rank) if minimize else basis
+    gens0 = _minimize_generators(G, m.act, basis, m.rank)
     _check_budget("resolution term 0", G.order * len(gens0), rank_cap)
     res = FreeResolution(G, m, [len(gens0)], [gens0], label=f"resolve({m.label})")
-    return _extend_resolution(res, length, minimize, rank_cap)
+    return _extend_resolution(res, length, rank_cap=rank_cap)
 
 
 def _extend_resolution(
     res: FreeResolution,
     length: int,
-    minimize: bool = True,
     rank_cap: int = DEFAULT_RANK_CAP,
 ) -> FreeResolution:
     """`res` continued by kernel covers through term `length`, as `resolve`
@@ -777,11 +775,7 @@ def _extend_resolution(
         ker = kernel_basis(prev)
         cols = ker.columns()
         free_prev = GModule.free(G, out.free_ranks[k - 1])
-        gens = (
-            _minimize_generators(G, free_prev.act, cols, ker.rows)
-            if minimize
-            else cols
-        )
+        gens = _minimize_generators(G, free_prev.act, cols, ker.rows)
         _check_budget(f"resolution term {k}", G.order * len(gens), rank_cap)
         out.free_ranks.append(len(gens))
         out.gen_images.append(gens)

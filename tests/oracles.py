@@ -19,10 +19,8 @@
   in every degree: the reference for `HomologyData`, which reads its group
   from the sparse unit-pivot front and runs the dense engine only when the
   group is nonzero;
-- `listing_unit_pivot_reduce` and `CopyingLatticeAccumulator`, the sparse
-  kernels as they were before the pivot search was tightened and lattice
-  reduction ran in place: the references for bit-identical pivots,
-  residuals and lattice bases;
+- `CopyingLatticeAccumulator`, the lattice kernel as it was before
+  reduction ran in place: the reference for identical lattice bases;
 - `bar_resolution`, `cellular_chain_modules`, `lift_is_chain_map_check`
   (through `is_chain_lift`) and `validate_acyclic`: routes and checks that
   nothing in the library calls, kept as references for the tests;
@@ -34,7 +32,6 @@
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
@@ -461,84 +458,7 @@ class DenseHomologyData:
 
 
 # ---------------------------------------------------------------------------
-# The sparse kernels as they were before in-place reduction
-
-
-def listing_unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
-    """(k, R) with `mat` equivalent over Z to I_k (+) R, as
-    `exactla._unit_pivot_reduce` computed it before its loop was tightened:
-    the unit rows listed and the shortest taken by `min` with a key.
-
-    Sparse elimination on unit pivots: take the shortest live column that
-    has a +-1 entry, pivot on the shortest row among its unit entries, and
-    replace the rest by its Schur complement, which stays integral since the
-    pivot is a unit.  A column without a unit waits until an update gives it
-    one.  R holds the nonzero columns left, on the rows they touch.
-
-    With a list `pivots`, each pivot is appended as (r, c, u, row, col):
-    its row, column and unit entry, row r off the pivot as (j, entry) pairs
-    and column c off the pivot as a dict, all as they stood when it was
-    taken; the result is then (k, R, R's rows, R's columns), the last two
-    as indices into `mat`.  The elimination works on copies of `mat`'s
-    columns, so `mat` is left as it was."""
-    cols = {j: dict(c) for j, c in enumerate(mat._cols) if c}
-    rows: Dict[int, set] = {}
-    for j, col in cols.items():
-        for i in col:
-            rows.setdefault(i, set()).add(j)
-    heap = [(len(col), j) for j, col in cols.items()]
-    heapify(heap)
-    parked = set()
-    k = 0
-    while heap:
-        n, c = heappop(heap)
-        col = cols.get(c)
-        if col is None or len(col) != n:
-            continue
-        units = [i for i, x in col.items() if x == 1 or x == -1]
-        if not units:
-            parked.add(c)
-            continue
-        r = min(units, key=lambda i: (len(rows[i]), i))
-        u = col.pop(r)
-        del cols[c]
-        for i in col:
-            rows[i].discard(c)
-        k += 1
-        prow = []
-        for j in rows.pop(r):
-            if j == c:
-                continue
-            cj = cols[j]
-            before = len(cj)
-            a = cj.pop(r)
-            prow.append((j, a))
-            q = a * u
-            for i, v in col.items():
-                w = cj.get(i, 0) - q * v
-                if w:
-                    if i not in cj:
-                        rows[i].add(j)
-                    cj[i] = w
-                else:
-                    del cj[i]
-                    rows[i].discard(j)
-            if not cj:
-                del cols[j]
-                parked.discard(j)
-            elif j in parked or len(cj) != before:
-                parked.discard(j)
-                heappush(heap, (len(cj), j))
-        if pivots is not None:
-            pivots.append((r, c, u, prow, col))
-    left = sorted(cols)
-    row_ids = sorted({i for j in left for i in cols[j]})
-    index = {i: t for t, i in enumerate(row_ids)}
-    rest = [{index[i]: x for i, x in cols[j].items()} for j in left]
-    residual = IntMatrix._from_sparse_columns(rest, len(index))
-    if pivots is None:
-        return k, residual
-    return k, residual, row_ids, left
+# The lattice kernel as it was before in-place reduction
 
 
 class CopyingLatticeAccumulator(LatticeAccumulator):

@@ -60,6 +60,31 @@ def test_constructors_refuse_entries_that_are_not_integers(build, where):
         build()
 
 
+@pytest.mark.parametrize("j", [-1, -2, 2, 5])
+def test_column_indices_outside_the_matrix_raise(j):
+    a = IntMatrix([[1, 2], [3, 4]])
+    with pytest.raises(IndexError, match=f"^column {j} outside a matrix of 2 columns$"):
+        a.entry(0, j)
+    with pytest.raises(IndexError, match=f"^column {j} outside a matrix of 2 columns$"):
+        a.column(j)
+    with pytest.raises(IndexError, match="^row -1 outside a matrix of 2 rows$"):
+        a.entry(-1, 0)
+    assert (a.entry(1, 0), a.column(1)) == (3, (2, 4))
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True, "2"])
+def test_scale_refuses_scalars_that_are_not_integers(k):
+    with pytest.raises(ValidationError, match=f"^scalar is not an integer: {k!r}$"):
+        IntMatrix([[1, 2], [3, 4]]).scale(k)
+
+
+def test_scale_by_an_integer():
+    a = IntMatrix([[1, 2], [3, 4]])
+    assert a.scale(-3) == IntMatrix([[-3, -6], [-9, -12]])
+    assert a.scale(0) == IntMatrix.zeros(2, 2) and a.scale(0).is_zero()
+    assert -a == a.scale(-1) and a - a == IntMatrix.zeros(2, 2)
+
+
 def test_constructors_keep_large_integers_exact():
     big = 3 ** 80 + 1
     assert IntMatrix([[big, -big]]).entry(0, 1) == -big

@@ -1,7 +1,7 @@
 """Property tests of the Smith engine against sympy as an independent
 oracle, on small integer matrices, and of the sparse unit-pivot front of
 `smith_invariants` and `rank_z` against sympy and the dense engine run
-directly: along the columns, and along the rows for wide matrices."""
+directly, on unit-heavy, unit-free, empty, wide and tall matrices."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 
 import relhom as R  # noqa: E402
 from relhom import IntMatrix  # noqa: E402
-from relhom.exactla import _Eliminator, _unit_pivot_reduce, _unit_pivot_reduce_by_rows  # noqa: E402
+from relhom.exactla import _Eliminator, _unit_pivot_reduce  # noqa: E402
 
 
 @st.composite
@@ -106,13 +106,17 @@ def _check_front(a):
     assert inv == dense_inv
     assert R.rank_z(a) == dense_rank == len(inv)
     assert inv == _sympy_invariants(a)
-    for front in (_unit_pivot_reduce, _unit_pivot_reduce_by_rows):
-        k, rest = front(a)
-        assert k <= min(a.rows, a.cols)
-        assert not any(x in (1, -1) for row in rest.data for x in row)
-        assert all(any(row) for row in rest.data)
-        assert all(any(rest.column(j)) for j in range(rest.cols))
-        assert [1] * k + _dense(rest)[0] == inv
+    k, rest, rows, cols = _unit_pivot_reduce(a)
+    assert k <= min(a.rows, a.cols)
+    assert not any(x in (1, -1) for row in rest.data for x in row)
+    assert all(any(row) for row in rest.data)
+    assert all(any(rest.column(j)) for j in range(rest.cols))
+    assert [1] * k + _dense(rest)[0] == inv
+    # R in `a`'s orientation, on rows and columns of `a` the pivots left
+    assert rest.shape == (len(rows), len(cols))
+    assert rows == sorted(set(rows)) and cols == sorted(set(cols))
+    assert all(0 <= i < a.rows for i in rows) and all(0 <= j < a.cols for j in cols)
+    assert k + len(rows) <= a.rows and k + len(cols) <= a.cols
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from relhom import IntSolver  # noqa: E402
 
 from oracles import DenseSolver  # noqa: E402
-from test_smith_properties import EMPTY, NO_UNITS, UNIT_HEAVY  # noqa: E402
+from test_smith_properties import EMPTY, NO_UNITS, TALL, UNIT_HEAVY, WIDE  # noqa: E402
 
 
 @st.composite
@@ -49,6 +49,18 @@ def test_solver_on_unit_heavy_matrices(system):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(systems(NO_UNITS))
 def test_solver_on_matrices_without_units(system):
+    _check_solver(*system)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(systems(WIDE))
+def test_solver_on_wide_matrices(system):
+    _check_solver(*system)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(systems(TALL))
+def test_solver_on_tall_matrices(system):
     _check_solver(*system)
 
 

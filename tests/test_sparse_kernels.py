@@ -1,10 +1,11 @@
-"""The exact sparse kernels against the versions they replaced
-(`tests/oracles.py`): the unit-pivot front with its tightened pivot search
-must give bit-identical pivots and residuals, dict orders included, and the
-in-place lattice reduction must give identical bases and remainders without
-touching its arguments.  The Smith invariants memoized on an `IntMatrix`
-must read the same through `smith_invariants` and `rank_z`, and a caller
-that mutates the list it gets must not change the next answer."""
+"""The exact sparse kernels.  The unit-pivot front must leave its matrix
+alone, give the same result with and without a pivot list, and record
+pivots that replay its elimination step by step under its pivot rule.  The
+in-place lattice reduction must give the same bases and remainders as the
+copying version it replaced (`tests/oracles.py`) without touching its
+arguments.  The Smith invariants memoized on an `IntMatrix` must read the
+same through `smith_invariants` and `rank_z`, and a caller that mutates the
+list it gets must not change the next answer."""
 
 import pytest
 
@@ -16,44 +17,71 @@ import relhom as R  # noqa: E402
 from relhom import IntMatrix  # noqa: E402
 from relhom.exactla import LatticeAccumulator, _unit_pivot_reduce  # noqa: E402
 
-from oracles import CopyingLatticeAccumulator, listing_unit_pivot_reduce  # noqa: E402
-from test_smith_properties import EMPTY, NO_UNITS, UNIT_HEAVY  # noqa: E402
+from oracles import CopyingLatticeAccumulator  # noqa: E402
+from test_smith_properties import EMPTY, NO_UNITS, TALL, UNIT_HEAVY, WIDE  # noqa: E402
 
-
-@st.composite
-def wide_matrices(draw):
-    """0..4 rows and at least twice as many columns, mostly 0 and +-1."""
-    rows = draw(st.integers(0, 4))
-    cols = draw(st.integers(2 * rows, 2 * rows + 12))
-    row = st.lists(st.sampled_from([0, 0, 0, 1, -1, 1, 2, -2]), min_size=cols, max_size=cols)
-    return IntMatrix(draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
-
-
-MATRICES = st.one_of(UNIT_HEAVY, NO_UNITS, EMPTY, wide_matrices())
+MATRICES = st.one_of(UNIT_HEAVY, NO_UNITS, EMPTY, WIDE, TALL)
 
 
 def _signature(mat):
     return mat.shape, [list(col.items()) for col in mat._cols]
 
 
-def _pivot_signature(pivots):
-    return [(r, c, u, list(row), list(col.items())) for r, c, u, row, col in pivots]
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(MATRICES)
+def test_unit_pivot_front_is_the_same_with_and_without_a_pivot_list(a):
+    before = _signature(a)
+    pivots = []
+    k1, rest1, rows1, cols1 = _unit_pivot_reduce(a, pivots)
+    assert _signature(a) == before
+    k2, rest2, rows2, cols2 = _unit_pivot_reduce(a)
+    assert len(pivots) == k1
+    assert (k2, _signature(rest2), rows2, cols2) == (k1, _signature(rest1), rows1, cols1)
+    assert _signature(a) == before
+
+
+def _replay(a, pivots):
+    """`a` densely eliminated along `pivots`, each record checked against
+    the working matrix, and each pivot against the rule: the shortest live
+    column with a unit entry, the shortest row among its units, the least
+    row on a tie.  Returns the working matrix and the live rows and
+    columns."""
+    work = a.to_rows()
+    live_rows, live_cols = set(range(a.rows)), set(range(a.cols))
+
+    def col_len(j):
+        return sum(1 for i in live_rows if work[i][j])
+
+    def row_len(i):
+        return sum(1 for j in live_cols if work[i][j])
+
+    for r, c, u, row, col in pivots:
+        assert r in live_rows and c in live_cols
+        assert u in (1, -1) and work[r][c] == u
+        assert sorted(row.items()) == [(j, work[r][j]) for j in sorted(live_cols) if j != c and work[r][j]]
+        assert col == {i: work[i][c] for i in live_rows if i != r and work[i][c]}
+        unit_cols = [j for j in live_cols if any(work[i][j] in (1, -1) for i in live_rows)]
+        assert col_len(c) == min(map(col_len, unit_cols))
+        units = [i for i in live_rows if work[i][c] in (1, -1)]
+        assert (row_len(r), r) == min((row_len(i), i) for i in units)
+        for i in col:
+            q = work[i][c] * u
+            work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+        live_rows.discard(r)
+        live_cols.discard(c)
+    return work, live_rows, live_cols
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(MATRICES)
-def test_unit_pivot_front_is_bit_identical_to_the_listing_kernel(a):
-    before = _signature(a)
-    old_pivots, new_pivots = [], []
-    k0, rest0, rows0, cols0 = listing_unit_pivot_reduce(a, old_pivots)
-    k1, rest1, rows1, cols1 = _unit_pivot_reduce(a, new_pivots)
-    assert k1 == k0
-    assert _signature(rest1) == _signature(rest0)
-    assert (rows1, cols1) == (rows0, cols0)
-    assert _pivot_signature(new_pivots) == _pivot_signature(old_pivots)
-    k2, rest2 = _unit_pivot_reduce(a)
-    assert (k2, _signature(rest2)) == (k0, _signature(rest0))
-    assert _signature(a) == before
+def test_pivot_record_replays_the_elimination(a):
+    pivots = []
+    k, rest, rows, cols = _unit_pivot_reduce(a, pivots)
+    work, live_rows, live_cols = _replay(a, pivots)
+    assert rows == sorted(i for i in live_rows if any(work[i][j] for j in live_cols))
+    assert cols == sorted(j for j in live_cols if any(work[i][j] for i in live_rows))
+    assert rest.to_rows() == [[work[i][j] for j in cols] for i in rows]
+    assert not any(work[i][j] in (1, -1) for i in live_rows for j in live_cols)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
