@@ -78,13 +78,6 @@ def test_scale_refuses_scalars_that_are_not_integers(k):
         IntMatrix([[1, 2], [3, 4]]).scale(k)
 
 
-def test_scale_by_an_integer():
-    a = IntMatrix([[1, 2], [3, 4]])
-    assert a.scale(-3) == IntMatrix([[-3, -6], [-9, -12]])
-    assert a.scale(0) == IntMatrix.zeros(2, 2) and a.scale(0).is_zero()
-    assert -a == a.scale(-1) and a - a == IntMatrix.zeros(2, 2)
-
-
 def test_constructors_keep_large_integers_exact():
     big = 3 ** 80 + 1
     assert IntMatrix([[big, -big]]).entry(0, 1) == -big
