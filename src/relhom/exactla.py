@@ -35,6 +35,26 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
+def _check_vector(vec: Sequence[int], what: str):
+    """Refuse a vector with an entry that is not an integer (`_is_int`),
+    such as 1.5, 2.0, True or "2", with ValidationError."""
+    if not set(map(type, vec)) <= {int}:
+        for i, x in enumerate(vec):
+            if not _is_int(x):
+                raise ValidationError(f"{what} entry {i} is not an integer: {x!r}")
+
+
+def _check_ranks(ranks: Sequence[int], lo: int = 0) -> List[int]:
+    """The ranks of degrees lo, lo + 1, ... as a list of ints; a rank that
+    is not a non-negative integer raises ValidationError naming its
+    degree, rather than being truncated."""
+    out = list(ranks)
+    for n, r in enumerate(out, start=lo):
+        if not _is_int(r) or r < 0:
+            raise ValidationError(f"rank at degree {n} is not a non-negative integer: {r!r}")
+    return [int(r) for r in out]
+
+
 def _entry(x, i: int, j: int) -> int:
     """Internal: matrix entry x at (i, j), not a plain int, as an int; one
     that is not an integer (`_is_int`), such as 1.5 or 2.0, raises
@@ -192,6 +212,7 @@ class IntMatrix:
     def apply(self, vec: Sequence[int]) -> List[int]:
         if len(vec) != self.cols:
             raise ValidationError("vector length mismatch")
+        _check_vector(vec, "vector")
         out = [0] * self.rows
         for col, x in zip(self._cols, vec):
             if x:
@@ -1028,6 +1049,7 @@ class IntSolver:
         if len(b) != self.m:
             raise ValidationError("right-hand side length mismatch")
         b = list(b)
+        _check_vector(b, "right-hand side")
         for r, _c, u, _row, col in self._pivots:
             t = b[r]
             if t:
@@ -1361,7 +1383,7 @@ class ChainComplex:
         validate: bool = True,
     ):
         self.lo = lo
-        self.ranks = list(int(r) for r in ranks)
+        self.ranks = _check_ranks(ranks, lo)
         self.hi = lo + len(self.ranks) - 1
         self._boundaries = dict(boundaries)
         for n, mat in self._boundaries.items():
@@ -1600,7 +1622,7 @@ class PresentedComplex:
         relation_blocks: Optional[Dict[int, List[Tuple[int, IntMatrix]]]] = None,
     ):
         self.lo = lo
-        self.ranks = [int(r) for r in ranks]
+        self.ranks = _check_ranks(ranks, lo)
         self.hi = lo + len(self.ranks) - 1
         self._boundaries = dict(boundaries)
         self._relations: Dict[int, IntMatrix] = {}

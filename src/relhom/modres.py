@@ -13,7 +13,9 @@ from .exactla import (
     LatticeAccumulator,
     PresentedComplex,
     FgAbGroup,
+    _check_ranks,
     _combine,
+    _is_int,
     _sparse_apply,
     kernel_basis,
     product_gaps,
@@ -54,6 +56,8 @@ class GModule:
     ):
         if (perms is None) == (mats is None):
             raise ValidationError("provide exactly one of perms or mats")
+        if not _is_int(rank) or rank < 0:
+            raise ValidationError(f"module rank is not a non-negative integer: {rank!r}")
         self.group = group
         self.rank = int(rank)
         self._perms = tuple(tuple(p) for p in perms) if perms is not None else None
@@ -399,12 +403,45 @@ def restriction(m: GModule, h: Subgroup) -> GModule:
 # Free resolutions
 
 
-class FreeResolution:
-    """Resolution of a module by free Z[G]-modules.
+def _checked_entries(image, k: int, j: int, prev_rank: int, order: int) -> tuple:
+    """Generator j's degree-k image as sorted orbit entries, checked as
+    `FreeResolution` says."""
+    where = f"degree {k} generator {j}"
+    try:
+        # tuple() keeps a given tuple, so entries stay shared with their source
+        entries = tuple(sorted(map(tuple, image)))
+        last = None
+        for i, h, c in entries:
+            if not (_is_int(i) and 0 <= i < prev_rank):
+                raise ValidationError(f"{where}: generator {i!r} outside F_{k - 1} of rank {prev_rank}")
+            if not (_is_int(h) and 0 <= h < order):
+                raise ValidationError(f"{where}: element {h!r} outside a group of order {order}")
+            if not (_is_int(c) and c):
+                raise ValidationError(f"{where}: coefficient {c!r} is not a nonzero integer")
+            if (i, h) == last:
+                raise ValidationError(f"{where}: entry ({i}, {h}) given twice")
+            last = (i, h)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: not a list of (generator, element, coeff) entries") from None
+    return entries
 
-    Degree-k boundaries are stored by their values on the free generators
-    (vectors in the Z-basis (i, g) -> i*|G| + g of the previous term) and
-    materialized to full matrices on demand.
+
+class FreeResolution:
+    """Resolution of a module by free Z[G]-modules F_k = Z[G]^{r_k}.
+
+    ``gen_images[0][j]`` is the image of generator j of F_0, a vector of
+    the module's lattice.  For k >= 1, ``gen_images[k][j]``, the boundary
+    of generator j of F_k, is a tuple of orbit entries (i, h, c), meaning
+    c h e_i in F_{k-1}: c is a nonzero integer, each (i, h) occurs once,
+    and the entries are sorted.  Each generator is an orbit with trivial
+    stabilizer, so these are the entries `tensor_orbit_complex` reads; g
+    moves (i, h, c) to (i, g h, c).  Matrices, in the Z-basis
+    (i, h) -> i*|G| + h, are materialized on demand.
+
+    The constructor sorts each image and refuses with ValidationError,
+    naming the degree and the generator, a generator outside F_{k-1}, an
+    element outside G, a coefficient that is 0 or not an integer, or an
+    (i, h) given twice.
     """
 
     def __init__(
@@ -412,13 +449,18 @@ class FreeResolution:
         group: FiniteGroup,
         module: GModule,
         free_ranks: Sequence[int],
-        gen_images: Sequence[Sequence[Sequence[int]]],
+        gen_images: Sequence[Sequence[Sequence]],
         label: str = "",
     ):
         self.group = group
         self.module = module
-        self.free_ranks = [int(r) for r in free_ranks]
-        self.gen_images = [[list(v) for v in level] for level in gen_images]
+        self.free_ranks = ranks = _check_ranks(free_ranks)
+        if [len(level) for level in gen_images] != ranks:
+            raise ValidationError(f"generator images do not match the free ranks {ranks}")
+        self.gen_images = [[list(v) for v in level] for level in gen_images[:1]] + [
+            [_checked_entries(v, k, j, ranks[k - 1], group.order) for j, v in enumerate(level)]
+            for k, level in enumerate(gen_images[1:], start=1)
+        ]
         self.label = label
         self._matrix_cache: Dict[int, IntMatrix] = {}
 
@@ -455,10 +497,9 @@ class FreeResolution:
         G = self.group
         n = G.order
         cols = []
-        for base in self.gen_images[k]:
-            entries = [(*divmod(idx, n), c) for idx, c in enumerate(base) if c]
+        for entries in self.gen_images[k]:
             for row_g in G.table:
-                cols.append({i * n + row_g[hh]: c for i, hh, c in entries})
+                cols.append({i * n + row_g[h]: c for i, h, c in entries})
         return IntMatrix._from_sparse_columns(cols, self.z_rank(k - 1))
 
     def validate(self, exactness_cap: int = VALIDATION_RANK_CAP):
@@ -612,27 +653,15 @@ def tensor_orbit_complex(
     return PresentedComplex(0, ranks, bounds, rel_blocks)
 
 
-def free_orbit_entries(
-    columns: Sequence[Sequence[int]], order: int
-) -> List[List[Tuple[int, int, int]]]:
-    """Vectors of a free module Z[G]^r, in the basis (i, h) -> i*|G| + h,
-    as sparse (orbit i, transporter h, coeff) entries."""
-    return [
-        [(*divmod(idx, order), c) for idx, c in enumerate(col) if c]
-        for col in columns
-    ]
-
-
 def tensor_free_resolution(res: FreeResolution, m: GModule) -> PresentedComplex:
     """The complex res tensor_Z[G] M: each free generator is an orbit with
-    trivial stabilizer (see tensor_orbit_complex)."""
+    trivial stabilizer, and the resolution's generator images are already
+    the orbit entries `tensor_orbit_complex` reads."""
     if m.group is not res.group:
         raise ValidationError("module over a different group")
     trivial = res.group.trivial_subgroup()
     return tensor_orbit_complex(
-        [[trivial] * r for r in res.free_ranks],
-        [free_orbit_entries(level, res.group.order) for level in res.gen_images[1:]],
-        m,
+        [[trivial] * r for r in res.free_ranks], res.gen_images[1:], m
     )
 
 
@@ -778,7 +807,7 @@ def _extend_resolution(
         gens = _minimize_generators(G, free_prev.act, cols, ker.rows)
         _check_budget(f"resolution term {k}", G.order * len(gens), rank_cap)
         out.free_ranks.append(len(gens))
-        out.gen_images.append(gens)
+        out.gen_images.append([_orbit_entries(_sparse(v), G.order) for v in gens])
     return out
 
 
@@ -802,18 +831,10 @@ def cyclic_resolution(group: FiniteGroup, length: int) -> FreeResolution:
     n = group.order
     if group.subgroup_generated([1]).order != n:
         raise ValidationError("cyclic_resolution needs a cyclic group generated by element 1")
-    triv = GModule.trivial(group)
-    gen_images: List[List[List[int]]] = [[[1]]]
-    free_ranks = [1]
-    t_minus_1 = [0] * n
-    t_minus_1[1] += 1
-    t_minus_1[0] -= 1
-    norm = [1] * n
-    for k in range(1, length + 1):
-        gen_images.append([list(t_minus_1 if k % 2 else norm)])
-        free_ranks.append(1)
+    t_minus_1, norm = ((0, 0, -1), (0, 1, 1)), tuple((0, h, 1) for h in range(n))
+    images = [[[1]]] + [[t_minus_1 if k % 2 else norm] for k in range(1, length + 1)]
     return FreeResolution(
-        group, triv, free_ranks, gen_images, label=f"cyclic({group.label})"
+        group, GModule.trivial(group), [1] * (length + 1), images, label=f"cyclic({group.label})"
     )
 
 
@@ -844,7 +865,7 @@ def takasu_resolution(
     # degree 0: tuples (e, g) with g outside H, mapping onto gH - H
     tuples0 = [(g,) for g in range(n) if g not in hset]
     index_prev: Dict[Tuple[int, ...], int] = {t: i for i, t in enumerate(tuples0)}
-    gen_images: List[List[List[int]]] = [[]]
+    gen_images: list = [[]]
     for (g,) in tuples0:
         col = [0] * (cs.size - 1)
         col[cs.coset_of[g] - 1] = 1
@@ -852,15 +873,15 @@ def takasu_resolution(
     free_ranks = [len(tuples0)]
     for k in range(1, length + 1):
         tuples = [t for t in _it.product(range(n), repeat=k + 1) if kept(t)]
-        level: List[List[int]] = []
-        prev_rank = n * free_ranks[k - 1]
+        level = []
         for rest in tuples:
-            col = [0] * prev_rank
+            image: Dict[Tuple[int, int], int] = {}
             for rest2, translate, sign in _bar_faces(G, rest):
                 idx = index_prev.get(rest2)
                 if idx is not None:  # faces inside one coset are collapsed
-                    col[idx * n + translate] += sign
-            level.append(col)
+                    key = (idx, translate)
+                    image[key] = image.get(key, 0) + sign
+            level.append([(i, h, c) for (i, h), c in image.items() if c])
         gen_images.append(level)
         free_ranks.append(len(tuples))
         index_prev = {t: i for i, t in enumerate(tuples)}
@@ -878,33 +899,13 @@ def induce_resolution(res_h: FreeResolution, h: Subgroup) -> FreeResolution:
         raise ValidationError("resolution is not over the given subgroup")
     if res_h.module.rank != 1 or not res_h.module.is_constant():
         raise ValidationError("induction is implemented for the trivial module")
-    n = G.order
-    nh = hgrp.order
     std = standard_modules(h)
-    gen_images: List[List[List[int]]] = []
     # augmentation: generator j maps to a_j * (identity coset)
-    level0 = []
-    for j in range(res_h.free_ranks[0]):
-        a = res_h.gen_images[0][j][0]
-        col = [0] * std.perm.rank
-        col[0] = a
-        level0.append(col)
-    gen_images.append(level0)
-    for k in range(1, res_h.length + 1):
-        level = []
-        prev_rank = n * res_h.free_ranks[k - 1]
-        for j in range(res_h.free_ranks[k]):
-            col = [0] * prev_rank
-            for idx, c in enumerate(res_h.gen_images[k][j]):
-                if c:
-                    i, hh = divmod(idx, nh)
-                    col[i * n + embed[hh]] = c
-            level.append(col)
-        gen_images.append(level)
-    return FreeResolution(
-        G, std.perm, list(res_h.free_ranks), gen_images,
-        label=f"ind({res_h.label})",
-    )
+    images = [[[v[0]] + [0] * (std.perm.rank - 1) for v in res_h.gen_images[0]]] + [
+        [[(i, embed[h], c) for i, h, c in image] for image in level]
+        for level in res_h.gen_images[1:]
+    ]
+    return FreeResolution(G, std.perm, res_h.free_ranks, images, label=f"ind({res_h.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -919,26 +920,24 @@ def _dense(vec: Dict[int, int], size: int) -> List[int]:
     return [vec.get(i, 0) for i in range(size)]
 
 
-def _sparse_level(level: Sequence[Sequence[int]], order: int):
-    """Generator images of a map out of a free module, each as sparse
-    (i * |G|, h, coeff) entries of the basis (i, h) -> i*|G| + h."""
-    return [
-        [(idx - idx % order, idx % order, c) for idx, c in enumerate(col) if c]
-        for col in level
-    ]
+def _orbit_entries(vec: Dict[int, int], order: int, sign: int = 1) -> tuple:
+    """A sparse vector of a free module, on the basis (i, h) -> i*|G| + h,
+    times `sign`, as sorted orbit entries (i, h, c) (see `FreeResolution`)."""
+    return tuple((*divmod(idx, order), sign * c) for idx, c in sorted(vec.items()))
 
 
-def _free_apply(group: FiniteGroup, entries, vec):
+def _free_apply(group: FiniteGroup, images, vec):
     """The equivariant map of free modules that sends generator i to the
-    sparse entries[i] (see `_sparse_level`), applied to the sparse `vec`:
-    g e_i goes to g entries[i], moving (k, h) to (k, g h)."""
+    orbit entries images[i], applied to the sparse `vec` (both on the basis
+    (i, h) -> i*|G| + h): g e_i goes to g images[i], moving (k, h) to
+    (k, g h)."""
     order, table = group.order, group.table
     out: dict = {}
     for idx, c in vec.items():
         i, g = divmod(idx, order)
         row = table[g]
-        for base, h, v in entries[i]:
-            key = base + row[h]
+        for k, h, v in images[i]:
+            key = k * order + row[h]
             out[key] = out.get(key, 0) + c * v
     return {key: v for key, v in out.items() if v}
 
@@ -953,7 +952,6 @@ class _ResolutionTarget:
     def __init__(self, res: FreeResolution, bottom: IntMatrix):
         self.res = res
         self.bottom = bottom
-        self._entries: Dict[int, list] = {}
         self._solvers: Dict[int, IntSolver] = {}
 
     def act(self, n: int, g: int, vec):
@@ -968,12 +966,7 @@ class _ResolutionTarget:
     def boundary(self, n: int, vec):
         if n == 0:
             return _sparse_apply(self.bottom._cols, vec)
-        entries = self._entries.get(n)
-        if entries is None:
-            entries = self._entries[n] = _sparse_level(
-                self.res.gen_images[n], self.res.group.order
-            )
-        return _free_apply(self.res.group, entries, vec)
+        return _free_apply(self.res.group, self.res.gen_images[n], vec)
 
     def preimage(self, n: int, rhs):
         solver = self._solvers.get(n)
@@ -995,14 +988,11 @@ def _lift_image(p: FreeResolution, target, comps, n: int, j: int):
     image = p.gen_images[n][j]
     if n == 0:
         return _sparse(image)
-    order = p.group.order
     prev = comps[n - 1]
     out: dict = {}
-    for idx, c in enumerate(image):
-        if c:
-            i, g = divmod(idx, order)
-            for key, v in target.act(n - 1, g, prev[i]).items():
-                out[key] = out.get(key, 0) + c * v
+    for i, g, c in image:
+        for key, v in target.act(n - 1, g, prev[i]).items():
+            out[key] = out.get(key, 0) + c * v
     return {key: v for key, v in out.items() if v}
 
 
@@ -1031,7 +1021,10 @@ def _chain_lift(p: FreeResolution, target, length: int) -> list:
 
 class HorseshoeData:
     """Resolution of Z[G/H] assembled from resolutions of the augmentation
-    kernel and of Z, together with the connecting components."""
+    kernel and of Z, together with the connecting components.
+
+    ``h_gen_images[k - 1][j]`` (k >= 1) is h_k of Z-side generator j of
+    degree k, in F^I_{k-1}, as orbit entries (see `FreeResolution`)."""
 
     __slots__ = ("middle", "res_i", "res_z", "h_gen_images")
 
@@ -1040,7 +1033,7 @@ class HorseshoeData:
         middle: FreeResolution,
         res_i: FreeResolution,
         res_z: FreeResolution,
-        h_gen_images: List[List[List[int]]],  # h_k on the Z-side generators, k >= 1
+        h_gen_images: List[List[tuple]],
     ):
         self.middle = middle
         self.res_i = res_i
@@ -1133,7 +1126,12 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
     along res_i with iota alpha as its degree-0 boundary:
     h_k = (-1)^k phi_{k-1}.  A failure names the stage of phi.  The middle
     resolution keeps that lift's solvers on res_i for its own preimage
-    step (`_HorseshoeTarget`)."""
+    step (`_HorseshoeTarget`).
+
+    The middle holds the I-side generators first, with their res_i
+    images.  A Z-side image of degree k >= 1 is its h_k entries followed
+    by its res_z entries, shifted past the I-side generators of degree
+    k - 1.  All of these are orbit entries (see `FreeResolution`)."""
     G = res_i.group
     n = G.order
     length = min(res_i.length, res_z.length)
@@ -1142,7 +1140,7 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
     emb = std.embedding.matrix
     # sigma: F^Z_0 generator j |-> beta_j * (identity coset) lifts the
     # augmentation of Z through Z[G/H] -> Z
-    betas = [res_z.gen_images[0][j][0] for j in range(res_z.free_ranks[0])]
+    betas = [v[0] for v in res_z.gen_images[0]]
 
     def sigma(vec):
         out: dict = {}
@@ -1153,18 +1151,16 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
         return {key: v for key, v in out.items() if v}
 
     # iota . alpha : F^I_0 -> Z[G/H]
-    ia_cols = []
-    for j in range(res_i.free_ranks[0]):
-        base = emb.apply(res_i.gen_images[0][j])
-        for g in range(n):
-            ia_cols.append(perm.act(g, base))
-    ia_matrix = IntMatrix.from_columns(ia_cols, rows=perm.rank)
+    ia_bases = [emb.apply(v) for v in res_i.gen_images[0]]
+    ia_matrix = IntMatrix.from_columns(
+        [perm.act(g, base) for base in ia_bases for g in range(n)], rows=perm.rank
+    )
 
     shifted = FreeResolution(
         G,
         perm,
         res_z.free_ranks[1 : length + 1],
-        [[_dense(sigma(_sparse(v)), perm.rank) for v in level] for level in res_z.gen_images[1:2]]
+        [[_dense(sigma({i * n + h: c for i, h, c in v}), perm.rank) for v in res_z.gen_images[1]]]
         + res_z.gen_images[2 : length + 1],
     )
     i_side = _ResolutionTarget(res_i, ia_matrix)
@@ -1176,53 +1172,34 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
         ) from None
     # h_{k+1} = -phi_k for even k, +phi_k for odd k
     h_gen_images = [
-        [[c if k % 2 else -c for c in _dense(x, res_i.z_rank(k))] for x in level]
-        for k, level in enumerate(phi)
+        [_orbit_entries(x, n, 1 if k % 2 else -1) for x in level] for k, level in enumerate(phi)
     ]
 
     # assemble the middle resolution
     mid_ranks = [res_i.free_ranks[k] + res_z.free_ranks[k] for k in range(length + 1)]
-    mid_gens: List[List[List[int]]] = []
-    level0 = []
-    for j in range(res_i.free_ranks[0]):
-        level0.append(emb.apply(res_i.gen_images[0][j]))
-    level0.extend([beta] + [0] * (perm.rank - 1) for beta in betas)
-    mid_gens.append(level0)
+    mid_gens = [ia_bases + [[beta] + [0] * (perm.rank - 1) for beta in betas]]
     for k in range(1, length + 1):
-        ri_prev, rz_prev = res_i.free_ranks[k - 1], res_z.free_ranks[k - 1]
-        prev_rank = n * (ri_prev + rz_prev)
-        level = []
-        for j in range(res_i.free_ranks[k]):
-            col = [0] * prev_rank
-            for idx, c in enumerate(res_i.gen_images[k][j]):
-                if c:
-                    col[idx] = c
-            level.append(col)
-        for j in range(res_z.free_ranks[k]):
-            col = [0] * prev_rank
-            for idx, c in enumerate(h_gen_images[k - 1][j]):
-                if c:
-                    col[idx] = c
-            off = n * ri_prev
-            for idx, c in enumerate(res_z.gen_images[k][j]):
-                if c:
-                    col[off + idx] = c
-            level.append(col)
-        mid_gens.append(level)
-    middle = _HorseshoeMiddle(
-        G, perm, mid_ranks, mid_gens, i_side, res_z, sigma,
-        [_sparse_level(level, n) for level in h_gen_images],
-    )
+        off = res_i.free_ranks[k - 1]
+        mid_gens.append(
+            res_i.gen_images[k]
+            + [
+                hk + tuple((off + i, h, c) for i, h, c in z)
+                for hk, z in zip(h_gen_images[k - 1], res_z.gen_images[k])
+            ]
+        )
+    middle = _HorseshoeMiddle(G, perm, mid_ranks, mid_gens, i_side, res_z, sigma, h_gen_images)
     return HorseshoeData(middle, res_i, res_z, h_gen_images)
 
 
 def lift_over_resolution(
     src: FreeResolution, tgt: FreeResolution, bottom: IntMatrix
-) -> List[List[List[int]]]:
-    """Generator columns of a chain map src -> tgt lifting `bottom` between
-    the resolved modules; requires tgt to be exact (a resolution).  It is
-    the chain lift of src, with its degree-0 images pushed through
-    `bottom`, along tgt's own preimage step (`FreeResolution.lift_target`)."""
+) -> List[List[tuple]]:
+    """Generator images of a chain map src -> tgt lifting `bottom` between
+    the resolved modules; requires tgt to be exact (a resolution).
+    ``[k][j]`` is the image of generator j of src's degree-k term in tgt's,
+    as orbit entries (i, h, c) (see `FreeResolution`).  It is the chain
+    lift of src, with its degree-0 images pushed through `bottom`, along
+    tgt's own preimage step (`FreeResolution.lift_target`)."""
     if src.group is not tgt.group:
         raise ValidationError("resolutions over different groups")
     length = min(src.length, tgt.length)
@@ -1233,7 +1210,7 @@ def lift_over_resolution(
         [[bottom.apply(v) for v in src.gen_images[0]]] + src.gen_images[1 : length + 1],
     )
     lift = _chain_lift(pushed, tgt.lift_target(), length + 1)
-    return [[_dense(x, tgt.z_rank(k)) for x in level] for k, level in enumerate(lift)]
+    return [[_orbit_entries(x, src.group.order) for x in level] for level in lift]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .modres import (
     GModule,
     cached_resolution,
     coinvariants,
-    free_orbit_entries,
     horseshoe,
     induce_resolution,
     lift_over_resolution,
@@ -593,15 +592,12 @@ def verify_takasu_les(
         raise ValidationError(
             f"Shapiro lift v (induced resolution -> horseshoe resolution): {exc}"
         ) from None
-    n_ord = G.order
-    # chi = projection of v onto the Z-side generators
-    chi_cols: List[List[List[int]]] = []
-    for k in range(len(v_cols)):
-        ri = res_i.free_ranks[k]
-        level = []
-        for col in v_cols[k]:
-            level.append(col[n_ord * ri :])
-        chi_cols.append(level)
+    # chi = projection of v onto the Z-side generators, which the middle
+    # term holds after its ri I-side ones
+    chi_cols = [
+        [tuple((i - ri, g, c) for i, g, c in col if i >= ri) for col in level]
+        for level, ri in zip(v_cols, res_i.free_ranks)
+    ]
     ti = res_i.tensor(m)
     tm = mid.tensor(m)
     tz = res_z.tensor(m)
@@ -611,9 +607,7 @@ def verify_takasu_les(
 
     def free_map(cols, target_rank):
         # generator images of a map between free modules, tensored with M
-        return orbit_map_matrix(
-            free_orbit_entries(cols, n_ord), [trivial] * len(cols), [trivial] * target_rank, m
-        )
+        return orbit_map_matrix(cols, [trivial] * len(cols), [trivial] * target_rank, m)
 
     incl_comps = {}
     proj_comps = {}

@@ -59,6 +59,7 @@ from relhom.modres import (
     _check_budget,
     _dense,
     _lift_image,
+    _orbit_entries,
     _sparse,
     coinvariant_relations,
     standard_modules,
@@ -155,7 +156,7 @@ def solver_resolution_target(res: FreeResolution, bottom: IntMatrix) -> SolverTa
 
 def solver_lift_over_resolution(
     src: FreeResolution, tgt: FreeResolution, bottom: IntMatrix
-) -> List[List[List[int]]]:
+) -> List[List[tuple]]:
     """`modres.lift_over_resolution` with an IntSolver on each of tgt's
     boundary matrices (and its augmentation) for the preimages, whatever
     preimage step tgt keeps: on the horseshoe resolution, this eliminates
@@ -169,7 +170,7 @@ def solver_lift_over_resolution(
     )
     target = solver_resolution_target(tgt, tgt.augmentation_matrix())
     lift = _chain_lift(pushed, target, length + 1)
-    return [[_dense(x, tgt.z_rank(k)) for x in level] for k, level in enumerate(lift)]
+    return [[_orbit_entries(x, src.group.order) for x in level] for level in lift]
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +206,11 @@ def reference_lift_c4c2(length: int = 5) -> ReferenceLift:
     n = g4.order
     # source: rank-one free modules; d_odd = mult by -(1+t),
     # d_even = mult by 1 - t + t^2 - t^3; augmentation b |-> tH - H
-    gen_images: List[List[List[int]]] = [[[1]]]
-    free_ranks = [1]
-    odd = [0] * n
-    odd[0] -= 1
-    odd[1] -= 1
-    even = [1, -1, 1, -1]
-    for k in range(1, length + 1):
-        gen_images.append([list(odd if k % 2 else even)])
-        free_ranks.append(1)
+    odd = [(0, 0, -1), (0, 1, -1)]
+    even = [(0, h, (-1) ** h) for h in range(n)]
+    gen_images = [[[1]]] + [[odd if k % 2 else even] for k in range(1, length + 1)]
     p_ref = FreeResolution(
-        g4, std.i_module, free_ranks, gen_images, label="reference"
+        g4, std.i_module, [1] * (length + 1), gen_images, label="reference"
     )
     # target: W_n = Z[G/H] with boundaries alternating (t-1)H and (1+t)H,
     # starting with (t-1)H corestricted to the augmentation kernel
@@ -513,7 +508,7 @@ def bar_resolution(
     alternating face-deletion boundary."""
     n = group.order
     triv = GModule.trivial(group)
-    gen_images: List[List[List[int]]] = [[[1]]]
+    gen_images: list = [[[1]]]
     free_ranks = [1]
     prev_index: Dict[Tuple[int, ...], int] = {(): 0}
     for k in range(1, length + 1):
@@ -523,13 +518,13 @@ def bar_resolution(
             rank_cap,
         )
         tuples = list(itertools.product(range(n), repeat=k))
-        level: List[List[int]] = []
-        prev_rank = n * free_ranks[k - 1]
+        level = []
         for rest in tuples:
-            col = [0] * prev_rank
+            image: Dict[Tuple[int, int], int] = {}
             for rest2, translate, sign in _bar_faces(group, rest):
-                col[prev_index[rest2] * n + translate] += sign
-            level.append(col)
+                key = (prev_index[rest2], translate)
+                image[key] = image.get(key, 0) + sign
+            level.append([(i, h, c) for (i, h), c in image.items() if c])
         gen_images.append(level)
         free_ranks.append(len(tuples))
         prev_index = {t: i for i, t in enumerate(tuples)}

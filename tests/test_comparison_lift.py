@@ -120,9 +120,11 @@ def test_solver_lift_differs_from_the_cone_lift(solver_lifts):
 
 def test_non_cycle_generator_image_names_its_stage(monkeypatch, c4, c4_c2):
     good = R.comparison(c4_c2, GModule.trivial(c4), [TOP]).resolution
-    images = [[list(v) for v in level] for level in good.gen_images]
+    images = [list(level) for level in good.gen_images]
     # d_1 of this image is d_1 of the first degree-1 generator, not zero
-    images[2][0][0] += 1
+    coeffs = {(i, h): c for i, h, c in images[2][0]}
+    coeffs[0, 0] = coeffs.get((0, 0), 0) + 1
+    images[2][0] = [(i, h, c) for (i, h), c in coeffs.items() if c]
     bad = FreeResolution(c4, good.module, good.free_ranks, images, label="broken")
     monkeypatch.setattr(pairhom, "cached_resolution", lambda *_args: bad)
     with pytest.raises(ValidationError, match="no integral lift at stage 2"):

@@ -78,6 +78,28 @@ def test_scale_refuses_scalars_that_are_not_integers(k):
         IntMatrix([[1, 2], [3, 4]]).scale(k)
 
 
+@pytest.mark.parametrize("x", [1.5, 2.0, True, "2"])
+def test_apply_refuses_vector_entries_that_are_not_integers(x):
+    with pytest.raises(ValidationError, match=f"^vector entry 0 is not an integer: {x!r}$"):
+        IntMatrix([[1, 2], [3, 4]]).apply([x, 0])
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, True, "2"])
+def test_solve_refuses_right_hand_sides_that_are_not_integers(x):
+    solver = R.IntSolver(IntMatrix([[1, 2], [3, 4]]))
+    with pytest.raises(ValidationError, match=f"^right-hand side entry 1 is not an integer: {x!r}$"):
+        solver.solve([1, x])
+
+
+@pytest.mark.parametrize("ranks", [[1.7, 2.2], [1, True], [1, "2"], [1, -1]])
+@pytest.mark.parametrize("cls", [ChainComplex, PresentedComplex])
+def test_complexes_refuse_ranks_that_are_not_non_negative_integers(cls, ranks):
+    with pytest.raises(
+        ValidationError, match=rf"^rank at degree {3 if ranks[0] == 1 else 2} is not a non-negative"
+    ):
+        cls(2, ranks, {})
+
+
 def test_constructors_keep_large_integers_exact():
     big = 3 ** 80 + 1
     assert IntMatrix([[big, -big]]).entry(0, 1) == -big

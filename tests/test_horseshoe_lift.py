@@ -121,18 +121,17 @@ def test_verify_keeps_the_memo_lean(pair):
         assert res.length not in res._matrix_cache
 
 
-def _equivariant(group, gen_cols, rows):
+def _equivariant(group, gen_images, rows):
     """The Z-matrix of the equivariant map out of Z[G]^s whose generator j
-    goes to gen_cols[j], a vector of Z[G]^r in the basis (i, h) -> i*|G| + h."""
+    goes to gen_images[j], orbit entries (i, h, c) of Z[G]^r, in the basis
+    (i, h) -> i*|G| + h."""
     n = group.order
     cols = []
-    for base in gen_cols:
+    for entries in gen_images:
         for g in range(n):
             col = [0] * rows
-            for idx, c in enumerate(base):
-                if c:
-                    i, hh = divmod(idx, n)
-                    col[i * n + group.table[g][hh]] = c
+            for i, hh, c in entries:
+                col[i * n + group.table[g][hh]] = c
             cols.append(col)
     return IntMatrix.from_columns(cols, rows=rows)
 
@@ -190,8 +189,8 @@ def test_verify_builds_no_solver_on_the_middle(monkeypatch, pair):
 def _broken(res, degree):
     """res with its degree-`degree` generators doubled: still a complex,
     no longer exact at degree - 1."""
-    images = [[list(v) for v in level] for level in res.gen_images]
-    images[degree] = [[2 * c for c in v] for v in images[degree]]
+    images = list(res.gen_images)
+    images[degree] = [[(i, h, 2 * c) for i, h, c in v] for v in images[degree]]
     return R.FreeResolution(res.group, res.module, res.free_ranks, images, label="broken")
 
 

@@ -115,9 +115,9 @@ def test_chain_complex_refuses_boundary_squared_nonzero():
 def test_free_resolution_validate_refuses_both_laws(c2):
     # over C2 = {1, t}: t - 1 in degree 1, and the norm 1 + t in degree 2
     triv = GModule.trivial(c2)
-    t_minus_1, norm = [-1, 1], [1, 1]
+    t_minus_1, norm = [(0, 0, -1), (0, 1, 1)], [(0, 0, 1), (0, 1, 1)]
     FreeResolution(c2, triv, [1, 1, 1], [[[1]], [t_minus_1], [norm]]).validate()
-    bad_d1 = FreeResolution(c2, triv, [1, 1], [[[1]], [[1, 0]]])
+    bad_d1 = FreeResolution(c2, triv, [1, 1], [[[1]], [[(0, 0, 1)]]])
     with pytest.raises(ValidationError, match="^augmentation does not kill the first boundary$"):
         bad_d1.validate()
     bad_d2 = FreeResolution(c2, triv, [1, 1, 1], [[[1]], [t_minus_1], [t_minus_1]])
@@ -129,7 +129,9 @@ def test_free_resolution_validate_refuses_an_inexact_stage(c2):
     # d2 = 2 (1 + t) composes to zero with d1 = t - 1, but misses the
     # cycle 1 + t of d1
     triv = GModule.trivial(c2)
-    res = FreeResolution(c2, triv, [1, 1, 1], [[[1]], [[-1, 1]], [[2, 2]]])
+    res = FreeResolution(
+        c2, triv, [1, 1, 1], [[[1]], [[(0, 0, -1), (0, 1, 1)]], [[(0, 0, 2), (0, 1, 2)]]]
+    )
     with pytest.raises(ValidationError, match="^resolution not exact at stage 1$"):
         res.validate()
 

@@ -3,7 +3,7 @@ import re
 import pytest
 
 import relhom as R
-from relhom import GModule, IntMatrix
+from relhom import GModule, IntMatrix, modres
 from relhom.errors import BudgetError, ValidationError
 
 from conftest import cyclic_homology_list
@@ -138,7 +138,7 @@ def test_tensor_unit(c4):
     # a free map given by the identity generator column tensors to the identity
     reg_res = R.FreeResolution(
         c4, GModule.regular(c4), [1, 1],
-        [[[1, 0, 0, 0]], [[1, 0, 0, 0]]],
+        [[[1, 0, 0, 0]], [[(0, 0, 1)]]],
     )
     m = GModule.from_generator_action(c4, {1: IntMatrix([[-1]])})
     cx = reg_res.tensor(m)
@@ -203,18 +203,17 @@ def test_restriction(s3, s3_transposition):
         assert R.group_homology(hgrp, res, n).is_trivial()
 
 
-def _equivariant(group, gen_cols, rows):
+def _equivariant(group, gen_images, rows):
     """The Z-matrix of the equivariant map out of Z[G]^s whose generator j
-    goes to gen_cols[j], a vector of Z[G]^r in the basis (i, h) -> i*|G| + h."""
+    goes to gen_images[j], orbit entries (i, h, c) of Z[G]^r, in the basis
+    (i, h) -> i*|G| + h."""
     n = group.order
     cols = []
-    for base in gen_cols:
+    for entries in gen_images:
         for g in range(n):
             col = [0] * rows
-            for idx, c in enumerate(base):
-                if c:
-                    i, h = divmod(idx, n)
-                    col[i * n + group.table[g][h]] = c
+            for i, h, c in entries:
+                col[i * n + group.table[g][h]] = c
             cols.append(col)
     return IntMatrix.from_columns(cols, rows=rows)
 
@@ -267,9 +266,11 @@ def test_horseshoe_and_lift(c4_c2, s3_transposition):
 def test_tor_side_non_cycle_generator_image_names_its_stage(c4, c4_c2):
     std = R.standard_modules(c4_c2)
     good = R.resolve(GModule.trivial(c4), 3)
-    images = [[list(v) for v in level] for level in good.gen_images]
+    images = [list(level) for level in good.gen_images]
     # d_1 of this image is d_1 of the first degree-1 generator, not zero
-    images[2][0][0] += 1
+    coeffs = {(i, h): c for i, h, c in images[2][0]}
+    coeffs[0, 0] = coeffs.get((0, 0), 0) + 1
+    images[2][0] = [(i, h, c) for (i, h), c in coeffs.items() if c]
     bad = R.FreeResolution(c4, good.module, good.free_ranks, images, label="broken")
     with pytest.raises(ValidationError, match="no integral lift at stage 2"):
         R.lift_over_resolution(bad, good, IntMatrix.identity(1))
@@ -301,13 +302,11 @@ def _dense_resolution_matrices(res):
     for k in range(1, res.length + 1):
         rows = res.z_rank(k - 1)
         cols = []
-        for base in res.gen_images[k]:
+        for entries in res.gen_images[k]:
             for g in range(n):
                 col = [0] * rows
-                for idx, c in enumerate(base):
-                    if c:
-                        i, hh = divmod(idx, n)
-                        col[i * n + G.table[g][hh]] = c
+                for i, hh, c in entries:
+                    col[i * n + G.table[g][hh]] = c
                 cols.append(col)
         bounds.append(IntMatrix.from_columns(cols, rows=rows))
     return aug, bounds
@@ -330,3 +329,110 @@ def test_resolution_matrices_match_the_dense_build(c4, c4_c2, s3, s3_transpositi
             assert mine.shape == want.shape
             # the stored columns hold no zero and no row outside the matrix
             assert all(x and 0 <= i < mine.rows for col in mine._cols for i, x in col.items())
+
+
+@pytest.mark.parametrize("rank", [1.8, True, "1", -1])
+def test_gmodule_refuses_ranks_that_are_not_non_negative_integers(c2, rank):
+    with pytest.raises(ValidationError, match=f"^module rank is not a non-negative integer: {rank!r}$"):
+        GModule(c2, rank, perms=[(0,), (0,)])
+
+
+@pytest.mark.parametrize("rank", [1.5, True, -2])
+def test_free_resolution_refuses_ranks_that_are_not_non_negative_integers(c2, rank):
+    images = [[[1]], [[(0, 1, 1)]]]
+    with pytest.raises(ValidationError, match=f"^rank at degree 1 is not a non-negative integer: {rank!r}$"):
+        R.FreeResolution(c2, GModule.trivial(c2), [1, rank], images)
+    with pytest.raises(ValidationError, match="^rank at degree 0 is not"):
+        R.FreeResolution(c2, GModule.trivial(c2), [-2], [[]])
+
+
+# Each refusal of the FreeResolution constructor, on a degree-2 image over
+# C2 whose degree-1 term has rank 1 (generator 0 of degree 2 is t - 1).
+@pytest.mark.parametrize(
+    "image,message",
+    [
+        ([(1, 0, 1)], "generator 1 outside F_1 of rank 1"),
+        ([(-1, 0, 1)], "generator -1 outside F_1 of rank 1"),
+        ([(True, 0, 1)], "generator True outside F_1 of rank 1"),
+        ([(0, 2, 1)], "element 2 outside a group of order 2"),
+        ([(0, -1, 1)], "element -1 outside a group of order 2"),
+        ([(0, 1.0, 1)], "element 1.0 outside a group of order 2"),
+        ([(0, 0, 0)], "coefficient 0 is not a nonzero integer"),
+        ([(0, 0, 1.5)], "coefficient 1.5 is not a nonzero integer"),
+        ([(0, 0, 2.0)], "coefficient 2.0 is not a nonzero integer"),
+        ([(0, 0, True)], "coefficient True is not a nonzero integer"),
+        ([(0, 0, "2")], "coefficient '2' is not a nonzero integer"),
+        ([(0, 1, 1), (0, 1, -1)], r"entry \(0, 1\) given twice"),
+        ([(0, 1)], r"not a list of \(generator, element, coeff\) entries"),
+        ([1, -1], r"not a list of \(generator, element, coeff\) entries"),
+    ],
+)
+def test_free_resolution_refuses_each_bad_entry(c2, image, message):
+    good = [(0, 0, -1), (0, 1, 1)]
+    images = [[[1]], [good], [good, image]]
+    with pytest.raises(ValidationError, match=f"^degree 2 generator 1: {message}$"):
+        R.FreeResolution(c2, GModule.trivial(c2), [1, 1, 2], images)
+
+
+def test_free_resolution_refuses_images_that_do_not_match_the_ranks(c2):
+    images = [[[1]], [[(0, 1, 1)]]]
+    with pytest.raises(ValidationError, match=r"^generator images do not match the free ranks \[1, 2\]$"):
+        R.FreeResolution(c2, GModule.trivial(c2), [1, 2], images)
+    with pytest.raises(ValidationError, match=r"^generator images do not match the free ranks \[1\]$"):
+        R.FreeResolution(c2, GModule.trivial(c2), [1], images)
+
+
+def test_free_resolution_sorts_and_freezes_its_images(c2):
+    image = [(0, 1, 1), (0, 0, -1)]
+    res = R.FreeResolution(c2, GModule.trivial(c2), [1, 1], [[[1]], [image]])
+    image.append((0, 0, 5))
+    assert res.gen_images[1] == [((0, 0, -1), (0, 1, 1))]
+
+
+def _assert_entries(images, rank, order):
+    """Every image is a tuple of orbit entries (i, h, c) of Z[G]^rank:
+    i and h in range, c a nonzero int, (i, h) strictly increasing."""
+    for image in images:
+        assert isinstance(image, tuple)
+        keys = [(i, h) for i, h, _c in image]
+        assert keys == sorted(set(keys))
+        for i, h, c in image:
+            assert type(i) is int and 0 <= i < rank
+            assert type(h) is int and 0 <= h < order
+            assert type(c) is int and c
+
+
+def test_every_builder_stores_sorted_orbit_entries(c4, c4_c2, s3, s3_transposition):
+    memo_module = R.standard_modules(s3_transposition).i_module
+    s3.memo.clear()
+    short = modres.cached_resolution(memo_module, 2)
+    extended = modres.cached_resolution(memo_module, 4)
+    assert extended.gen_images[:3] == short.gen_images
+    std = R.standard_modules(c4_c2)
+    hgrp, _ = R.subgroup_as_group(c4_c2)
+    ind = R.induce_resolution(R.resolve(GModule.trivial(hgrp), 3), c4_c2)
+    horse = R.horseshoe(R.resolve(std.i_module, 3), R.resolve(GModule.trivial(c4), 3), std)
+    resolutions = [
+        R.resolve(GModule.regular(c4), 2),
+        short,
+        extended,
+        R.takasu_resolution(c4_c2, 2),
+        R.takasu_resolution(s3_transposition, 2),
+        ind,
+        R.cyclic_resolution(c4, 3),
+        R.cyclic_resolution(R.cyclic_group(2), 3),
+        horse.middle,
+        bar_resolution(s3, 2),
+    ]
+    for res in resolutions:
+        n = res.group.order
+        for k in range(1, res.length + 1):
+            _assert_entries(res.gen_images[k], res.free_ranks[k - 1], n)
+        aug, bounds = _dense_resolution_matrices(res)
+        got = [res.augmentation_matrix()] + [res.boundary_matrix(k) for k in range(1, res.length + 1)]
+        assert got == [aug] + bounds, res
+    for k, level in enumerate(horse.h_gen_images, start=1):
+        _assert_entries(level, horse.res_i.free_ranks[k - 1], 4)
+    v = R.lift_over_resolution(ind, horse.middle, IntMatrix.identity(std.perm.rank))
+    for k, level in enumerate(v):
+        _assert_entries(level, horse.middle.free_ranks[k], 4)
