@@ -487,11 +487,15 @@ def product_gaps(
 
 
 class _Eliminator:
-    """Row/column elimination with optional transform tracking.
+    """Dense row/column elimination with optional transform tracking.
 
     Maintains D = R * A * C where R, C are unimodular.  Optionally tracks R,
     Rinv, C, Cinv, and mirrors Cinv's row operations onto an external matrix
     (keeping mirror = Cinv @ B for an initial B).
+
+    One algorithm: `diagonalize` alternates reduced echelon passes until D
+    is diagonal (Kannan-Bachem), then `make_divisible` makes the divisibility
+    chain.
     """
 
     def __init__(
@@ -610,49 +614,6 @@ class _Eliminator:
             mj, ml = self.mirror[j], self.mirror[l]
             self.mirror[l] = [b - q * a for a, b in zip(mj, ml)]
 
-    def col_pair(self, j: int, l: int, x: int, y: int, u: int, w: int):
-        """(col_j, col_l) <- (x cj + y cl, u cj + w cl); requires det == 1.
-
-        The column transform F has F[j][j]=x, F[l][j]=y, F[j][l]=u,
-        F[l][l]=w, so F^-1 acts on rows as (rj, rl) <- (w rj - u rl,
-        -y rj + x rl)."""
-        for row in self.s:
-            a, b = row[j], row[l]
-            row[j] = x * a + y * b
-            row[l] = u * a + w * b
-        if self.c is not None:
-            for row in self.c:
-                a, b = row[j], row[l]
-                row[j] = x * a + y * b
-                row[l] = u * a + w * b
-        if self.cinv is not None:
-            cj, cl = self.cinv[j], self.cinv[l]
-            self.cinv[j] = [w * a - u * b for a, b in zip(cj, cl)]
-            self.cinv[l] = [-y * a + x * b for a, b in zip(cj, cl)]
-        if self.mirror is not None:
-            mj, ml = self.mirror[j], self.mirror[l]
-            self.mirror[j] = [w * a - u * b for a, b in zip(mj, ml)]
-            self.mirror[l] = [-y * a + x * b for a, b in zip(mj, ml)]
-
-    # -- pivoting
-
-    def _find_pivot(self, k: int) -> Optional[Tuple[int, int]]:
-        # smallest nonzero absolute value; ties broken by lowest (row, col)
-        best = None
-        best_abs = 0
-        for i in range(k, self.m):
-            row = self.s[i]
-            for j in range(k, self.n):
-                v = row[j]
-                if v:
-                    a = -v if v < 0 else v
-                    if a == 1:
-                        return (i, j)
-                    if best is None or a < best_abs:
-                        best = (i, j)
-                        best_abs = a
-        return best
-
     def _row_echelon_pass(self):
         """Row echelon with pivots moved onto the diagonal and entries above
         each pivot reduced into [0, pivot); keeps entries minor-bounded."""
@@ -734,17 +695,26 @@ class _Eliminator:
         return True
 
     def diagonalize(self):
-        """Diagonalize by alternating reduced echelon passes (entries stay
-        bounded by minor sizes), with a direct pivot-clearing fallback."""
-        for _ in range(80):
+        """Diagonalize S by alternating reduced row and column echelon
+        passes until S is diagonal, then make the pivots positive.
+
+        The loop ends on every integer matrix (R. Kannan and A. Bachem,
+        "Polynomial algorithms for computing the Smith and Hermite normal
+        forms of an integer matrix", SIAM J. Comput. 8 (1979) 499-507).  A
+        row pass leaves the leading live pivot equal to the gcd of its
+        column, and the next column pass replaces it by the gcd of its row,
+        a divisor.  A round that leaves it unchanged has cleared its row and
+        column off the diagonal, and no later pass touches them again.  So
+        each pivot strictly decreases in the divisibility order until it is
+        isolated, and induction on the remaining submatrix ends the loop.
+        The reductions into [0, pivot) keep entries bounded by minors."""
+        while True:
             self._row_echelon_pass()
             if self._is_diagonal():
                 break
             self._col_echelon_pass()
             if self._is_diagonal():
                 break
-        else:
-            self._diagonalize_by_clearing()
         s = self.s
         k = 0
         while k < min(self.m, self.n) and s[k][k]:
@@ -752,42 +722,6 @@ class _Eliminator:
                 self.row_neg(k)
             k += 1
         self.rank = k
-
-    def _diagonalize_by_clearing(self):
-        s, m, n = self.s, self.m, self.n
-        k = 0
-        while k < m and k < n:
-            piv = self._find_pivot(k)
-            if piv is None:
-                break
-            self.row_swap(piv[0], k)
-            self.col_swap(piv[1], k)
-            while True:
-                for i in range(k + 1, m):
-                    b = s[i][k]
-                    if not b:
-                        continue
-                    a = s[k][k]
-                    if b % a == 0:
-                        self.row_axpy(i, k, -(b // a))
-                    else:
-                        g, x, y = xgcd(a, b)
-                        self.row_pair(k, i, x, y, -(b // g), a // g)
-                for j in range(k + 1, n):
-                    b = s[k][j]
-                    if not b:
-                        continue
-                    a = s[k][k]
-                    if b % a == 0:
-                        self.col_axpy(j, k, -(b // a))
-                    else:
-                        g, x, y = xgcd(a, b)
-                        self.col_pair(k, j, x, y, -(b // g), a // g)
-                if not any(s[i][k] for i in range(k + 1, m)) and not any(
-                    s[k][j] for j in range(k + 1, n)
-                ):
-                    break
-            k += 1
 
     def make_divisible(self):
         s = self.s

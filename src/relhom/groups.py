@@ -8,6 +8,7 @@ import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
+from .exactla import _check_vector, _is_int
 
 
 class FiniteGroup:
@@ -25,10 +26,11 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise ValidationError("empty multiplication table")
-        tab = tuple(tuple(int(x) for x in row) for row in table)
+        tab = tuple(tuple(row) for row in table)
         for i, row in enumerate(tab):
             if len(row) != n:
                 raise ValidationError(f"row {i} of multiplication table has wrong length")
+            _check_vector(row, f"multiplication table row {i}")
             for x in row:
                 if not (0 <= x < n):
                     raise ValidationError(f"table entry {x} out of range")
@@ -102,6 +104,7 @@ class FiniteGroup:
 
     def subgroup_generated(self, gens: Iterable[int]) -> "Subgroup":
         gens = list(gens)
+        _check_vector(gens, "subgroup generator")
         for g in gens:
             if not 0 <= g < self.order:
                 raise ValidationError(
@@ -149,7 +152,9 @@ class Subgroup:
     __slots__ = ("parent", "elements", "eset")
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[int]):
-        elts = tuple(sorted(set(int(x) for x in elements)))
+        elts = tuple(elements)
+        _check_vector(elts, "subgroup element")
+        elts = tuple(sorted(set(elts)))
         if not elts or elts[0] != 0:
             raise ValidationError("subgroup must contain the identity")
         if elts[-1] >= parent.order:
@@ -337,9 +342,14 @@ class SubgroupFamily:
 # Constructors
 
 
+def _check_parameter(n, what: str):
+    """Refuse a group parameter that is not an integer >= 1, naming it."""
+    if not _is_int(n) or n < 1:
+        raise ValidationError(f"{what} must be an integer >= 1, got {n!r}")
+
+
 def cyclic_group(n: int) -> FiniteGroup:
-    if n < 1:
-        raise ValidationError("cyclic group order must be >= 1")
+    _check_parameter(n, "cyclic group order")
     return FiniteGroup(
         [[(a + b) % n for b in range(n)] for a in range(n)], label=f"C{n}"
     )
@@ -347,8 +357,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n; index = i + n*j for r^i s^j."""
-    if n < 1:
-        raise ValidationError("dihedral parameter must be >= 1")
+    _check_parameter(n, "dihedral parameter")
 
     def enc(i: int, j: int) -> int:
         return i % n + n * (j % 2)
@@ -367,8 +376,7 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """Permutations of {0..n-1} in lexicographic order; (p*q)(x) = p(q(x))."""
-    if n < 1:
-        raise ValidationError("symmetric group degree must be >= 1")
+    _check_parameter(n, "symmetric group degree")
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = [
@@ -393,11 +401,15 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 def group_from_permutations(generators: Sequence[Sequence[int]], degree: Optional[int] = None) -> FiniteGroup:
     """Closure of permutation generators acting on {0..degree-1}."""
-    gens = [tuple(int(x) for x in g) for g in generators]
+    gens = [tuple(g) for g in generators]
+    for k, g in enumerate(gens):
+        _check_vector(g, f"permutation generator {k}")
     if degree is None:
         if not gens:
             raise ValidationError("need a degree when no generators are given")
         degree = len(gens[0])
+    elif not _is_int(degree) or degree < 0:
+        raise ValidationError(f"permutation degree must be a non-negative integer, got {degree!r}")
     for g in gens:
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise ValidationError(

@@ -982,10 +982,10 @@ class _ResolutionTarget:
         return None if sol is None else _sparse(sol)
 
 
-def _lift_image(p: FreeResolution, target, comps, n: int, j: int):
+def _lift_image(images, target, comps, n: int, j: int):
     """What generator j of P_n must map onto: its degree-0 image as given
     for n = 0, else phi_{n-1}(d e_j) from the components lifted so far."""
-    image = p.gen_images[n][j]
+    image = images[n][j]
     if n == 0:
         return _sparse(image)
     prev = comps[n - 1]
@@ -996,10 +996,12 @@ def _lift_image(p: FreeResolution, target, comps, n: int, j: int):
     return {key: v for key, v in out.items() if v}
 
 
-def _chain_lift(p: FreeResolution, target, length: int) -> list:
+def _chain_lift(images, target, length: int) -> list:
     """The one chain-lift loop: lift a complex P of free modules, given by
-    its generators' images, along an exact target complex augmented to the
-    module that P's degree-0 images lie in, in degrees 0..length-1.
+    its generators' images in the layout of `FreeResolution.gen_images`
+    (degree-0 vectors, then orbit entries), along an exact target complex
+    augmented to the module that P's degree-0 images lie in, in degrees
+    0..length-1.
     phi_n(e) is target.preimage of phi_{n-1}(d e); the target supplies the
     preimage step (a contracting homotopy or a solver), its boundary and
     its G-action on sparse vectors.  Each column is checked
@@ -1010,8 +1012,8 @@ def _chain_lift(p: FreeResolution, target, length: int) -> list:
     for n in range(length):
         level: list = []
         comps.append(level)
-        for j in range(p.free_ranks[n]):
-            rhs = _lift_image(p, target, comps, n, j)
+        for j in range(len(images[n])):
+            rhs = _lift_image(images, target, comps, n, j)
             x = target.preimage(n, rhs)
             if x is None or target.boundary(n, x) != rhs:
                 raise ValidationError(f"no integral lift at stage {n}")
@@ -1156,13 +1158,10 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
         [perm.act(g, base) for base in ia_bases for g in range(n)], rows=perm.rank
     )
 
-    shifted = FreeResolution(
-        G,
-        perm,
-        res_z.free_ranks[1 : length + 1],
-        [[_dense(sigma({i * n + h: c for i, h, c in v}), perm.rank) for v in res_z.gen_images[1]]]
-        + res_z.gen_images[2 : length + 1],
-    )
+    # res_z shifted down one degree, with sigma(d e) as its degree-0 images
+    shifted = [
+        [_dense(sigma({i * n + h: c for i, h, c in v}), perm.rank) for v in res_z.gen_images[1]]
+    ] + res_z.gen_images[2 : length + 1]
     i_side = _ResolutionTarget(res_i, ia_matrix)
     try:
         phi = _chain_lift(shifted, i_side, length)
@@ -1203,12 +1202,7 @@ def lift_over_resolution(
     if src.group is not tgt.group:
         raise ValidationError("resolutions over different groups")
     length = min(src.length, tgt.length)
-    pushed = FreeResolution(
-        src.group,
-        tgt.module,
-        src.free_ranks[: length + 1],
-        [[bottom.apply(v) for v in src.gen_images[0]]] + src.gen_images[1 : length + 1],
-    )
+    pushed = [[bottom.apply(v) for v in src.gen_images[0]]] + src.gen_images[1 : length + 1]
     lift = _chain_lift(pushed, tgt.lift_target(), length + 1)
     return [[_orbit_entries(x, src.group.order) for x in level] for level in lift]
 

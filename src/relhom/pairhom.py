@@ -310,12 +310,13 @@ class _ConeTarget:
         return _cone(rhs)
 
 
-def _lift_along_exact_target(p: FreeResolution, target, length: int) -> list:
+def _lift_along_exact_target(images, target, length: int) -> list:
     """The chain lift of the comparison and of the reference pair, made by
-    the shared loop `modres._chain_lift`.  It is a function of its own so
-    that these lifts can be timed, counted or replaced apart from the
-    Tor-side lifts, which call the loop directly."""
-    return _chain_lift(p, target, length)
+    the shared loop `modres._chain_lift` on generator images in the layout
+    of `FreeResolution.gen_images`.  It is a function of its own so that
+    these lifts can be timed, counted or replaced apart from the Tor-side
+    lifts, which call the loop directly."""
+    return _chain_lift(images, target, length)
 
 
 class DegreeComparison:
@@ -404,7 +405,7 @@ def comparison(
     # the full complex: the lift runs along its cone homotopy, and phi is
     # read in its homology coordinates
     cx = adamson_complex(h, top + 1, rank_cap, normalized=False)
-    lift = _lift_along_exact_target(p, _ConeTarget(cx.cosets), top + 1)
+    lift = _lift_along_exact_target(p.gen_images, _ConeTarget(cx.cosets), top + 1)
     data = ComparisonData(h, m, p, cx, lift)
     sp = p.tensor(m)
     tq = cx.shifted_tensor(m, rank_cap)

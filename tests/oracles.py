@@ -162,12 +162,7 @@ def solver_lift_over_resolution(
     preimage step tgt keeps: on the horseshoe resolution, this eliminates
     the assembled middle boundaries that its back-substitution avoids."""
     length = min(src.length, tgt.length)
-    pushed = FreeResolution(
-        src.group,
-        tgt.module,
-        src.free_ranks[: length + 1],
-        [[bottom.apply(v) for v in src.gen_images[0]]] + src.gen_images[1 : length + 1],
-    )
+    pushed = [[bottom.apply(v) for v in src.gen_images[0]]] + src.gen_images[1 : length + 1]
     target = solver_resolution_target(tgt, tgt.augmentation_matrix())
     lift = _chain_lift(pushed, target, length + 1)
     return [[_orbit_entries(x, src.group.order) for x in level] for level in lift]
@@ -277,7 +272,7 @@ def solver_lift_for_reference(ref: ReferenceLift) -> List[List[List[int]]]:
     homotopy to lift along).  The loop is looked up on `pairhom` at call
     time, so a test that replaces it there sees this lift too."""
     lift = pairhom._lift_along_exact_target(
-        ref.resolution, _reference_target(ref), len(ref.lift)
+        ref.resolution.gen_images, _reference_target(ref), len(ref.lift)
     )
     return [
         [_dense(x, ref.target_terms[n].rank) for x in level]
@@ -580,7 +575,7 @@ def cellular_chain_modules(x: GCWData) -> Tuple[List[GModule], List[IntMatrix]]:
 def is_chain_lift(p: FreeResolution, target, comps) -> bool:
     """The check `modres._chain_lift` makes, run on stored components."""
     return all(
-        target.boundary(n, x) == _lift_image(p, target, comps, n, j)
+        target.boundary(n, x) == _lift_image(p.gen_images, target, comps, n, j)
         for n, level in enumerate(comps)
         for j, x in enumerate(level)
     )

@@ -333,6 +333,7 @@ def test_job_that_is_not_an_object_is_refused(tmp_path, capsys):
         ({"group": {"kind": "cyclic", "n": True}}, "job.group.n"),
         ({"subgroup": {"generators": [True]}}, "job.subgroup.generators"),
         ({"subgroup": {"generators": [1.0]}}, "job.subgroup.generators"),
+        ({"group": {"kind": "from_permutations", "generators": [[1.5, 0]]}}, "job.group"),
     ],
 )
 def test_job_numbers_must_be_integers(tmp_path, capsys, change, field):

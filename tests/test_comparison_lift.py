@@ -79,7 +79,7 @@ def solver_lifts():
         h = _pair(name)
         data = R.comparison(h, GModule.trivial(h.parent), [TOP])
         p, cx = data.resolution, data.complex
-        lift = pairhom._lift_along_exact_target(p, _solver_target(cx), TOP + 1)
+        lift = pairhom._lift_along_exact_target(p.gen_images, _solver_target(cx), TOP + 1)
         lifts[name] = (h, p, [
             [{cx.tuples[n + 1][i]: c for i, c in x.items()} for x in level]
             for n, level in enumerate(lift)
@@ -96,8 +96,8 @@ def test_homotopy_lift_matches_solver_lift(monkeypatch, solver_lifts, pair, mod)
     cone = R.comparison(h, m, degs)
     assert lift_is_chain_map_check(cone)
 
-    def solver_route(p_arg, _target, length):
-        assert p_arg is p and length == TOP + 1
+    def solver_route(images, _target, length):
+        assert images is p.gen_images and length == TOP + 1
         return solver_lift
 
     monkeypatch.setattr(pairhom, "_lift_along_exact_target", solver_route)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import relhom as R
@@ -197,3 +199,33 @@ def test_make_group_interns_by_table_and_label():
 def test_subgroup_generated_refuses_non_elements(gen):
     with pytest.raises(ValidationError, match="not an element of the group"):
         R.cyclic_group(4).subgroup_generated([2, gen])
+
+
+@pytest.mark.parametrize(
+    "build,value",
+    [
+        (lambda: R.FiniteGroup([[0, 1.7], [1, 0]]), "1.7"),
+        (lambda: R.FiniteGroup([["0", "1"], ["1", "0"]]), "'0'"),
+        (lambda: R.FiniteGroup([[0, True], [True, 0]]), "True"),
+        (lambda: R.cyclic_group(4).subgroup([0, 2.0]), "2.0"),
+        (lambda: R.cyclic_group(4).subgroup(["0", "2"]), "'0'"),
+        (lambda: R.cyclic_group(4).subgroup_generated([2.0]), "2.0"),
+        (lambda: R.cyclic_group(4).subgroup_generated([True]), "True"),
+        (lambda: R.cyclic_group(True), "True"),
+        (lambda: R.symmetric_group(True), "True"),
+        (lambda: R.dihedral_group(True), "True"),
+        (lambda: R.cyclic_group(4.0), "4.0"),
+        (lambda: R.dihedral_group(3.0), "3.0"),
+        (lambda: R.symmetric_group(3.0), "3.0"),
+        (lambda: R.group_from_permutations([[1.5, 0]]), "1.5"),
+        (lambda: R.group_from_permutations([[1, 0]], 2.0), "2.0"),
+    ],
+    ids=[
+        "table-float", "table-str", "table-bool", "subgroup-float", "subgroup-str",
+        "generated-float", "generated-bool", "cyclic-bool", "symmetric-bool", "dihedral-bool",
+        "cyclic-float", "dihedral-float", "symmetric-float", "permutation-float", "degree-float",
+    ],
+)
+def test_group_constructors_refuse_values_that_are_not_integers(build, value):
+    with pytest.raises(ValidationError, match=re.escape(value)):
+        build()

@@ -1,5 +1,6 @@
 """Property tests of the Smith engine against sympy as an independent
-oracle, on small integer matrices, and of the sparse unit-pivot front of
+oracle, on small integer matrices and on matrices up to 10 x 10 with
+entries up to 2^200 in size, and of the sparse unit-pivot front of
 `smith_invariants` and `rank_z` against sympy and the dense engine run
 directly, on unit-heavy, unit-free, empty, wide and tall matrices."""
 
@@ -8,11 +9,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 
 import relhom as R  # noqa: E402
-from relhom import IntMatrix  # noqa: E402
+from relhom import IntMatrix, IntSolver  # noqa: E402
 from relhom.exactla import _Eliminator, _unit_pivot_reduce  # noqa: E402
 
 
@@ -162,3 +163,99 @@ def test_rank_reads_the_same_before_and_after_the_invariants(a):
     inv = R.smith_invariants(a)
     assert R.rank_z(a) == rank == len(inv) == len(R.smith_invariants(fresh))
     assert R.rank_z(fresh) == rank
+
+
+@st.composite
+def large_matrices(draw):
+    """1..10 rows and columns with entries up to 2^64 in size, or up to
+    2^200 or up to 2^6 in a quarter of the draws each.  In half of the
+    draws, the rows past a drawn rank are small combinations of the rows
+    before them, and up to two rows and two columns are zero."""
+    rows = draw(st.integers(1, 10))
+    cols = draw(st.integers(1, 10))
+    bound = 2 ** draw(st.sampled_from([64, 64, 200, 6]))
+    row = st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols)
+    data = draw(st.lists(row, min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, rows))
+        for i in range(rank, rows):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+            data[i] = [sum(c * data[k][j] for k, c in enumerate(coeffs)) for j in range(cols)]
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+            data[i] = [0] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for r in data:
+                r[j] = 0
+    return IntMatrix(data, cols=cols)
+
+
+LARGE = large_matrices()
+# the dense engine needs three rounds of echelon passes here; invariants
+# 1, 1, 4, 960
+THREE_ROUNDS = IntMatrix(
+    [[47, 7, 23, 29], [47, 47, -31, -33], [18, -2, 33, 21], [21, -19, -15, 39]]
+)
+
+
+def _off_diagonal(s):
+    return [(i, j) for i in range(s.rows) for j in range(s.cols) if i != j and s.entry(i, j)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(LARGE)
+@example(THREE_ROUNDS)
+def test_smith_form_on_large_entries(a):
+    f = R.smith_form(a)
+    assert f.u @ f.s @ f.v == a
+    assert abs(f.u.det()) == 1 and abs(f.v.det()) == 1
+    assert not _off_diagonal(f.s)
+    inv = f.invariants
+    assert all(d > 0 for d in inv)
+    assert all(e % d == 0 for d, e in zip(inv, inv[1:]))
+    assert [f.s.entry(t, t) for t in range(len(inv))] == inv
+    assert inv == _sympy_invariants(a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(LARGE)
+@example(THREE_ROUNDS)
+def test_kernel_basis_on_large_entries(a):
+    ker = R.kernel_basis(a)
+    rank = R.rank_z(a)
+    assert rank == len(_sympy_invariants(a))
+    assert ker.shape == (a.cols, a.cols - rank)
+    assert (a @ ker).is_zero()
+    # saturated: Z^cols / ker is free, so ker is all of the integer kernel
+    assert R.smith_invariants(ker) == [1] * ker.cols
+
+
+@st.composite
+def large_systems(draw):
+    a = draw(LARGE)
+    bound = 2**64
+    x0 = draw(st.lists(st.integers(-bound, bound), min_size=a.cols, max_size=a.cols))
+    return a, x0
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(large_systems())
+@example((THREE_ROUNDS, [3, -1, 4, 1]))
+def test_solver_on_large_entries(system):
+    a, x0 = system
+    b = a.apply(x0)
+    x = IntSolver(a).solve(b)
+    assert x is not None and a.apply(x) == b
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(LARGE)
+@example(THREE_ROUNDS)
+def test_dense_engine_diagonalizes_large_entries(a):
+    eng = _Eliminator(a, track_r=True, track_c=True)
+    eng.diagonalize()
+    s = eng.s_matrix()
+    assert IntMatrix(eng.r, cols=a.rows) @ a @ IntMatrix(eng.c, cols=a.cols) == s
+    assert not _off_diagonal(s)
+    assert eng.rank == R.rank_z(a)
+    assert all(d > 0 for d in eng.diag())
+    assert not any(s.entry(t, t) for t in range(eng.rank, min(a.rows, a.cols)))
