@@ -78,10 +78,13 @@ class IntMatrix:
     read them.
 
     Because the matrix never changes, it memoizes its Smith invariants on
-    first use (`_smith`, None until then) as the pair (k, rest): the
-    number k of +-1 pivots the sparse front splits off and the invariants
-    of its residual.  `smith_invariants` and `rank_z` both read the memo,
-    so a boundary shared by two adjacent degrees is fronted once."""
+    first use (`_smith`, None until then) as the triple (k, rest, pivots):
+    the number k of +-1 pivots the sparse front splits off, the invariants
+    of its residual, and, for a front run from `homology_group` only, the
+    tuple of the k pivot columns (None otherwise).  `smith_invariants` and
+    `rank_z` both read the memo, so a boundary shared by two adjacent
+    degrees is fronted once, and `homology_group` reads the pivot columns
+    to cut the front of the boundary above."""
 
     __slots__ = ("rows", "cols", "_cols", "_smith")
 
@@ -101,7 +104,7 @@ class IntMatrix:
             raise ValidationError(f"negative column count {cols}")
         self.rows = len(rows)
         self.cols = cols
-        self._smith: Optional[Tuple[int, List[int]]] = None
+        self._smith: Optional[Tuple[int, List[int], Optional[Tuple[int, ...]]]] = None
         self._cols: List[Dict[int, int]] = [{} for _ in range(cols)]
         for i, r in enumerate(rows):
             for j, x in enumerate(r):
@@ -793,9 +796,17 @@ def smith_form(a: IntMatrix) -> SmithForm:
     )
 
 
-def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
+def _unit_pivot_reduce(
+    mat: IntMatrix,
+    pivots: Optional[list] = None,
+    *,
+    skip: Optional[set] = None,
+    pivot_cols: Optional[list] = None,
+):
     """Internal: (k, R, R's rows, R's columns) with `mat` equivalent over Z
-    to I_k (+) R, the last two as indices into `mat`.
+    to I_k (+) R, the last two as indices into `mat`.  With a set `skip`,
+    the rows it names are left out as `mat` is loaded, and the result is
+    that of `mat` without them; no cut copy of `mat` is built.
 
     Sparse elimination on unit pivots: take the shortest live column that
     has a +-1 entry, pivot on the shortest row among its unit entries (the
@@ -815,13 +826,24 @@ def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
     {column: entry} and column c off the pivot as a dict {row: entry}, both
     as they stood when it was taken.  `IntSolver` reads them;
     `smith_invariants` and `rank_z` front a matrix once and keep the
-    result on it (`IntMatrix._smith`)."""
+    result on it (`IntMatrix._smith`).  With a list `pivot_cols`, only
+    each pivot's column is appended, which is what `homology_group` keeps.
+
+    The pivot block mat[P, Q] on the pivot rows P and columns Q is
+    invertible over Z: the front factors it into unit pivots.  So if
+    mat * X = 0, rows P of that product give mat[P, Q] X_Q = -mat[P, Q^c]
+    X_{Q^c}, and the rows Q of X are integer combinations of its other
+    rows.  Leaving rows Q out of X (`skip`) then changes neither its rank
+    nor its Smith invariants.  That holds for a front of `mat` with rows
+    already left out too, since the rows kept still multiply X to 0."""
     rows: Dict[int, Dict[int, int]] = {}
     cols: Dict[int, set] = {}
     for j, col in enumerate(mat._cols):
-        if col:
-            cols[j] = set(col)
-            for i, x in col.items():
+        live = col.keys() - skip if skip else set(col)
+        if live:
+            cols[j] = live
+            for i in live:
+                x = col[i]
                 row = rows.get(i)
                 if row is None:
                     rows[i] = {j: x}
@@ -895,6 +917,8 @@ def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
                 queued.pop(j, None)
         if pivots is not None:
             pivots.append((r, c, u, row, pcol))
+        if pivot_cols is not None:
+            pivot_cols.append(c)
     row_ids = sorted(rows)
     left = sorted(cols)
     index = {j: t for t, j in enumerate(left)}
@@ -905,21 +929,28 @@ def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None):
     return k, IntMatrix._from_sparse_columns(rest, len(row_ids)), row_ids, left
 
 
-def _smith_split(a: IntMatrix) -> Tuple[int, List[int]]:
-    """Internal: (k, invariants of R) for `a ~ I_k (+) R`, computed on the
-    first call and memoized on `a` (`IntMatrix._smith`).  The list is the
-    memo's own; callers do not mutate it."""
+def _smith_split(a: IntMatrix, cut: Optional[Tuple[int, ...]] = None):
+    """Internal: (k, invariants of R, pivot columns) for `a ~ I_k (+) R`,
+    computed on the first call and memoized on `a` (`IntMatrix._smith`).
+    The list is the memo's own; callers do not mutate it.
+
+    `cut` is for the fronts of `homology_group` only: the front leaves the
+    rows in `cut` out (the pivot columns of the boundary below, see
+    `_unit_pivot_reduce`), and its own pivot columns are kept as a tuple.
+    Without `cut` the third entry is None.  A memo that exists is returned
+    as it is, whichever way it was made."""
     memo = a._smith
     if memo is None:
-        k, rest, _, _ = _unit_pivot_reduce(a)
+        pcols = None if cut is None else []
+        k, rest, _, _ = _unit_pivot_reduce(a, skip=set(cut) if cut else None, pivot_cols=pcols)
         eng = _Eliminator(rest)
         eng.diagonalize()
         eng.make_divisible()
-        memo = a._smith = (k, eng.diag())
+        memo = a._smith = (k, eng.diag(), None if pcols is None else tuple(pcols))
     return memo
 
 
-def smith_invariants(a: IntMatrix) -> List[int]:
+def smith_invariants(a: IntMatrix, *, _cut: Optional[Tuple[int, ...]] = None) -> List[int]:
     """The invariant factors d1 | d2 | ... of `a` (its nonzero Smith
     diagonal), all positive, as a new list.
 
@@ -933,15 +964,22 @@ def smith_invariants(a: IntMatrix) -> List[int]:
     the front takes does not change the result: it is that of the dense
     engine on `a`.  The pair (k, R's invariants) is memoized on `a`, so
     later calls on the same matrix, here or in `rank_z`, do no
-    elimination."""
-    k, rest = _smith_split(a)
+    elimination.
+
+    `_cut` is for `homology_group` only (see `_smith_split`): rows of `a`
+    that are integer combinations of its other rows, because `a` is the
+    boundary d_{n+1} over a d_n whose front pivoted on those columns and
+    d_n d_{n+1} = 0 has been checked.  Leaving them out keeps the
+    invariants, so the memo holds `a`'s own."""
+    k, rest, _ = _smith_split(a, _cut)
     return [1] * k + rest
 
 
-def rank_z(a: IntMatrix) -> int:
+def rank_z(a: IntMatrix, *, _cut: Optional[Tuple[int, ...]] = None) -> int:
     """Rank of `a`: its unit pivots plus the number of invariants of the
-    residual, read from the memo that `smith_invariants` shares."""
-    k, rest = _smith_split(a)
+    residual, read from the memo that `smith_invariants` shares (`_cut`
+    as there)."""
+    k, rest, _ = _smith_split(a, _cut)
     return k + len(rest)
 
 
@@ -1181,13 +1219,20 @@ def homology_group(dn: IntMatrix, dnp1: IntMatrix, *, _composable: bool = False)
     The boundaries must compose to zero, which `product_gaps` checks;
     `_composable` is for `ChainComplex.homology` only (directly or through
     `HomologyData`), whose boundaries were checked when the complex was
-    built."""
+    built.  Because they compose to zero, dnp1 is fronted without the rows
+    on which dn's front pivoted: those rows are integer combinations of
+    the others (see `_unit_pivot_reduce`), so its rank and invariants stay
+    the same.  dn is fronted first, keeping its pivot columns in its memo;
+    a boundary that already has a memo is not fronted again, and one whose
+    memo has no pivot columns cuts nothing.  Asking the degrees of a
+    complex in ascending order cuts every boundary above the lowest; any
+    order gives the same groups, since Smith invariants are unique."""
     if dn.cols != dnp1.rows:
         raise ValidationError("boundary shapes are not composable")
     if not _composable and any(product_gaps((dn, dnp1))):
         raise ValidationError("boundaries do not compose to zero")
-    r1 = rank_z(dn)
-    inv = smith_invariants(dnp1)
+    r1 = rank_z(dn, _cut=())
+    inv = smith_invariants(dnp1, _cut=dn._smith[2] or ())
     free = dn.cols - r1 - len(inv)
     if free < 0:
         raise ValidationError("boundaries do not compose to zero")
@@ -1201,16 +1246,18 @@ class HomologyData:
     then free generators.  Coordinates of torsion generators are reduced
     modulo the invariant factor.
 
-    The group comes from `homology_group`, on the sparse unit-pivot front,
-    which also refuses boundaries that do not compose (`_composable` as
-    there).  A zero group ends the work: there are no generators, and a
-    vector is a cycle when d_n v = 0 on sparse columns.  Only a nonzero
-    group runs the dense engine, with transforms, for the coordinates.
-    Smith invariants are unique, so it must find the same group; it is
-    compared with the front's, and a difference raises `ValidationError`.
-    The front's invariants are memoized on the boundaries
-    (`IntMatrix._smith`), so the group costs no elimination when the
-    adjacent degree has fronted them already."""
+    The group comes from `homology_group`, on the sparse unit-pivot front
+    with dnp1's front cut by dn's pivot columns, which also refuses
+    boundaries that do not compose (`_composable` as there).  A zero group
+    ends the work: there are no generators, and a vector is a cycle when
+    d_n v = 0 on sparse columns.  Only a nonzero group runs the dense
+    engine, with transforms, for the coordinates.  Smith invariants are
+    unique, so it must find the same group; it is compared with the
+    front's, and a difference raises `ValidationError`.  The dense engine
+    runs on the whole boundaries, so this also checks the cut.  The
+    front's invariants are memoized on the boundaries (`IntMatrix._smith`),
+    so the group costs no elimination when the adjacent degree has fronted
+    them already."""
 
     def __init__(self, dn: IntMatrix, dnp1: IntMatrix, *, _composable: bool = False):
         self.group = homology_group(dn, dnp1, _composable=_composable)

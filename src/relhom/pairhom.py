@@ -218,6 +218,24 @@ def adamson_complex(
     return cx
 
 
+def _annihilated(theory: str, degree: int, group: FgAbGroup, bound: int) -> FgAbGroup:
+    """`group`, after checking that it is finite with exponent dividing
+    `bound`; otherwise a `ValidationError` names the theory, the degree and
+    the bound.  The annihilation theorems say so: [G:H] kills Adamson's
+    H_n(G,H;M) for n >= 1, since Z -> Z[G/H] -> Z (1 |-> sum of the
+    cosets, then augmentation) is multiplication by [G:H] and Z[G/H] is
+    (G,H)-projective (Hochschild, "Relative homological algebra", Trans.
+    AMS 82, 1956); |G| kills Takasu's H_n(G,H;M) = H_{n-1}(G; I (x) M) for
+    n >= 2 (Brown, "Cohomology of groups", III.10).  So a group that breaks
+    the bound is wrong, and is never returned."""
+    if group.free_rank or any(bound % d for d in group.torsion):
+        raise ValidationError(
+            f"{theory} homology in degree {degree} is {group}, which is not "
+            f"annihilated by {bound}, as it must be"
+        )
+    return group
+
+
 def adamson_homology(
     h: Subgroup,
     m: GModule,
@@ -234,7 +252,11 @@ def adamson_homology(
     tuples with two equal neighbours and has the homology of the standard
     complex C (see `AdamsonComplex`: Weibel §8.3, May §22).  The budgets are
     those of C.  `comparison` reads the same groups from C itself, whose
-    coordinates its phi matrices are written in."""
+    coordinates its phi matrices are written in.
+
+    In degree >= 1 the group must be finite with exponent dividing [G:H]
+    (`_annihilated`), which checks every answer independently of how it
+    was computed."""
     if degree < 0:
         raise ValidationError("negative degree")
     needed = degree + 1
@@ -243,7 +265,10 @@ def adamson_homology(
             f"degree {degree} needs truncation >= {needed}; increase N"
         )
     cx = adamson_complex(h, truncation or needed, rank_cap)
-    return cx.tensor(m, rank_cap).homology(degree)
+    group = cx.tensor(m, rank_cap).homology(degree)
+    if degree == 0:
+        return group
+    return _annihilated("Adamson", degree, group, h.parent.order // h.order)
 
 
 def takasu_homology(
@@ -252,13 +277,18 @@ def takasu_homology(
     degree: int,
     rank_cap: int = DEFAULT_RANK_CAP,
 ) -> FgAbGroup:
-    """Tor-based relative homology of the pair; degree 0 is 0 by convention."""
+    """Tor-based relative homology of the pair; degree 0 is 0 by convention.
+    In degree >= 2 the group must be finite with exponent dividing |G|
+    (`_annihilated`)."""
     if degree < 0:
         raise ValidationError("negative degree")
     if degree == 0:
         return FgAbGroup.trivial()
     res = cached_resolution(standard_modules(h).i_module, degree, rank_cap)
-    return res.tensor(m).homology(degree - 1)
+    group = res.tensor(m).homology(degree - 1)
+    if degree == 1:
+        return group
+    return _annihilated("Takasu", degree, group, h.parent.order)
 
 
 # ---------------------------------------------------------------------------

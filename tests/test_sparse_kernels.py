@@ -109,7 +109,8 @@ def test_memo_is_filled_once_and_copied_out():
     inv = R.smith_invariants(a)
     assert inv == [1, 2]
     memo = a._smith
-    assert memo == (1, [2])
+    # no pivot columns: only fronts run from `homology_group` keep them
+    assert memo == (1, [2], None)
     inv.clear()
     assert R.rank_z(a) == 2
     assert a._smith is memo
@@ -117,6 +118,22 @@ def test_memo_is_filled_once_and_copied_out():
     # derived matrices start without a memo
     assert (a @ IntMatrix.identity(2))._smith is None
     assert a.scale(3)._smith is None
+
+
+def test_homology_fronts_keep_their_pivot_columns_as_a_tuple():
+    # Z^2 <-d1- Z^3 <-d2- Z: column 2 of d1 has no unit, so d1's front
+    # pivots on columns 0 and 1, and d2 is fronted on its row 2 alone
+    d1 = IntMatrix([[1, 0, 2], [0, 1, 2]])
+    d2 = IntMatrix([[-4], [-4], [2]])
+    assert R.homology_group(d1, d2) == R.FgAbGroup(0, [2])
+    k, rest, pivots = d1._smith
+    assert (k, rest) == (2, []) and type(pivots) is tuple and sorted(pivots) == [0, 1]
+    assert d2._smith == (0, [2], ())
+    # a memo that exists is read as it is; without pivot columns, it cuts nothing
+    e1, e2 = IntMatrix(d1.to_rows()), IntMatrix(d2.to_rows())
+    assert R.rank_z(e1) == 2 and e1._smith[2] is None
+    assert R.homology_group(e1, e2) == R.FgAbGroup(0, [2])
+    assert e1._smith[2] is None and e2._smith == (0, [2], ())
 
 
 VECTORS = st.dictionaries(
