@@ -80,11 +80,11 @@ class IntMatrix:
     Because the matrix never changes, it memoizes its Smith invariants on
     first use (`_smith`, None until then) as the triple (k, rest, pivots):
     the number k of +-1 pivots the sparse front splits off, the invariants
-    of its residual, and, for a front run from `homology_group` only, the
-    tuple of the k pivot columns (None otherwise).  `smith_invariants` and
-    `rank_z` both read the memo, so a boundary shared by two adjacent
-    degrees is fronted once, and `homology_group` reads the pivot columns
-    to cut the front of the boundary above."""
+    of its residual, and the tuple of the k pivot columns.
+    `smith_invariants`, `rank_z` and `homology_group` all read the memo, so
+    a boundary shared by two adjacent degrees is fronted once, and
+    `homology_group` reads the pivot columns to cut the front of the
+    boundary above."""
 
     __slots__ = ("rows", "cols", "_cols", "_smith")
 
@@ -104,7 +104,7 @@ class IntMatrix:
             raise ValidationError(f"negative column count {cols}")
         self.rows = len(rows)
         self.cols = cols
-        self._smith: Optional[Tuple[int, List[int], Optional[Tuple[int, ...]]]] = None
+        self._smith: Optional[Tuple[int, List[int], Tuple[int, ...]]] = None
         self._cols: List[Dict[int, int]] = [{} for _ in range(cols)]
         for i, r in enumerate(rows):
             for j, x in enumerate(r):
@@ -796,17 +796,12 @@ def smith_form(a: IntMatrix) -> SmithForm:
     )
 
 
-def _unit_pivot_reduce(
-    mat: IntMatrix,
-    pivots: Optional[list] = None,
-    *,
-    skip: Optional[set] = None,
-    pivot_cols: Optional[list] = None,
-):
-    """Internal: (k, R, R's rows, R's columns) with `mat` equivalent over Z
-    to I_k (+) R, the last two as indices into `mat`.  With a set `skip`,
-    the rows it names are left out as `mat` is loaded, and the result is
-    that of `mat` without them; no cut copy of `mat` is built.
+def _unit_pivot_reduce(mat: IntMatrix, pivots: Optional[list] = None, *, skip: Optional[set] = None):
+    """Internal: (Q, R, R's rows, R's columns) with `mat` equivalent over Z
+    to I_k (+) R, Q the list of the k pivot columns in pivot order and the
+    last two as indices into `mat`.  With a set `skip`, the rows it names
+    are left out as `mat` is loaded, and the result is that of `mat`
+    without them; no cut copy of `mat` is built.
 
     Sparse elimination on unit pivots: take the shortest live column that
     has a +-1 entry, pivot on the shortest row among its unit entries (the
@@ -825,9 +820,9 @@ def _unit_pivot_reduce(
     its row, column and unit entry, row r off the pivot as a dict
     {column: entry} and column c off the pivot as a dict {row: entry}, both
     as they stood when it was taken.  `IntSolver` reads them;
-    `smith_invariants` and `rank_z` front a matrix once and keep the
-    result on it (`IntMatrix._smith`).  With a list `pivot_cols`, only
-    each pivot's column is appended, which is what `homology_group` keeps.
+    `smith_invariants`, `rank_z` and `homology_group` front a matrix once
+    and keep the result on it (`IntMatrix._smith`), Q included, which
+    `homology_group` reads to cut the boundary above.
 
     The pivot block mat[P, Q] on the pivot rows P and columns Q is
     invertible over Z: the front factors it into unit pivots.  So if
@@ -853,7 +848,7 @@ def _unit_pivot_reduce(
     buckets: Dict[int, set] = {}
     for j, n in queued.items():
         buckets.setdefault(n, set()).add(j)
-    k = 0
+    taken: List[int] = []
     while buckets:
         n = min(buckets)
         bucket = buckets[n]
@@ -877,7 +872,7 @@ def _unit_pivot_reduce(
         u = row.pop(c)
         for j in row:
             cols[j].discard(r)
-        k += 1
+        taken.append(c)
         items = tuple(row.items())
         pcol = {}
         for t in col:
@@ -917,8 +912,6 @@ def _unit_pivot_reduce(
                 queued.pop(j, None)
         if pivots is not None:
             pivots.append((r, c, u, row, pcol))
-        if pivot_cols is not None:
-            pivot_cols.append(c)
     row_ids = sorted(rows)
     left = sorted(cols)
     index = {j: t for t, j in enumerate(left)}
@@ -926,31 +919,30 @@ def _unit_pivot_reduce(
     for t, i in enumerate(row_ids):
         for j, x in rows[i].items():
             rest[index[j]][t] = x
-    return k, IntMatrix._from_sparse_columns(rest, len(row_ids)), row_ids, left
+    return taken, IntMatrix._from_sparse_columns(rest, len(row_ids)), row_ids, left
 
 
-def _smith_split(a: IntMatrix, cut: Optional[Tuple[int, ...]] = None):
+def _smith_split(a: IntMatrix, cut: Tuple[int, ...] = ()):
     """Internal: (k, invariants of R, pivot columns) for `a ~ I_k (+) R`,
     computed on the first call and memoized on `a` (`IntMatrix._smith`).
     The list is the memo's own; callers do not mutate it.
 
-    `cut` is for the fronts of `homology_group` only: the front leaves the
+    A nonempty `cut` is for `homology_group` only: the front leaves the
     rows in `cut` out (the pivot columns of the boundary below, see
-    `_unit_pivot_reduce`), and its own pivot columns are kept as a tuple.
-    Without `cut` the third entry is None.  A memo that exists is returned
-    as it is, whichever way it was made."""
+    `_unit_pivot_reduce`), which keeps the invariants only where the two
+    boundaries compose to zero.  A memo that exists is returned as it is,
+    whichever way it was made."""
     memo = a._smith
     if memo is None:
-        pcols = None if cut is None else []
-        k, rest, _, _ = _unit_pivot_reduce(a, skip=set(cut) if cut else None, pivot_cols=pcols)
+        taken, rest, _, _ = _unit_pivot_reduce(a, skip=set(cut) if cut else None)
         eng = _Eliminator(rest)
         eng.diagonalize()
         eng.make_divisible()
-        memo = a._smith = (k, eng.diag(), None if pcols is None else tuple(pcols))
+        memo = a._smith = (len(taken), eng.diag(), tuple(taken))
     return memo
 
 
-def smith_invariants(a: IntMatrix, *, _cut: Optional[Tuple[int, ...]] = None) -> List[int]:
+def smith_invariants(a: IntMatrix) -> List[int]:
     """The invariant factors d1 | d2 | ... of `a` (its nonzero Smith
     diagonal), all positive, as a new list.
 
@@ -962,24 +954,19 @@ def smith_invariants(a: IntMatrix, *, _cut: Optional[Tuple[int, ...]] = None) ->
     Comput. 32 (2001), run by `_unit_pivot_reduce`, the one front that
     `IntSolver` runs too.  Smith invariants are unique, so which pivots
     the front takes does not change the result: it is that of the dense
-    engine on `a`.  The pair (k, R's invariants) is memoized on `a`, so
+    engine on `a`.  The front's result is memoized on `a`, so
     later calls on the same matrix, here or in `rank_z`, do no
-    elimination.
-
-    `_cut` is for `homology_group` only (see `_smith_split`): rows of `a`
-    that are integer combinations of its other rows, because `a` is the
-    boundary d_{n+1} over a d_n whose front pivoted on those columns and
-    d_n d_{n+1} = 0 has been checked.  Leaving them out keeps the
-    invariants, so the memo holds `a`'s own."""
-    k, rest, _ = _smith_split(a, _cut)
+    elimination.  `homology_group` may have fronted `a` without rows that
+    are integer combinations of its other rows (see `_unit_pivot_reduce`);
+    that keeps the invariants, so the memo holds `a`'s own."""
+    k, rest, _ = _smith_split(a)
     return [1] * k + rest
 
 
-def rank_z(a: IntMatrix, *, _cut: Optional[Tuple[int, ...]] = None) -> int:
+def rank_z(a: IntMatrix) -> int:
     """Rank of `a`: its unit pivots plus the number of invariants of the
-    residual, read from the memo that `smith_invariants` shares (`_cut`
-    as there)."""
-    k, rest, _ = _smith_split(a, _cut)
+    residual, read from the memo that `smith_invariants` shares."""
+    k, rest, _ = _smith_split(a)
     return k + len(rest)
 
 
@@ -1006,10 +993,10 @@ class IntSolver:
     def __init__(self, a: IntMatrix):
         self.m, self.n = a.rows, a.cols
         self._pivots: list = []
-        k, rest, self._rows, self._cols = _unit_pivot_reduce(a, self._pivots)
+        taken, rest, self._rows, self._cols = _unit_pivot_reduce(a, self._pivots)
         eng = _Eliminator(rest, track_r=True, track_c=True)
         eng.diagonalize()
-        self.rank = k + eng.rank
+        self.rank = len(taken) + eng.rank
         self._diag = eng.diag()
         self._r = eng.r
         self._c = eng.c
@@ -1213,8 +1200,8 @@ class FgAbGroup:
 def homology_group(dn: IntMatrix, dnp1: IntMatrix, *, _composable: bool = False) -> FgAbGroup:
     """ker(dn)/im(dnp1) as an abstract group, without coordinates: the rank
     of dn and the invariants of dnp1, both from the sparse unit-pivot front
-    (`rank_z`, `smith_invariants`), so the dense engine runs on residuals
-    only.  `HomologyData` reads its group here too.
+    and the memo that `rank_z` and `smith_invariants` share, so the dense
+    engine runs on residuals only.  `HomologyData` reads its group here too.
 
     The boundaries must compose to zero, which `product_gaps` checks;
     `_composable` is for `ChainComplex.homology` only (directly or through
@@ -1222,17 +1209,20 @@ def homology_group(dn: IntMatrix, dnp1: IntMatrix, *, _composable: bool = False)
     built.  Because they compose to zero, dnp1 is fronted without the rows
     on which dn's front pivoted: those rows are integer combinations of
     the others (see `_unit_pivot_reduce`), so its rank and invariants stay
-    the same.  dn is fronted first, keeping its pivot columns in its memo;
-    a boundary that already has a memo is not fronted again, and one whose
-    memo has no pivot columns cuts nothing.  Asking the degrees of a
-    complex in ascending order cuts every boundary above the lowest; any
-    order gives the same groups, since Smith invariants are unique."""
+    the same.  dn is read first, by `rank_z`, and every memo keeps the
+    pivot columns of its front, whichever code made it; a boundary that
+    already has a memo is not fronted again.  The cut front of dnp1 runs
+    here, not through `smith_invariants`, so no public function takes a
+    cut.  Asking the degrees of a complex in ascending order cuts every
+    boundary above the lowest; any order gives the same groups, since
+    Smith invariants are unique."""
     if dn.cols != dnp1.rows:
         raise ValidationError("boundary shapes are not composable")
     if not _composable and any(product_gaps((dn, dnp1))):
         raise ValidationError("boundaries do not compose to zero")
-    r1 = rank_z(dn, _cut=())
-    inv = smith_invariants(dnp1, _cut=dn._smith[2] or ())
+    r1 = rank_z(dn)
+    k2, rest2, _ = _smith_split(dnp1, dn._smith[2])
+    inv = [1] * k2 + rest2
     free = dn.cols - r1 - len(inv)
     if free < 0:
         raise ValidationError("boundaries do not compose to zero")

@@ -60,7 +60,7 @@ def test_answers_obey_the_annihilation_bounds(pair):
 
 def _drop_a_pivot(real):
     """A front that reports one unit pivot fewer: the rank falls by one."""
-    def front(a, cut=None):
+    def front(a, cut=()):
         k, rest, pivots = real(a, cut)
         return (k - 1, rest, pivots) if k else (k, rest, pivots)
     return front
@@ -68,7 +68,7 @@ def _drop_a_pivot(real):
 
 def _seven_for_a_pivot(real):
     """A front that reports 7 for one unit pivot: the rank stays."""
-    def front(a, cut=None):
+    def front(a, cut=()):
         k, rest, pivots = real(a, cut)
         return (k - 1, rest + [7], pivots) if k else (k, rest, pivots)
     return front

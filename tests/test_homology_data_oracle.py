@@ -133,7 +133,7 @@ def test_front_and_dense_engine_must_agree_on_a_nonzero_group(monkeypatch):
     assert HomologyData(d1, d2).group == FgAbGroup(0, [2])
     real = exactla._smith_split
 
-    def wrong(a, cut=None):
+    def wrong(a, cut=()):
         k, rest, pivots = real(a, cut)
         return (k, [3], pivots) if a is d2 else (k, rest, pivots)
 
@@ -142,6 +142,6 @@ def test_front_and_dense_engine_must_agree_on_a_nonzero_group(monkeypatch):
     with pytest.raises(ValidationError, match=r"Z/3 from the sparse front disagrees with Z/2"):
         HomologyData(d1, d2)
     # a free rank the front gets wrong is caught as well
-    monkeypatch.setattr(exactla, "_smith_split", lambda a, cut=None: (0, [], ()))
+    monkeypatch.setattr(exactla, "_smith_split", lambda a, cut=(): (0, [], ()))
     with pytest.raises(ValidationError, match=r"Z from the sparse front disagrees with Z/2"):
         HomologyData(d1, d2)

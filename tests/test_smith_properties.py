@@ -107,7 +107,9 @@ def _check_front(a):
     assert inv == dense_inv
     assert R.rank_z(a) == dense_rank == len(inv)
     assert inv == _sympy_invariants(a)
-    k, rest, rows, cols = _unit_pivot_reduce(a)
+    q, rest, rows, cols = _unit_pivot_reduce(a)
+    k = len(q)
+    assert len(set(q)) == len(q) and not set(q) & set(cols) and all(0 <= j < a.cols for j in q)
     assert k <= min(a.rows, a.cols)
     assert not any(x in (1, -1) for row in rest.data for x in row)
     assert all(any(row) for row in rest.data)

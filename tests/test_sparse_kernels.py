@@ -32,11 +32,11 @@ def _signature(mat):
 def test_unit_pivot_front_is_the_same_with_and_without_a_pivot_list(a):
     before = _signature(a)
     pivots = []
-    k1, rest1, rows1, cols1 = _unit_pivot_reduce(a, pivots)
+    q1, rest1, rows1, cols1 = _unit_pivot_reduce(a, pivots)
     assert _signature(a) == before
-    k2, rest2, rows2, cols2 = _unit_pivot_reduce(a)
-    assert len(pivots) == k1
-    assert (k2, _signature(rest2), rows2, cols2) == (k1, _signature(rest1), rows1, cols1)
+    q2, rest2, rows2, cols2 = _unit_pivot_reduce(a)
+    assert q1 == [p[1] for p in pivots]
+    assert (q2, _signature(rest2), rows2, cols2) == (q1, _signature(rest1), rows1, cols1)
     assert _signature(a) == before
 
 
@@ -76,7 +76,7 @@ def _replay(a, pivots):
 @given(MATRICES)
 def test_pivot_record_replays_the_elimination(a):
     pivots = []
-    k, rest, rows, cols = _unit_pivot_reduce(a, pivots)
+    _q, rest, rows, cols = _unit_pivot_reduce(a, pivots)
     work, live_rows, live_cols = _replay(a, pivots)
     assert rows == sorted(i for i in live_rows if any(work[i][j] for j in live_cols))
     assert cols == sorted(j for j in live_cols if any(work[i][j] for i in live_rows))
@@ -109,8 +109,8 @@ def test_memo_is_filled_once_and_copied_out():
     inv = R.smith_invariants(a)
     assert inv == [1, 2]
     memo = a._smith
-    # no pivot columns: only fronts run from `homology_group` keep them
-    assert memo == (1, [2], None)
+    # one unit pivot, on column 0 or 1, whose column the memo keeps
+    assert memo[:2] == (1, [2]) and memo[2] in ((0,), (1,))
     inv.clear()
     assert R.rank_z(a) == 2
     assert a._smith is memo
@@ -120,7 +120,7 @@ def test_memo_is_filled_once_and_copied_out():
     assert a.scale(3)._smith is None
 
 
-def test_homology_fronts_keep_their_pivot_columns_as_a_tuple():
+def test_every_front_keeps_its_pivot_columns_as_a_tuple():
     # Z^2 <-d1- Z^3 <-d2- Z: column 2 of d1 has no unit, so d1's front
     # pivots on columns 0 and 1, and d2 is fronted on its row 2 alone
     d1 = IntMatrix([[1, 0, 2], [0, 1, 2]])
@@ -129,11 +129,11 @@ def test_homology_fronts_keep_their_pivot_columns_as_a_tuple():
     k, rest, pivots = d1._smith
     assert (k, rest) == (2, []) and type(pivots) is tuple and sorted(pivots) == [0, 1]
     assert d2._smith == (0, [2], ())
-    # a memo that exists is read as it is; without pivot columns, it cuts nothing
+    # a memo made outside `homology_group` keeps them too, and is read as it is
     e1, e2 = IntMatrix(d1.to_rows()), IntMatrix(d2.to_rows())
-    assert R.rank_z(e1) == 2 and e1._smith[2] is None
+    assert R.rank_z(e1) == 2 and e1._smith == d1._smith
     assert R.homology_group(e1, e2) == R.FgAbGroup(0, [2])
-    assert e1._smith[2] is None and e2._smith == (0, [2], ())
+    assert e1._smith == d1._smith and e2._smith == (0, [2], ())
 
 
 VECTORS = st.dictionaries(
