@@ -3,7 +3,6 @@ of finite-type cell data over a finite group."""
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetError, ValidationError
@@ -18,7 +17,7 @@ from .groups import FiniteGroup, Subgroup, SubgroupFamily
 from .modres import (
     DEFAULT_RANK_CAP,
     GModule,
-    _bar_faces,
+    _relative_bar_levels,
     orbit_map_matrix,
     tensor_orbit_complex,
 )
@@ -152,10 +151,8 @@ class CoefficientSystem:
         category: OrbitCategory,
         values: Dict[Subgroup, Tuple[int, Optional[IntMatrix]]],
         maps: Dict[OrbitMorphism, IntMatrix],
-        validate: bool = True,
     ):
         self.category = category
-        self.variance = "covariant"
         self.values = dict(values)
         self.maps = dict(maps)
         self._rows: Dict[OrbitMorphism, tuple] = {}
@@ -163,8 +160,7 @@ class CoefficientSystem:
             obj: None if rel is None else LatticeAccumulator.spanned_by(rel)
             for obj, (_, rel) in self.values.items()
         }
-        if validate:
-            self.validate()
+        self.validate()
 
     def value_group(self, obj: Subgroup) -> FgAbGroup:
         from .exactla import smith_invariants
@@ -284,11 +280,10 @@ class GCWData:
 
     FORMAT_VERSION = 1
 
-    def __init__(self, group: FiniteGroup, cells: Sequence[Sequence[GCWCell]], validate: bool = True):
+    def __init__(self, group: FiniteGroup, cells: Sequence[Sequence[GCWCell]]):
         self.group = group
         self.cells = [list(dim) for dim in cells]
-        if validate:
-            self.validate()
+        self.validate()
 
     def dimension(self) -> int:
         return len(self.cells) - 1
@@ -453,44 +448,20 @@ def takasu_pair_complex(
     contractible complex to a cone point: one fixed orbit of 0-cells and
     free orbits of tuple cells in higher dimensions."""
     G = h.parent
-    hset = h.eset
-    trivial = G.trivial_subgroup()
-    cells: List[List[GCWCell]] = [[GCWCell(h)]]
-    prev_index: Dict[Tuple[int, ...], int] = {}
+    inv = G.inverse
     for d in range(1, length + 1):
         count = G.order ** d - h.order ** d
         if count > rank_cap:
             raise BudgetError(
                 f"pair complex cells in dimension {d} for {G.label}", count, rank_cap
             )
-        tuples = [
-            t
-            for t in itertools.product(range(G.order), repeat=d)
-            if not all(x in hset for x in t)
-        ]
-        level: List[GCWCell] = []
-        if d == 1:
-            for (g,) in tuples:
-                bdry = (
-                    (0, G.inverse[g], 1),
-                    (0, 0, -1),
-                )
-                level.append(GCWCell(trivial, bdry))
+    trivial = G.trivial_subgroup()
+    cells: List[List[GCWCell]] = [[GCWCell(h)]]
+    # the d-cells are the degree-(d-1) generators of `takasu_resolution`,
+    # with each translate g recorded as g^-1
+    for tuples, bounds in _relative_bar_levels(G, h, length):
+        if bounds:
+            cells.append([GCWCell(trivial, tuple((t, inv[a], c) for t, a, c in b)) for b in bounds])
         else:
-            for rest in tuples:
-                acc: Dict[Tuple[int, int], int] = {}
-                for rest2, translate, sign in _bar_faces(G, rest):
-                    idx = prev_index.get(rest2)
-                    if idx is None:
-                        continue  # face inside one coset is collapsed
-                    key = (idx, G.inverse[translate])
-                    acc[key] = acc.get(key, 0) + sign
-                level.append(
-                    GCWCell(
-                        trivial,
-                        tuple((t, a, c) for (t, a), c in acc.items() if c),
-                    )
-                )
-        cells.append(level)
-        prev_index = {t: i for i, t in enumerate(tuples)}
+            cells.append([GCWCell(trivial, ((0, inv[g], 1), (0, 0, -1))) for (g,) in tuples])
     return GCWData(G, cells)

@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
 Smith normal forms with transforms, integer kernels and solvers, finitely
-generated abelian groups in canonical form, chain complexes (plain and
-presented-by-relations) with homology in normalized coordinates, and induced
-maps on homology.  Everything runs on arbitrary-precision Python integers;
-no floating point anywhere.
+generated abelian groups in canonical form, chain complexes presented by
+free covers and relations, with homology in normalized coordinates, and
+induced maps on homology.  Everything runs on arbitrary-precision Python
+integers; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -1204,11 +1204,11 @@ def homology_group(dn: IntMatrix, dnp1: IntMatrix, *, _composable: bool = False)
     engine runs on residuals only.  `HomologyData` reads its group here too.
 
     The boundaries must compose to zero, which `product_gaps` checks;
-    `_composable` is for `ChainComplex.homology` only (directly or through
-    `HomologyData`), whose boundaries were checked when the complex was
-    built.  Because they compose to zero, dnp1 is fronted without the rows
-    on which dn's front pivoted: those rows are integer combinations of
-    the others (see `_unit_pivot_reduce`), so its rank and invariants stay
+    `_composable` is for `PresentedComplex.homology` and `.homology_data`
+    only, which read the boundaries of a cone whose d d = 0 was checked.
+    Because they compose to zero, dnp1 is fronted without the rows on
+    which dn's front pivoted: those rows are integer combinations of the
+    others (see `_unit_pivot_reduce`), so its rank and invariants stay
     the same.  dn is read first, by `rank_z`, and every memo keeps the
     pivot columns of its front, whichever code made it; a boundary that
     already has a memo is not fronted again.  The cut front of dnp1 runs
@@ -1336,158 +1336,7 @@ class HomologyData:
 
 
 # ---------------------------------------------------------------------------
-# Chain complexes
-
-
-class ChainComplex:
-    """Bounded complex of free abelian groups with validated boundaries.
-
-    Degrees run over a contiguous range; boundary(n) maps degree n to n-1.
-    Out-of-range boundaries are zero maps of the appropriate shape.
-    """
-
-    def __init__(
-        self,
-        lo: int,
-        ranks: Sequence[int],
-        boundaries: Dict[int, IntMatrix],
-        validate: bool = True,
-    ):
-        self.lo = lo
-        self.ranks = _check_ranks(ranks, lo)
-        self.hi = lo + len(self.ranks) - 1
-        self._boundaries = dict(boundaries)
-        for n, mat in self._boundaries.items():
-            if not (self.lo < n <= self.hi):
-                raise ValidationError(f"boundary at degree {n} outside range")
-            if mat.shape != (self.rank(n - 1), self.rank(n)):
-                raise ValidationError(
-                    f"boundary {n} has shape {mat.shape}, expected "
-                    f"({self.rank(n - 1)}, {self.rank(n)})"
-                )
-        if validate:
-            self._check_dd_zero()
-        self._validated = validate
-        self._homology_cache: Dict[Tuple[int, bool], object] = {}
-
-    def _check_dd_zero(self):
-        for n in range(self.lo + 2, self.hi + 1):
-            if any(product_gaps((self.boundary(n - 1), self.boundary(n)))):
-                raise ValidationError(f"boundary squared is nonzero at degree {n}")
-
-    def rank(self, n: int) -> int:
-        if self.lo <= n <= self.hi:
-            return self.ranks[n - self.lo]
-        return 0
-
-    def boundary(self, n: int) -> IntMatrix:
-        mat = self._boundaries.get(n)
-        if mat is None:
-            return IntMatrix.zeros(self.rank(n - 1), self.rank(n))
-        return mat
-
-    def homology(self, n: int, coords: bool = False):
-        """FgAbGroup at degree n, or HomologyData when coords is True."""
-        key = (n, coords)
-        if key not in self._homology_cache:
-            dn = self.boundary(n)
-            dnp1 = self.boundary(n + 1)
-            if coords:
-                self._homology_cache[key] = HomologyData(
-                    dn, dnp1, _composable=self._validated
-                )
-            else:
-                self._homology_cache[key] = homology_group(
-                    dn, dnp1, _composable=self._validated
-                )
-        return self._homology_cache[key]
-
-    def homology_data(self, n: int) -> HomologyData:
-        return self.homology(n, coords=True)
-
-
-class ChainMap:
-    """Degree-preserving (up to a shift) map of chain complexes.
-
-    With validate=True (the default) the components are checked to commute
-    with the boundaries in every degree, and ``checked`` is True.  With
-    validate=False nothing is checked and ``checked`` is False; such a map
-    is checked later, degree by degree, where it is used: ``induced_map``
-    raises ValidationError if it does not commute at the degrees it reads.
-    """
-
-    def __init__(
-        self,
-        source: ChainComplex,
-        target: ChainComplex,
-        components: Dict[int, IntMatrix],
-        shift: int = 0,
-        validate: bool = True,
-    ):
-        self.source = source
-        self.target = target
-        self.shift = shift
-        self.components = dict(components)
-        for n, mat in self.components.items():
-            want = (target.rank(n + shift), source.rank(n))
-            if mat.shape != want:
-                raise ValidationError(
-                    f"chain map component {n} has shape {mat.shape}, expected {want}"
-                )
-        if validate:
-            self._check_commutes(range(source.lo + 1, source.hi + 1))
-        self.checked = validate
-
-    def component(self, n: int) -> IntMatrix:
-        mat = self.components.get(n)
-        if mat is None:
-            return IntMatrix.zeros(self.target.rank(n + self.shift), self.source.rank(n))
-        return mat
-
-    def _check_commutes(self, degrees: Iterable[int]):
-        for n in degrees:
-            if not (self.source.lo < n <= self.source.hi):
-                continue
-            if any(
-                product_gaps(
-                    (self.target.boundary(n + self.shift), self.component(n)),
-                    (self.component(n - 1), self.source.boundary(n)),
-                )
-            ):
-                raise ValidationError(f"chain map does not commute at degree {n}")
-
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        """self after other; checked when both factors are, since a
-        composite of chain maps is a chain map."""
-        comps = {}
-        for n in range(other.source.lo, other.source.hi + 1):
-            comps[n] = self.component(n + other.shift) @ other.component(n)
-        out = ChainMap(
-            other.source, self.target, comps, shift=self.shift + other.shift,
-            validate=False,
-        )
-        out.checked = self.checked and other.checked
-        return out
-
-
-def induced_map(f: ChainMap, n: int) -> IntMatrix:
-    """Matrix of H_n(f) in the normalized homology coordinates.
-
-    H_n(f) is defined only if f sends cycles to cycles and boundaries to
-    boundaries, so a map whose commutation was not checked when it was
-    built is checked here at degrees n and n+1; ValidationError names the
-    first degree at which it fails to commute."""
-    if not f.checked:
-        f._check_commutes((n, n + 1))
-    src = f.source.homology_data(n)
-    tgt = f.target.homology_data(n + f.shift)
-    comp = f.component(n)
-    cols = [tgt.coords_of_cycle(comp.apply(c)) for c in src.generator_cycles()]
-    nrows = tgt.group.presentation_rank()
-    return IntMatrix.from_columns(cols, rows=nrows)
-
-
-# -- maps between finitely generated abelian groups in canonical coordinates
+# Maps between finitely generated abelian groups in canonical coordinates
 
 
 def hom_cokernel(mat: IntMatrix, target: FgAbGroup) -> FgAbGroup:
@@ -1566,12 +1415,15 @@ def sequence_exact_at(
 
 
 # ---------------------------------------------------------------------------
-# Presented complexes (chain groups given by free covers plus relations)
+# Chain complexes (chain groups given by free covers and relations)
 
 
 class PresentedComplex:
-    """Complex of finitely presented abelian groups.
+    """Bounded complex of finitely presented abelian groups, the one
+    complex type.
 
+    Degrees run over a contiguous range; boundary(n) maps degree n to n-1,
+    and out-of-range boundaries are zero maps of the appropriate shape.
     Each degree carries a free cover of some rank and a list of relation
     blocks (row offset, relation matrix for the rows of that slot).  The
     blocks of one degree must not overlap; the relations are block-diagonal
@@ -1581,8 +1433,11 @@ class PresentedComplex:
     identical to a joint reduction of all the blocks' columns, since columns
     with disjoint row supports never interact and basis columns are ordered
     by pivot row.  The boundaries are matrices between the free covers that
-    commute with the relations.  Homology is computed on an equivalent
-    complex of free groups (the total complex of the two-row resolution).
+    commute with the relations.
+
+    Homology is read from the cone, a complex without relations.  A
+    complex without relations is a complex of free groups and its own cone:
+    its first `cone()` checks d d = 0, and it caches its homology itself.
     """
 
     def __init__(
@@ -1596,10 +1451,18 @@ class PresentedComplex:
         self.ranks = _check_ranks(ranks, lo)
         self.hi = lo + len(self.ranks) - 1
         self._boundaries = dict(boundaries)
+        for n, mat in self._boundaries.items():
+            if not (self.lo < n <= self.hi):
+                raise ValidationError(f"boundary at degree {n} outside range")
+            want = (self.rank(n - 1), self.rank(n))
+            if mat.shape != want:
+                raise ValidationError(
+                    f"boundary {n} has shape {mat.shape}, expected {want}"
+                )
+        # only the degrees with relations: the relation matrix, and the row
+        # offsets of its blocks, in order, with each one's (row count, first
+        # relation column, index into _reduced)
         self._relations: Dict[int, IntMatrix] = {}
-        # per degree: the row offsets of the blocks with relations, in
-        # order, and each one's (row count, first relation column, index
-        # into _reduced)
         self._blocks: Dict[int, Tuple[List[int], List[Tuple[int, int, int]]]] = {}
         self._reduced: List[IntMatrix] = []
         self._solvers: List[Optional[IntSolver]] = []
@@ -1631,17 +1494,14 @@ class PresentedComplex:
                     starts.append(offset)
                     placed.append((mat.rows, len(cols), k))
                     cols.extend({offset + i: x for i, x in c.items()} for c in basis)
-            self._blocks[n] = (starts, placed)
-            self._relations[n] = IntMatrix._from_sparse_columns(cols, rows)
-        for n, mat in self._boundaries.items():
-            want = (self.rank(n - 1), self.rank(n))
-            if mat.shape != want:
-                raise ValidationError(
-                    f"presented boundary {n} has shape {mat.shape}, expected {want}"
-                )
-        self._cone: Optional[ChainComplex] = None
-        self._cone_rel_counts: Dict[int, int] = {}
+            if cols:
+                self._blocks[n] = (starts, placed)
+                self._relations[n] = IntMatrix._from_sparse_columns(cols, rows)
+        self._checked = False
+        self._cone: Optional[PresentedComplex] = None
         self._shifted: Optional[PresentedComplex] = None
+        self._groups: Dict[int, FgAbGroup] = {}
+        self._data: Dict[int, HomologyData] = {}
 
     def shifted(self) -> "PresentedComplex":
         """This complex without its bottom degree, degree n + 1 moved to
@@ -1675,7 +1535,7 @@ class PresentedComplex:
         return mat
 
     def has_relations(self) -> bool:
-        return any(m.cols for m in self._relations.values())
+        return bool(self._relations)
 
     def solve_relations(self, n: int, vec: Dict[int, int]) -> Dict[int, int]:
         """The unique x with relations(n) x == vec, both sparse (index ->
@@ -1710,32 +1570,28 @@ class PresentedComplex:
                     out[first + j] = y
         return out
 
-    def cone(self) -> ChainComplex:
-        """Free complex with the same homology in degrees <= hi (cached).
+    def cone(self) -> "PresentedComplex":
+        """A complex without relations with the same homology in degrees
+        <= hi (cached), checked to have d d = 0.
 
-        Extends one degree above the top so that the top-degree relations
-        are imposed on the top chain group.
+        A complex without relations is its own cone, checked on the first
+        call.  Otherwise the cone extends one degree above the top so that
+        the top-degree relations are imposed on the top chain group.
         """
+        if not self._relations:
+            if not self._checked:
+                for n in range(self.lo + 2, self.hi + 1):
+                    if any(product_gaps((self.boundary(n - 1), self.boundary(n)))):
+                        raise ValidationError(f"boundary squared is nonzero at degree {n}")
+                self._checked = True
+            return self
         if self._cone is not None:
             return self._cone
-        if not self.has_relations():
-            ranks = self.ranks
-            bounds = {
-                n: self.boundary(n)
-                for n in range(self.lo + 1, self.hi + 1)
-            }
-            self._cone = ChainComplex(self.lo, ranks, bounds, validate=True)
-            self._cone_rel_counts = {n: 0 for n in range(self.lo, self.hi + 2)}
-            return self._cone
-        ranks = []
-        for n in range(self.lo, self.hi + 2):
-            rc = self.relations(n - 1).cols if n - 1 >= self.lo else 0
-            self._cone_rel_counts[n] = rc
-            ranks.append(self.rank(n) + rc)
+        ranks = [self.rank(n) + self.relations(n - 1).cols for n in range(self.lo, self.hi + 2)]
         bounds: Dict[int, IntMatrix] = {}
         for n in range(self.lo + 1, self.hi + 2):
             rows_f = self.rank(n - 1)
-            rows_r = self._cone_rel_counts[n - 1]
+            rows_r = self.relations(n - 2).cols
             dprev_cols = self.boundary(n - 1)._cols if rows_r else []
             out_cols: List[Dict[int, int]] = []
             # columns (D x, E x) from F_n, with rho_{n-2} E = -D_{n-1} D_n x,
@@ -1750,13 +1606,12 @@ class PresentedComplex:
                     head = col
                 out_cols.append(head)
             bounds[n] = IntMatrix._from_sparse_columns(out_cols, rows_f + rows_r)
-        self._cone = ChainComplex(self.lo, ranks, bounds, validate=True)
+        self._cone = PresentedComplex(self.lo, ranks, bounds).cone()
         return self._cone
 
     def lift_cycle(self, n: int, vec: Sequence[int]) -> List[int]:
         """Lift a free-cover cycle (boundary lands in relations) to the cone."""
-        cone = self.cone()
-        rc = self._cone_rel_counts.get(n, 0)
+        rc = self.relations(n - 1).cols
         if rc == 0:
             return list(vec)
         img = self.boundary(n).apply(vec)
@@ -1766,16 +1621,31 @@ class PresentedComplex:
             tail[i] = v
         return list(vec) + tail
 
-    def homology(self, n: int, coords: bool = False):
-        return self.cone().homology(n, coords=coords)
+    def homology(self, n: int) -> FgAbGroup:
+        """H_n as a group, read on the cone by `homology_group` (cached)."""
+        cone = self.cone()
+        if n not in cone._groups:
+            cone._groups[n] = homology_group(cone.boundary(n), cone.boundary(n + 1), _composable=True)
+        return cone._groups[n]
 
     def homology_data(self, n: int) -> HomologyData:
-        return self.cone().homology(n, coords=True)
+        """H_n with normalized coordinates, read on the cone by
+        `HomologyData` (cached)."""
+        cone = self.cone()
+        if n not in cone._data:
+            cone._data[n] = HomologyData(cone.boundary(n), cone.boundary(n + 1), _composable=True)
+        return cone._data[n]
 
 
 class PresentedChainMap:
     """Map of presented complexes given on free covers (commuting with the
-    boundaries modulo relations)."""
+    boundaries modulo relations), the one chain-map type.  Components out
+    of range are zero maps.
+
+    Homology reads the map through `cone_map`.  A map between two complexes
+    without relations is its own cone map: its first `cone_map()` checks
+    that it commutes with the boundaries (`ChainMap` runs it when the map
+    is built)."""
 
     def __init__(
         self,
@@ -1786,7 +1656,14 @@ class PresentedChainMap:
         self.source = source
         self.target = target
         self.components = dict(components)
-        self._cone_map: Optional[ChainMap] = None
+        for n, mat in self.components.items():
+            want = (target.rank(n), source.rank(n))
+            if mat.shape != want:
+                raise ValidationError(
+                    f"chain map component {n} has shape {mat.shape}, expected {want}"
+                )
+        self._checked = False
+        self._cone_map: Optional[PresentedChainMap] = None
 
     def component(self, n: int) -> IntMatrix:
         mat = self.components.get(n)
@@ -1794,9 +1671,11 @@ class PresentedChainMap:
             return IntMatrix.zeros(self.target.rank(n), self.source.rank(n))
         return mat
 
-    def cone_map(self) -> ChainMap:
-        """The map of the free cones (cached), built on sparse columns.  In
-        degree n a free generator x goes to (f_n x, c_n x) and a relation
+    def cone_map(self) -> "PresentedChainMap":
+        """The map of the cones (cached), checked to commute with their
+        boundaries: the map itself between complexes without relations,
+        checked on the first call.  Otherwise it is built on sparse columns.
+        In degree n a free generator x goes to (f_n x, c_n x) and a relation
         generator r to (0, g r), where rho'_{n-1} c_n = f_{n-1} D_n - D'_n f_n
         and rho'_{n-1} g = f_{n-1} rho_{n-1}, both solved in the target's
         relation lattice."""
@@ -1804,6 +1683,18 @@ class PresentedChainMap:
             return self._cone_map
         src, tgt = self.source, self.target
         src_cone, tgt_cone = src.cone(), tgt.cone()
+        if src_cone is src and tgt_cone is tgt:
+            if not self._checked:
+                for n in range(src.lo + 1, src.hi + 1):
+                    if any(
+                        product_gaps(
+                            (tgt.boundary(n), self.component(n)),
+                            (self.component(n - 1), src.boundary(n)),
+                        )
+                    ):
+                        raise ValidationError(f"chain map does not commute at degree {n}")
+                self._checked = True
+            return self
         comps: Dict[int, IntMatrix] = {}
         for n in range(src.lo, src_cone.hi + 1):
             f_n = self.component(n)
@@ -1825,8 +1716,43 @@ class PresentedChainMap:
                     for gap in product_gaps((f_prev, src.relations(n - 1)))
                 ]
             comps[n] = IntMatrix._from_sparse_columns(cols + g_cols, tgt_cone.rank(n))
-        self._cone_map = ChainMap(src_cone, tgt_cone, comps, validate=True)
+        self._cone_map = PresentedChainMap(src_cone, tgt_cone, comps).cone_map()
         return self._cone_map
 
-    def induced(self, n: int) -> IntMatrix:
-        return induced_map(self.cone_map(), n)
+
+class ChainComplex(PresentedComplex):
+    """A complex of free abelian groups: a `PresentedComplex` without
+    relations whose d d = 0 is checked when it is built."""
+
+    def __init__(self, lo: int, ranks: Sequence[int], boundaries: Dict[int, IntMatrix]):
+        super().__init__(lo, ranks, boundaries)
+        self.cone()
+
+
+class ChainMap(PresentedChainMap):
+    """A `PresentedChainMap` checked to commute with the boundaries when
+    it is built."""
+
+    def __init__(
+        self,
+        source: PresentedComplex,
+        target: PresentedComplex,
+        components: Dict[int, IntMatrix],
+    ):
+        super().__init__(source, target, components)
+        self.cone_map()
+
+
+def induced_map(f: PresentedChainMap, n: int) -> IntMatrix:
+    """Matrix of H_n(f) in the normalized homology coordinates of the
+    cones, read through `f.cone_map()`.  H_n(f) is defined only if f sends
+    cycles to cycles and boundaries to boundaries, so a map that does not
+    commute with the boundaries raises ValidationError naming the first
+    degree at which it fails."""
+    f = f.cone_map()
+    src = f.source.homology_data(n)
+    tgt = f.target.homology_data(n)
+    comp = f.component(n)
+    cols = [tgt.coords_of_cycle(comp.apply(c)) for c in src.generator_cycles()]
+    nrows = tgt.group.presentation_rank()
+    return IntMatrix.from_columns(cols, rows=nrows)

@@ -307,18 +307,17 @@ class SubgroupFamily:
 
     __slots__ = ("parent", "members")
 
-    def __init__(self, parent: FiniteGroup, members: Iterable[Subgroup], validate: bool = True):
+    def __init__(self, parent: FiniteGroup, members: Iterable[Subgroup]):
         mem = frozenset(members)
-        if validate:
-            if parent.trivial_subgroup() not in mem:
-                raise ValidationError("family must contain the trivial subgroup")
-            for k in mem:
-                for g in parent.elements():
-                    if k.conjugate(g) not in mem:
-                        raise ValidationError("family not closed under conjugation")
-                for s in all_subgroups(parent):
-                    if k.contains_subgroup(s) and s not in mem:
-                        raise ValidationError("family not closed under subgroups")
+        if parent.trivial_subgroup() not in mem:
+            raise ValidationError("family must contain the trivial subgroup")
+        for k in mem:
+            for g in parent.elements():
+                if k.conjugate(g) not in mem:
+                    raise ValidationError("family not closed under conjugation")
+            for s in all_subgroups(parent):
+                if k.contains_subgroup(s) and s not in mem:
+                    raise ValidationError("family not closed under subgroups")
         self.parent = parent
         self.members = mem
 

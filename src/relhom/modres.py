@@ -4,6 +4,7 @@ tensor products over the group ring, and Tor."""
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, ValidationError
@@ -307,7 +308,7 @@ class GModuleHom:
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source: GModule, target: GModule, matrix: IntMatrix, validate: bool = True):
+    def __init__(self, source: GModule, target: GModule, matrix: IntMatrix):
         if source.group is not target.group:
             raise ValidationError("modules over different groups")
         if matrix.shape != (target.rank, source.rank):
@@ -315,16 +316,15 @@ class GModuleHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if validate:
-            for g in source.group.generators():
-                if any(
-                    product_gaps(
-                        (matrix, source.action_matrix(g)),
-                        (target.action_matrix(g), matrix),
-                        target._rel_acc,
-                    )
-                ):
-                    raise ValidationError(f"hom is not equivariant at {g}")
+        for g in source.group.generators():
+            if any(
+                product_gaps(
+                    (matrix, source.action_matrix(g)),
+                    (target.action_matrix(g), matrix),
+                    target._rel_acc,
+                )
+            ):
+                raise ValidationError(f"hom is not equivariant at {g}")
 
 
 class StandardModules:
@@ -825,6 +825,37 @@ def _bar_faces(group: FiniteGroup, rest: Tuple[int, ...]):
         yield rest[: i - 1] + rest[i:], 0, -1 if i % 2 else 1
 
 
+def _relative_bar_levels(group: FiniteGroup, h: Subgroup, top: int):
+    """Internal: for d = 1, ..., top, the d-tuples t over `group` with an
+    entry outside `h`, in `itertools.product` order, and for d >= 2 the
+    boundary of each (e, *t) on the (d-1)-tuples as a list of (index,
+    translate, coefficient): the faces of `_bar_faces` summed, with zero
+    sums and the faces inside one coset (tuples in H, collapsed) left out.
+    Yields (tuples, boundaries) for each d, with no boundaries for d = 1.
+    `takasu_resolution` and `bredon.takasu_pair_complex` read their cells
+    here; each checks its own budget first."""
+    hset = h.eset
+    tuples: List[Tuple[int, ...]] = []
+    for d in range(1, top + 1):
+        index = {t: i for i, t in enumerate(tuples)}
+        tuples = [
+            t
+            for t in itertools.product(range(group.order), repeat=d)
+            if not all(x in hset for x in t)
+        ]
+        bounds = []
+        if d > 1:
+            for t in tuples:
+                image: Dict[Tuple[int, int], int] = {}
+                for face, translate, sign in _bar_faces(group, t):
+                    i = index.get(face)
+                    if i is not None:
+                        key = (i, translate)
+                        image[key] = image.get(key, 0) + sign
+                bounds.append([(i, a, c) for (i, a), c in image.items() if c])
+        yield tuples, bounds
+
+
 def cyclic_resolution(group: FiniteGroup, length: int) -> FreeResolution:
     """Periodic rank-one resolution of Z over a cyclic group generated by
     element 1: boundaries alternate t-1 and the norm element."""
@@ -845,8 +876,6 @@ def takasu_resolution(
     is the standard (k+2)-tuple term of G modulo the span of single-coset
     tuples (free on the non-coset tuple representatives).  The budget is
     the Z-rank of each term 1..length (term 0 is smaller than term 1)."""
-    import itertools as _it
-
     G = h.parent
     n = G.order
     for k in range(1, length + 1):
@@ -855,36 +884,20 @@ def takasu_resolution(
             n * (n ** (k + 1) - h.order ** (k + 1)),
             rank_cap,
         )
-    hset = h.eset
     cs = coset_space(h)
     std = standard_modules(h)
-
-    def kept(rest: Tuple[int, ...]) -> bool:
-        return not all(x in hset for x in rest)
-
+    levels = _relative_bar_levels(G, h, length + 1)
     # degree 0: tuples (e, g) with g outside H, mapping onto gH - H
-    tuples0 = [(g,) for g in range(n) if g not in hset]
-    index_prev: Dict[Tuple[int, ...], int] = {t: i for i, t in enumerate(tuples0)}
+    tuples0, _ = next(levels)
     gen_images: list = [[]]
     for (g,) in tuples0:
         col = [0] * (cs.size - 1)
         col[cs.coset_of[g] - 1] = 1
         gen_images[0].append(col)
     free_ranks = [len(tuples0)]
-    for k in range(1, length + 1):
-        tuples = [t for t in _it.product(range(n), repeat=k + 1) if kept(t)]
-        level = []
-        for rest in tuples:
-            image: Dict[Tuple[int, int], int] = {}
-            for rest2, translate, sign in _bar_faces(G, rest):
-                idx = index_prev.get(rest2)
-                if idx is not None:  # faces inside one coset are collapsed
-                    key = (idx, translate)
-                    image[key] = image.get(key, 0) + sign
-            level.append([(i, h, c) for (i, h), c in image.items() if c])
-        gen_images.append(level)
+    for tuples, bounds in levels:
+        gen_images.append(bounds)
         free_ranks.append(len(tuples))
-        index_prev = {t: i for i, t in enumerate(tuples)}
     return FreeResolution(
         G, std.i_module, free_ranks, gen_images, label=f"takasu({G.label})"
     )

@@ -16,6 +16,7 @@ from .exactla import (
     PresentedComplex,
     hom_cokernel,
     hom_kernel,
+    induced_map,
     is_isomorphism,
     is_zero_map,
     sequence_exact_at,
@@ -226,8 +227,9 @@ def _annihilated(theory: str, degree: int, group: FgAbGroup, bound: int) -> FgAb
     cosets, then augmentation) is multiplication by [G:H] and Z[G/H] is
     (G,H)-projective (Hochschild, "Relative homological algebra", Trans.
     AMS 82, 1956); |G| kills Takasu's H_n(G,H;M) = H_{n-1}(G; I (x) M) for
-    n >= 2 (Brown, "Cohomology of groups", III.10).  So a group that breaks
-    the bound is wrong, and is never returned."""
+    n >= 2, and |G| kills H_n(G;M) for n >= 1, so |H| kills H_n(H;M)
+    (Brown, "Cohomology of groups", III.10.2).  So a group that breaks the
+    bound is wrong, and is never returned."""
     if group.free_rank or any(bound % d for d in group.torsion):
         raise ValidationError(
             f"{theory} homology in degree {degree} is {group}, which is not "
@@ -421,7 +423,9 @@ def comparison(
 ) -> ComparisonData:
     """Build the chain lift from the Tor-side resolution to the shifted
     standard complex and the induced maps on homology for the requested
-    degrees (with kernels and cokernels)."""
+    degrees (with kernels and cokernels).  Adamson's group in degree
+    n >= 1 and Takasu's in degree n >= 2 must obey their annihilation
+    bounds (`_annihilated`)."""
     degs = sorted(set(int(d) for d in degrees))
     if not degs or degs[0] < 1:
         raise ValidationError("comparison degrees must be >= 1")
@@ -452,11 +456,11 @@ def comparison(
         comps[n] = orbit_map_matrix(entries, [trivial] * len(entries), cx.stabilizer[n + 1], m)
     pcm = PresentedChainMap(sp, tq, comps)
     for i in degs:
-        tak_hd = sp.homology_data(i - 1)
-        adm_hd = tq.homology_data(i - 1)
-        mat = pcm.induced(i - 1)
-        tak = tak_hd.group
-        adm = adm_hd.group
+        tak = sp.homology_data(i - 1).group
+        if i >= 2:
+            _annihilated("Takasu", i, tak, h.parent.order)
+        adm = _annihilated("Adamson", i, tq.homology_data(i - 1).group, h.parent.order // h.order)
+        mat = induced_map(pcm, i - 1)
         ker = hom_kernel(mat, tak, adm)
         cok = hom_cokernel(mat, adm)
         data.degrees[i] = DegreeComparison(
@@ -606,7 +610,9 @@ def verify_takasu_les(
 ) -> LESCertificate:
     """Assemble compatible resolutions for 0 -> I -> Z[G/H] -> Z -> 0, tensor
     with the coefficients, and certify exactness of the induced long exact
-    sequence relating the homology of the subgroup, the group, and the pair."""
+    sequence relating the homology of the subgroup, the group, and the pair.
+    For n >= 1, H_{n+1}(pair) and H_n(G) must be finite with exponent
+    dividing |G|, and H_n(H) with exponent dividing |H| (`_annihilated`)."""
     G = h.parent
     std = standard_modules(h)
     length = max_degree + 1
@@ -680,14 +686,18 @@ def verify_takasu_les(
         tor_i[n] = ti.homology_data(n).group
         tor_m[n] = tm.homology_data(n).group
         tor_z[n] = tz.homology_data(n).group
+        h_side = th.homology_data(n).group
+        if n >= 1:
+            _annihilated("Takasu", n + 1, tor_i[n], G.order)
+            _annihilated("Group", n, tor_z[n], G.order)
+            _annihilated("Subgroup", n, h_side, h.order)
         groups[f"H_{n + 1}(pair)"] = tor_i[n]
         groups[f"H_{n}(G)"] = tor_z[n]
-        h_side = th.homology_data(n).group
         groups[f"H_{n}(H)"] = h_side
-        a_mats[n] = incl.induced(n)
-        b_mats[n] = proj.induced(n)
-        maps[f"H_{n}(H)->H_{n}(G)"] = chimap.induced(n)
-        v_ind = vmap.induced(n)
+        a_mats[n] = induced_map(incl, n)
+        b_mats[n] = induced_map(proj, n)
+        maps[f"H_{n}(H)->H_{n}(G)"] = induced_map(chimap, n)
+        v_ind = induced_map(vmap, n)
         if not is_isomorphism(v_ind, h_side, tor_m[n]):
             shapiro_ok = False
         maps[f"H_{n + 1}(pair)->H_{n}(H)"] = a_mats[n]

@@ -47,6 +47,7 @@ from relhom.exactla import (
     _combine,
     _Eliminator,
     column_image_basis,
+    induced_map,
     xgcd,
 )
 from relhom.groups import FiniteGroup, Subgroup, coset_space, cyclic_group
@@ -300,7 +301,7 @@ def reference_induced_maps(
         for n in range(len(lift_cols))
     }
     pcm = PresentedChainMap(sp, tw, comps)
-    return {n: pcm.induced(n) for n in range(top + 1)}
+    return {n: induced_map(pcm, n) for n in range(top + 1)}
 
 
 def reference_lift_is_chain_map(ref: ReferenceLift) -> bool:

@@ -1,14 +1,16 @@
-"""The annihilation guard on `adamson_homology` and `takasu_homology`.
+"""The annihilation guard on every entry point that returns a group.
 
-[G:H] kills Adamson's H_n(G,H;M) for n >= 1, and |G| kills Takasu's
-H_n(G,H;M) for n >= 2, so both groups are finite with exponent dividing
-that bound.  Over every pair class of the order-<=12 benchmark corpus, with
-trivial, mod-2, permutation and regular coefficients, every answer obeys
-the bound (and the guard lets it through); a front that returns wrong
-invariants makes a group that breaks it, and the guard refuses it with a
+[G:H] kills Adamson's H_n(G,H;M) for n >= 1, |G| kills Takasu's H_n(G,H;M)
+for n >= 2 and H_n(G;M) for n >= 1, and |H| kills H_n(H;M) for n >= 1, so
+each group is finite with exponent dividing its bound.  Over every pair
+class of the order-<=12 benchmark corpus, with trivial, mod-2, permutation
+and regular coefficients, every answer obeys the bound (and the guard lets
+it through), and so do the groups of every `compare` and `verify-les`
+reference; a wrong group breaks it, and the guard refuses it with a
 `ValidationError` naming the theory, the degree and the bound.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -20,6 +22,9 @@ from relhom import GModule, ValidationError, cli, exactla
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 import workloads  # noqa: E402
+
+with open(PERFBENCH / "refs.json", encoding="utf-8") as fh:
+    REFS = json.load(fh)
 
 PAIRS = [
     (cli.parse_group(group, "group"), gens, index)
@@ -94,3 +99,112 @@ def test_degrees_below_the_bounds_are_not_guarded():
     h = c4.subgroup_generated([2])
     assert R.adamson_homology(h, GModule.trivial(c4), 0) == R.FgAbGroup(1, [])
     assert R.takasu_homology(h, GModule.regular(c4), 1) == R.FgAbGroup(1, [])
+
+
+def _parse(text):
+    """The `FgAbGroup` that `str` prints as `text`."""
+    free, torsion = 0, []
+    for part in [] if text == "0" else text.split(" + "):
+        if part.startswith("Z/"):
+            torsion.append(int(part[2:]))
+        else:
+            free += int(part[2:]) if part.startswith("Z^") else 1
+    return R.FgAbGroup(free, torsion)
+
+
+def _bounded_reference_groups(doc, results):
+    """(printed group, bound) for each group of a compare or verify-les reference
+    that an annihilation theorem bounds."""
+    g = cli.parse_group(doc["group"], "group")
+    h = g.subgroup_generated(doc["subgroup"]["generators"])
+    if doc["command"] == "compare":
+        for row in results["rows"]:
+            if row["degree"] >= 2:
+                yield row["takasu"], g.order
+            yield row["adamson"], g.order // h.order
+        return
+    groups = results["groups"]
+    n = 1
+    while f"H_{n}(G)" in groups:
+        yield groups[f"H_{n + 1}(pair)"], g.order
+        yield groups[f"H_{n}(G)"], g.order
+        yield groups[f"H_{n}(H)"], h.order
+        n += 1
+
+
+def test_reference_groups_obey_the_annihilation_bounds():
+    docs = {
+        workloads.job_key(doc): doc
+        for workload in workloads.WORKLOADS
+        for doc in workloads.distinct_jobs(workload)
+        if doc["command"] in ("compare", "verify-les")
+    }
+    count = 0
+    for key, doc in docs.items():
+        for text, bound in _bounded_reference_groups(doc, REFS[key]["results"]):
+            count += 1
+            assert _obeys(_parse(text), bound), (key, text, bound)
+    assert count == 1487
+
+
+def _wrong_finite_groups(monkeypatch, wrong):
+    """Replace every finite group that `HomologyData` reads by `wrong` of
+    it.  A corrupted front alone cannot reach the guards of `comparison`
+    and `verify_takasu_les`: `HomologyData` checks a nontrivial group from
+    the front against the dense engine's and refuses a difference first.
+    So this stands for a wrong complex, which both engines read alike.
+    Free groups (H_0 with Z) stay, so the degree-0 maps still fit."""
+    init = exactla.HomologyData.__init__
+
+    def corrupt(self, dn, dnp1, **kw):
+        init(self, dn, dnp1, **kw)
+        if not self.group.free_rank:
+            self.group = wrong(self.group)
+
+    monkeypatch.setattr(exactla.HomologyData, "__init__", corrupt)
+
+
+def _plus(order):
+    return lambda group: group.direct_sum(R.FgAbGroup(0, [order]))
+
+
+def _doubled(group):
+    return R.FgAbGroup(0, [2 * d for d in group.torsion])
+
+
+def _fresh_s3_pair():
+    # a fresh group, so that no complex or homology is cached yet
+    g = R.symmetric_group(3)
+    h = g.subgroup_generated([next(x for x in g.elements() if g.element_order(x) == 2)])
+    return h, GModule.trivial(g)
+
+
+@pytest.mark.parametrize(
+    "degree,wrong,message",
+    [
+        # Takasu's H_1 is not bounded; Adamson's H_1 + Z/2 breaks [G:H] = 3
+        (1, _plus(2), r"^Adamson homology in degree 1 is Z/2, which is not annihilated by 3,"),
+        (2, _plus(4), r"^Takasu homology in degree 2 is Z/4, which is not annihilated by 6,"),
+    ],
+)
+def test_a_wrong_group_trips_the_comparison_guards(monkeypatch, degree, wrong, message):
+    h, m = _fresh_s3_pair()
+    _wrong_finite_groups(monkeypatch, wrong)
+    with pytest.raises(ValidationError, match=message):
+        R.comparison(h, m, [degree])
+
+
+@pytest.mark.parametrize(
+    "wrong,message",
+    [
+        # S3 > C2 with Z: H_2(pair) = 0, H_1(G) = Z/2 and H_1(H) = Z/2
+        (_plus(4), r"^Takasu homology in degree 2 is Z/4, which is not annihilated by 6,"),
+        (_doubled, r"^Group homology in degree 1 is Z/4, which is not annihilated by 6,"),
+        (_plus(3), r"^Subgroup homology in degree 1 is Z/6, which is not annihilated by 2,"),
+    ],
+)
+def test_a_wrong_group_trips_the_les_guards(monkeypatch, wrong, message):
+    h, m = _fresh_s3_pair()
+    _wrong_finite_groups(monkeypatch, wrong)
+    with pytest.raises(ValidationError, match=message):
+        R.verify_takasu_les(h, m, 1)

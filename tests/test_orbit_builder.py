@@ -96,7 +96,6 @@ def _stabilizer_category(x):
     fam = SubgroupFamily(
         g,
         {k for k in all_subgroups(g) if any(is_subconjugate(k, s) for s in stabs)},
-        validate=False,
     )
     return R.build_orbit_category(g, fam)
 

@@ -61,7 +61,6 @@ def _bredon(h, m):
     fam = SubgroupFamily(
         g,
         {k for k in all_subgroups(g) if any(is_subconjugate(k, s) for s in stabs)},
-        validate=False,
     )
     return R.bredon_complex(cells, R.coinvariants_system(m, R.build_orbit_category(g, fam)))
 
