@@ -11,6 +11,7 @@ from .exactla import (
     IntMatrix,
     LatticeAccumulator,
     PresentedComplex,
+    _check_int,
     product_gaps,
 )
 from .groups import FiniteGroup, Subgroup, SubgroupFamily
@@ -18,6 +19,7 @@ from .modres import (
     DEFAULT_RANK_CAP,
     GModule,
     _relative_bar_levels,
+    orbit_form_fault,
     orbit_map_matrix,
     tensor_orbit_complex,
 )
@@ -58,18 +60,6 @@ class OrbitMorphism:
 def _canonical_rep(target: Subgroup, a: int) -> int:
     G = target.parent
     return min(G.mult(k, a) for k in target.elements)
-
-
-def _canonical_table(target: Subgroup) -> List[int]:
-    """`_canonical_rep(target, a)` for every element a.  Scanning upwards,
-    the first element met in a right coset is its minimum."""
-    G = target.parent
-    table = [-1] * G.order
-    for a in range(G.order):
-        if table[a] < 0:
-            for k in target.elements:
-                table[G.mult(k, a)] = a
-    return table
 
 
 class OrbitCategory:
@@ -268,13 +258,6 @@ class GCWCell:
         self.boundary = boundary
 
 
-def _json_int(val, what: str) -> int:
-    """`val` if it is a JSON integer: an int that is not a bool."""
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ValidationError(f"{what} must be an integer, got {val!r}")
-    return val
-
-
 class GCWData:
     """Orbit-cell data of a finite-type equivariant CW complex."""
 
@@ -315,27 +298,23 @@ class GCWData:
                                 f"boundary entry of cell {ci} in dimension {d} "
                                 "is not an orbit map"
                             )
-        # formal boundary-squared must vanish in the free morphism algebra;
-        # canonical representatives come from one table per stabilizer
-        tables: Dict[Subgroup, List[int]] = {}
-        for d in range(2, len(self.cells)):
-            canon = []
-            for cell in self.cells[d - 2]:
-                table = tables.get(cell.stabilizer)
-                if table is None:
-                    table = tables[cell.stabilizer] = _canonical_table(cell.stabilizer)
-                canon.append(table)
-            for ci, cell in enumerate(self.cells[d]):
-                acc: Dict[Tuple[int, int], int] = {}
-                for (tgt, a1, c1) in cell.boundary:
-                    for (tgt2, a2, c2) in self.cells[d - 1][tgt].boundary:
-                        key = (tgt2, canon[tgt2][G.mult(a2, a1)])
-                        acc[key] = acc.get(key, 0) + c1 * c2
-                if any(acc.values()):
-                    raise ValidationError(
-                        f"formal boundary squared is nonzero on cell {ci} "
-                        f"in dimension {d}"
-                    )
+        # the formal boundary squared must vanish, on the orbit entries
+        # (tgt, a^-1, coeff) that bredon_complex tensors; each entry is an
+        # orbit map, so every boundary is fixed by its cell's stabilizer and
+        # only a square can fail
+        inv = G.inverse
+        fault = orbit_form_fault(
+            [[cell.stabilizer for cell in dim_cells] for dim_cells in self.cells],
+            [
+                [[(tgt, inv[a], c) for tgt, a, c in cell.boundary] for cell in dim_cells]
+                for dim_cells in self.cells[1:]
+            ],
+        )
+        if fault is not None:
+            d, ci, _ = fault
+            raise ValidationError(
+                f"formal boundary squared is nonzero on cell {ci} in dimension {d}"
+            )
 
     # -- JSON wire format
 
@@ -367,16 +346,16 @@ class GCWData:
             level = []
             for cell in dim_cells:
                 gens = tuple(
-                    _json_int(g, "stabilizer generator") for g in cell.get("stabilizer", [])
+                    _check_int(g, "stabilizer generator") for g in cell.get("stabilizer", [])
                 )
                 stab = stabilizers.get(gens)
                 if stab is None:
                     stab = stabilizers[gens] = group.subgroup_generated(gens)
                 bdry = tuple(
                     (
-                        _json_int(e["cell"], "boundary cell"),
-                        _json_int(e["a"], "boundary a"),
-                        _json_int(e["coeff"], "boundary coeff"),
+                        _check_int(e["cell"], "boundary cell"),
+                        _check_int(e["a"], "boundary a"),
+                        _check_int(e["coeff"], "boundary coeff"),
                     )
                     for e in cell.get("boundary", [])
                 )
@@ -435,6 +414,8 @@ def bredon_homology(
     degree: int,
     rank_cap: int = DEFAULT_RANK_CAP,
 ) -> FgAbGroup:
+    _check_int(degree, "degree")
+    _check_int(rank_cap, "rank_cap")
     return bredon_complex(x, coefficients, rank_cap).homology(degree)
 
 

@@ -44,6 +44,14 @@ def _check_vector(vec: Sequence[int], what: str):
                 raise ValidationError(f"{what} entry {i} is not an integer: {x!r}")
 
 
+def _check_int(val, what: str) -> int:
+    """`val` if it is an integer (`_is_int`); anything else, such as 1.5,
+    2.0, True or "2", raises ValidationError naming `what`."""
+    if not _is_int(val):
+        raise ValidationError(f"{what} must be an integer, got {val!r}")
+    return val
+
+
 def _check_ranks(ranks: Sequence[int], lo: int = 0) -> List[int]:
     """The ranks of degrees lo, lo + 1, ... as a list of ints; a rank that
     is not a non-negative integer raises ValidationError naming its
@@ -1437,7 +1445,8 @@ class PresentedComplex:
 
     Homology is read from the cone, a complex without relations.  A
     complex without relations is a complex of free groups and its own cone:
-    its first `cone()` checks d d = 0, and it caches its homology itself.
+    its first `cone()` checks d d = 0 (unless its builder checked it), and
+    it caches its homology itself.
     """
 
     def __init__(
@@ -1506,7 +1515,8 @@ class PresentedComplex:
     def shifted(self) -> "PresentedComplex":
         """This complex without its bottom degree, degree n + 1 moved to
         degree n, built from the same boundary matrices and relation blocks
-        (cached)."""
+        (cached).  Its boundaries are pairs of this complex's, so d d = 0
+        checked here holds there too."""
         if self._shifted is None:
             lo = self.lo
             self._shifted = PresentedComplex(
@@ -1515,6 +1525,7 @@ class PresentedComplex:
                 {n - 1: mat for n, mat in self._boundaries.items() if n > lo + 1},
                 {n - 1: b for n, b in self._relation_blocks.items() if n > lo},
             )
+            self._shifted._checked = self._checked
         return self._shifted
 
     def rank(self, n: int) -> int:
@@ -1575,8 +1586,12 @@ class PresentedComplex:
         <= hi (cached), checked to have d d = 0.
 
         A complex without relations is its own cone, checked on the first
-        call.  Otherwise the cone extends one degree above the top so that
-        the top-degree relations are imposed on the top chain group.
+        call unless its builder checked it already:
+        `modres.tensor_orbit_complex` checks d d = 0 on the orbit form
+        before tensoring and returns its relation-free results checked.
+        Otherwise the cone extends one degree above the top so that the
+        top-degree relations are imposed on the top chain group, and that
+        cone is checked.
         """
         if not self._relations:
             if not self._checked:

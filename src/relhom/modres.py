@@ -14,6 +14,7 @@ from .exactla import (
     LatticeAccumulator,
     PresentedComplex,
     FgAbGroup,
+    _check_int,
     _check_ranks,
     _combine,
     _is_int,
@@ -37,6 +38,13 @@ class GModule:
     modules) or as unimodular matrices.  An optional relation matrix
     turns the lattice into a finitely presented module; the group law and
     equivariance are then only required modulo the relation lattice.
+
+    The constructor checks the action law (`_validate`).  With
+    ``validate=False`` the caller vouches for it: a tensored complex
+    without relations is taken as checked from its orbit form alone
+    (`tensor_orbit_complex`), which relies on that law.  The library's own
+    `trivial`, `trivial_mod`, `free`, `regular` and `restriction` pass it,
+    as their modules are valid by construction.
     """
 
     __slots__ = (
@@ -148,12 +156,19 @@ class GModule:
 
         On presented values this is a(g^-1) whatever K and L are.  On the
         orbit classes of a permutation module, the class of a K-orbit with
-        least point x goes to the L-orbit of g^-1 x; that is well defined,
-        because K is in g L g^-1.  With L trivial (so K is too) every orbit
-        is a point and that block is a(g^-1) again, so the rows computed
-        once are returned rather than rebuilt per call (free resolutions
-        and the free orbits of coset-tuple complexes take this path)."""
-        if len(target.elements) == 1 or self._perms is None or self.relations is not None:
+        least point x goes to the L-orbit of g^-1 x.  That is well defined
+        when K is in g L g^-1; otherwise only a sum of such blocks is, over
+        a boundary that K fixes (`orbit_form_fault`), since its value at x
+        is then the same for every point of the K-orbit.  With K and L
+        trivial every orbit is a point and that block is a(g^-1) again, so
+        the rows computed once are returned rather than rebuilt per call
+        (free resolutions and the free orbits of coset-tuple complexes take
+        this path)."""
+        if (
+            len(source.elements) == 1 == len(target.elements)
+            or self._perms is None
+            or self.relations is not None
+        ):
             return self._inverse_action_rows()[g]
         tgt_of, tgt_least = self._orbit_classes(target)
         back = self._perms[self.group.inverse[g]]
@@ -604,6 +619,70 @@ def orbit_map_matrix(
     return IntMatrix._from_sparse_columns(out, offsets[-1])
 
 
+def orbit_form_fault(
+    stabilizers: Sequence[Sequence[Subgroup]],
+    boundaries: Sequence[Sequence[Sequence[Tuple[int, int, int]]]],
+) -> Optional[Tuple[int, int, bool]]:
+    """The first orbit at which an orbit form (as `tensor_orbit_complex`
+    reads it) is not a complex of permutation modules, as (degree n, orbit
+    s, squared), or None when it is one.
+
+    The boundary of the representative x_s of orbit s in degree n is the
+    sum of c g x_o over its entries (o, g, c), an element of the sum of the
+    Z[G/K_o].  It extends to a map of G-modules, g x_s |-> g d(x_s), when
+    the stabilizer K_s fixes it (squared is False where it does not).  That
+    map squares to zero when, for every s in degree n >= 2, d d x_s, the sum
+    of c c2 g g2 x_o2 over (o, g, c) in d x_s and (o2, g2, c2) in d x_o,
+    vanishes (squared is True where it does not).  Both are compared with
+    the coefficients summed by (o, left coset g K_o), here by the coset's
+    index in `coset_space(K_o)`."""
+    cosets: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    tables = []
+    for stabs in stabilizers:
+        level = []
+        for k in stabs:
+            table = cosets.get(k.elements)
+            if table is None:
+                table = cosets[k.elements] = coset_space(k).coset_of
+            level.append(table)
+        tables.append(level)
+    # (o, coset index i) is keyed as the integer i * width + o, width the
+    # number of orbits of that degree
+    for n in range(1, len(stabilizers)):
+        below, width = tables[n - 1], len(tables[n - 1])
+        if n >= 2:
+            down, tables2, width2 = boundaries[n - 2], tables[n - 2], len(tables[n - 2])
+        for s, (stab, entries) in enumerate(zip(stabilizers[n], boundaries[n - 1])):
+            mult = stab.parent.table
+            others = stab.elements[1:]
+            # an entry that is an orbit map (k g K_o = g K_o) is fixed as it
+            # is; only otherwise are the summed images compared
+            if others and not all(
+                below[o][mult[k][g]] == below[o][g] for k in others for o, g, _ in entries
+            ):
+
+                def image(left):
+                    acc: Dict[int, int] = {}
+                    for o, g, c in entries:
+                        key = below[o][left[g]] * width + o
+                        acc[key] = acc.get(key, 0) + c
+                    return {key: c for key, c in acc.items() if c}
+
+                fixed = image(mult[0])
+                if any(image(mult[k]) != fixed for k in others):
+                    return n, s, False
+            if n >= 2:
+                acc: Dict[int, int] = {}
+                for o, g, c in entries:
+                    row = mult[g]
+                    for o2, g2, c2 in down[o]:
+                        key = tables2[o2][row[g2]] * width2 + o2
+                        acc[key] = acc.get(key, 0) + c * c2
+                if any(acc.values()):
+                    return n, s, True
+    return None
+
+
 def tensor_orbit_complex(
     stabilizers: Sequence[Sequence[Subgroup]],
     boundaries: Sequence[Sequence[Sequence[Tuple[int, int, int]]]],
@@ -615,7 +694,10 @@ def tensor_orbit_complex(
     ``stabilizers[n]`` lists the stabilizer K of each orbit representative
     in degree n, and ``boundaries[n - 1]`` (n >= 1) the boundary of each
     representative in degree n as sparse (orbit, transporter g, coeff)
-    entries over degree n - 1, as `orbit_map_matrix` reads them.
+    entries over degree n - 1, as `orbit_map_matrix` reads them.  The orbit
+    form is checked on every call (`orbit_form_fault`): a boundary that its
+    stabilizer does not fix, or a boundary squared that is not zero, raises
+    ValidationError naming the degree and the orbit.
 
     The coefficients answer two questions: ``orbit_value(K)``, the value
     at an orbit with stabilizer K as a rank and a relation matrix (or
@@ -632,7 +714,31 @@ def tensor_orbit_complex(
     A `bredon.CoefficientSystem` F answers with F(G/K) and F(R_{g^-1}),
     giving C tensor_Or(G) F over the orbit category (Bredon, Equivariant
     cohomology theories, LNM 34, 1967; Lueck, Transformation Groups and
-    Algebraic K-Theory, LNM 1408, section 9)."""
+    Algebraic K-Theory, LNM 1408, section 9).
+
+    A result without relation blocks is returned with d d = 0 already
+    checked, so its `cone()` multiplies no boundaries.  Tensoring is a
+    functor T from orbit maps to matrices (Lueck, LNM 1408, section 9), so
+    each tensored boundary squared is T(d d) = T(0) = 0.  On free values
+    that holds on the nose: T(x) T(y) = T(xy), and T(x) depends only on
+    the coset x K.  That rests on three laws, each checked where it is
+    made: the action law of a `GModule` (a(h^-1) a(g^-1) = a((gh)^-1), and
+    a relation-free M_K means that K acts trivially); the orbit classes of
+    a permutation module (`orbit_map_rows` sends a class to the class of
+    g^-1 times its least point, and a fixed boundary makes the sum of its
+    blocks independent of that choice); and the functor laws that a
+    `bredon.CoefficientSystem` checks when it is built.  Coefficients
+    given some other way answer for these laws themselves.  A result with
+    relation blocks is checked by its cone, as `PresentedComplex.cone`
+    says."""
+    fault = orbit_form_fault(stabilizers, boundaries)
+    if fault is not None:
+        n, s, squared = fault
+        if squared:
+            raise ValidationError(f"boundary squared is nonzero at degree {n} (orbit {s})")
+        raise ValidationError(
+            f"boundary of orbit {s} in degree {n} is not fixed by its stabilizer"
+        )
     ranks: List[int] = []
     rel_blocks: Dict[int, List[Tuple[int, IntMatrix]]] = {}
     for n, stabs in enumerate(stabilizers):
@@ -650,7 +756,9 @@ def tensor_orbit_complex(
         n: orbit_map_matrix(boundaries[n - 1], stabilizers[n], stabilizers[n - 1], coeffs)
         for n in range(1, len(stabilizers))
     }
-    return PresentedComplex(0, ranks, bounds, rel_blocks)
+    cx = PresentedComplex(0, ranks, bounds, rel_blocks)
+    cx._checked = not rel_blocks
+    return cx
 
 
 def tensor_free_resolution(res: FreeResolution, m: GModule) -> PresentedComplex:
@@ -1254,6 +1362,8 @@ def tor(
     rank_cap: int = DEFAULT_RANK_CAP,
 ) -> FgAbGroup:
     """Tor_degree(A, M) over the group ring, via a free resolution of A."""
+    _check_int(degree, "degree")
+    _check_int(rank_cap, "rank_cap")
     if resolution is None:
         resolution = cached_resolution(a, degree + 1, rank_cap)
     if resolution.length < degree + 1:

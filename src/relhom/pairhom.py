@@ -14,6 +14,7 @@ from .exactla import (
     IntMatrix,
     PresentedChainMap,
     PresentedComplex,
+    _check_int,
     hom_cokernel,
     hom_kernel,
     induced_map,
@@ -259,6 +260,10 @@ def adamson_homology(
     In degree >= 1 the group must be finite with exponent dividing [G:H]
     (`_annihilated`), which checks every answer independently of how it
     was computed."""
+    _check_int(degree, "degree")
+    _check_int(rank_cap, "rank_cap")
+    if truncation is not None:
+        _check_int(truncation, "truncation")
     if degree < 0:
         raise ValidationError("negative degree")
     needed = degree + 1
@@ -282,6 +287,8 @@ def takasu_homology(
     """Tor-based relative homology of the pair; degree 0 is 0 by convention.
     In degree >= 2 the group must be finite with exponent dividing |G|
     (`_annihilated`)."""
+    _check_int(degree, "degree")
+    _check_int(rank_cap, "rank_cap")
     if degree < 0:
         raise ValidationError("negative degree")
     if degree == 0:
@@ -426,7 +433,8 @@ def comparison(
     degrees (with kernels and cokernels).  Adamson's group in degree
     n >= 1 and Takasu's in degree n >= 2 must obey their annihilation
     bounds (`_annihilated`)."""
-    degs = sorted(set(int(d) for d in degrees))
+    _check_int(rank_cap, "rank_cap")
+    degs = sorted(set(_check_int(d, "comparison degree") for d in degrees))
     if not degs or degs[0] < 1:
         raise ValidationError("comparison degrees must be >= 1")
     if 1 in degs and not m.is_constant():
@@ -613,6 +621,8 @@ def verify_takasu_les(
     sequence relating the homology of the subgroup, the group, and the pair.
     For n >= 1, H_{n+1}(pair) and H_n(G) must be finite with exponent
     dividing |G|, and H_n(H) with exponent dividing |H| (`_annihilated`)."""
+    _check_int(max_degree, "max_degree")
+    _check_int(rank_cap, "rank_cap")
     G = h.parent
     std = standard_modules(h)
     length = max_degree + 1
@@ -773,6 +783,7 @@ def normal_quotient_oracle(
     """Compare the standard-complex homology of the pair (truncated as in
     `adamson_homology`) against the group homology of the quotient with
     coinvariant coefficients."""
+    _check_int(degree, "degree")
     if not h.is_normal():
         raise ValidationError("the subgroup must be normal")
     coin = coinvariants(m, h)

@@ -5,9 +5,9 @@ checks each answer against `perfbench/refs.json`; its last line reports
 `correct` and the number of failed jobs.  These are the gates of the CI
 steps "Benchmark answers against the references" and "Orbit answers
 against the references", run here as well so that they hold whatever the
-state of the benchmark's own test suite.  The session workload runs every
-CLI command (takasu, verify-les, oracle-normal and jmodule among them), so
-each one runs through a worker process here too."""
+state of the benchmark's own test suite.  Every workload runs here, so
+each CLI command (takasu, verify-les, oracle-normal and jmodule among them)
+runs through a worker process, and so does the Tor side of tor-les."""
 
 import json
 import subprocess
@@ -19,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["compare", "orbit", "session"])
+@pytest.mark.parametrize("workload", ["compare", "tor-les", "orbit", "session"])
 def test_benchmark_run_answers_match_the_references(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -224,9 +224,17 @@ def test_gcw_validate_refuses_a_stabilizer_of_another_group(c2, c4):
         GCWData(c2, [[GCWCell(c4.full_subgroup())]])
 
 
-def test_canonical_table_matches_the_coset_minimum(s3, c6):
-    from relhom.bredon import _canonical_rep, _canonical_table
+def test_left_coset_keys_group_as_the_right_coset_minimum(s3, c6):
+    """`orbit_form_fault` keys an orbit entry (tgt, a^-1, c) by the left
+    coset a^-1 K; the orbit morphism R_a is the right coset K a, named by its
+    least element.  Inversion matches the two, so both group alike."""
+    from relhom.bredon import _canonical_rep
+    from relhom.groups import coset_space
 
     for group in (s3, c6):
         for k in R.all_subgroups(group):
-            assert _canonical_table(k) == [_canonical_rep(k, a) for a in group.elements()]
+            left = coset_space(k).coset_of
+            for a in group.elements():
+                for b in group.elements():
+                    same_left = left[group.inverse[a]] == left[group.inverse[b]]
+                    assert same_left == (_canonical_rep(k, a) == _canonical_rep(k, b))
