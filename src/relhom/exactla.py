@@ -407,9 +407,6 @@ class LatticeAccumulator:
                 grew = True
         return grew
 
-    def insert_dense(self, vec: Sequence[int]) -> bool:
-        return self.insert({i: x for i, x in enumerate(vec) if x})
-
     def remainder(self, vec: Dict[int, int]) -> Dict[int, int]:
         """The sparse `vec` reduced by the basis, pivot row by pivot row,
         until a row has no pivot or its pivot does not divide the entry:

@@ -39,12 +39,9 @@ class GModule:
     turns the lattice into a finitely presented module; the group law and
     equivariance are then only required modulo the relation lattice.
 
-    The constructor checks the action law (`_validate`).  With
-    ``validate=False`` the caller vouches for it: a tensored complex
-    without relations is taken as checked from its orbit form alone
-    (`tensor_orbit_complex`), which relies on that law.  The library's own
-    `trivial`, `trivial_mod`, `free`, `regular` and `restriction` pass it,
-    as their modules are valid by construction.
+    The constructor checks the action law (`_validate`), on every module:
+    a tensored complex without relations is taken as checked from its
+    orbit form alone (`tensor_orbit_complex`), which relies on that law.
     """
 
     __slots__ = (
@@ -61,7 +58,6 @@ class GModule:
         mats: Optional[Sequence[IntMatrix]] = None,
         relations: Optional[IntMatrix] = None,
         label: str = "",
-        validate: bool = True,
     ):
         if (perms is None) == (mats is None):
             raise ValidationError("provide exactly one of perms or mats")
@@ -83,8 +79,7 @@ class GModule:
             if relations.rows != self.rank:
                 raise ValidationError("relation matrix row count != rank")
             self._rel_acc = LatticeAccumulator.spanned_by(relations)
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- access
 
@@ -192,10 +187,9 @@ class GModule:
                 raise ValidationError("need one permutation per group element")
             if self._perms[0] != tuple(range(self.rank)):
                 raise ValidationError("identity must act trivially")
+            perms = self._perms
             for g, h in pairs:
-                pg, ph = self._perms[g], self._perms[h]
-                pgh = self._perms[G.mult(g, h)]
-                if any(pgh[i] != pg[ph[i]] for i in range(self.rank)):
+                if tuple(map(perms[g].__getitem__, perms[h])) != perms[G.mult(g, h)]:
                     raise ValidationError(f"action law fails at ({g}, {h})")
         else:
             if len(self._mats) != G.order:
@@ -239,7 +233,6 @@ class GModule:
             rank,
             perms=[tuple(range(rank))] * group.order,
             label="Z" if rank == 1 else f"Z^{rank}",
-            validate=False,
         )
 
     @classmethod
@@ -252,7 +245,6 @@ class GModule:
             mats=[IntMatrix.identity(1)] * group.order,
             relations=IntMatrix([[k]]),
             label=f"Z/{k}",
-            validate=False,
         )
 
     @classmethod
@@ -267,7 +259,7 @@ class GModule:
                 for h in range(n):
                     p[base + h] = base + row[h]
             perms.append(tuple(p))
-        return cls(group, n * r, perms=perms, label=f"Z[G]^{r}", validate=False)
+        return cls(group, n * r, perms=perms, label=f"Z[G]^{r}")
 
     @classmethod
     def regular(cls, group: FiniteGroup) -> "GModule":
@@ -406,11 +398,11 @@ def restriction(m: GModule, h: Subgroup) -> GModule:
     if m._perms is not None:
         return GModule(
             hgrp, m.rank, perms=[m._perms[g] for g in embed],
-            relations=m.relations, label=f"res {m.label}", validate=False,
+            relations=m.relations, label=f"res {m.label}",
         )
     return GModule(
         hgrp, m.rank, mats=[m._mats[g] for g in embed],
-        relations=m.relations, label=f"res {m.label}", validate=False,
+        relations=m.relations, label=f"res {m.label}",
     )
 
 
@@ -555,11 +547,6 @@ class FreeResolution:
 
     def tensor(self, m: GModule) -> PresentedComplex:
         return tensor_free_resolution(self, m)
-
-    def lift_target(self) -> "_ResolutionTarget":
-        """This resolution as the target of a chain lift onto its module
-        (see `_chain_lift`), with a solver on each boundary matrix."""
-        return _ResolutionTarget(self, self.augmentation_matrix())
 
     def __repr__(self) -> str:
         return (
@@ -813,7 +800,11 @@ def tensor_perm_complex(
     terms: Sequence[GModule], boundaries: Sequence[IntMatrix], m: GModule
 ) -> PresentedComplex:
     """Tensor a complex of permutation modules with M over the group ring,
-    one coinvariant block per basis orbit (see tensor_orbit_complex)."""
+    one coinvariant block per basis orbit (see tensor_orbit_complex).  Only
+    each orbit representative's column of a boundary is read, so each
+    boundary is first checked to be a map of G-modules (`GModuleHom`,
+    d a(g) = a'(g) d for every generator g); a boundary that is not one
+    raises ValidationError naming its degree."""
     G = m.group
     orbit_data = []
     stabilizers: List[List[Subgroup]] = []
@@ -841,6 +832,10 @@ def tensor_perm_complex(
         )
     rep_boundaries = []
     for k, d in enumerate(boundaries, start=1):
+        try:
+            GModuleHom(terms[k], terms[k - 1], d)
+        except ValidationError as exc:
+            raise ValidationError(f"boundary at degree {k}: {exc}") from None
         orbit, trans, _ = orbit_data[k - 1]
         rep_boundaries.append(
             [
@@ -860,19 +855,19 @@ def _check_budget(what: str, required: int, cap: int):
         raise BudgetError(what, required, cap)
 
 
-def _minimize_generators(group: FiniteGroup, act, vectors: Sequence[Sequence[int]], dim: int):
-    """Greedy Z[G]-generator selection: keep a vector only if it is not in
-    the lattice spanned by the orbits of the vectors kept so far."""
+def _minimize_generators(group: FiniteGroup, act, vectors: Sequence[Dict[int, int]], dim: int):
+    """Greedy Z[G]-generator selection on sparse vectors, with act(g, v)
+    the action: keep a vector only if it is not in the lattice spanned by
+    the orbits of the vectors kept so far."""
     acc = LatticeAccumulator(dim)
     kept = []
     for v in vectors:
-        if not acc.contains(v):
-            kept.append(list(v))
+        if acc.remainder(v):
+            kept.append(v)
             for g in group.elements():
-                acc.insert_dense(act(g, v))
-    for v in vectors:
-        if not acc.contains(v):
-            raise ValidationError("generator minimization lost the spanning property")
+                acc.insert(act(g, v))
+    if any(acc.remainder(v) for v in vectors):
+        raise ValidationError("generator minimization lost the spanning property")
     return kept
 
 
@@ -884,11 +879,14 @@ def resolve(
     """Free resolution of a lattice module by iterated kernel covers."""
     if m.relations is not None:
         raise ValidationError("resolve expects a lattice module without relations")
-    G = m.group
-    basis = [[1 if i == j else 0 for i in range(m.rank)] for j in range(m.rank)]
-    gens0 = _minimize_generators(G, m.act, basis, m.rank)
+    G, rank = m.group, m.rank
+    gens0 = _minimize_generators(
+        G, lambda g, v: _sparse(m.act(g, _dense(v, rank))), [{j: 1} for j in range(rank)], rank
+    )
     _check_budget("resolution term 0", G.order * len(gens0), rank_cap)
-    res = FreeResolution(G, m, [len(gens0)], [gens0], label=f"resolve({m.label})")
+    res = FreeResolution(
+        G, m, [len(gens0)], [[_dense(v, rank) for v in gens0]], label=f"resolve({m.label})"
+    )
     return _extend_resolution(res, length, rank_cap=rank_cap)
 
 
@@ -910,12 +908,10 @@ def _extend_resolution(
     for k in range(res.length + 1, length + 1):
         prev = out.augmentation_matrix() if k == 1 else out.boundary_matrix(k - 1)
         ker = kernel_basis(prev)
-        cols = ker.columns()
-        free_prev = GModule.free(G, out.free_ranks[k - 1])
-        gens = _minimize_generators(G, free_prev.act, cols, ker.rows)
+        gens = _minimize_generators(G, lambda g, v: _free_act(G, g, v), ker._cols, ker.rows)
         _check_budget(f"resolution term {k}", G.order * len(gens), rank_cap)
         out.free_ranks.append(len(gens))
-        out.gen_images.append([_orbit_entries(_sparse(v), G.order) for v in gens])
+        out.gen_images.append([_orbit_entries(v, G.order) for v in gens])
     return out
 
 
@@ -1047,6 +1043,16 @@ def _orbit_entries(vec: Dict[int, int], order: int, sign: int = 1) -> tuple:
     return tuple((*divmod(idx, order), sign * c) for idx, c in sorted(vec.items()))
 
 
+def _free_act(group: FiniteGroup, g: int, vec):
+    """g on a sparse vector of a free module: (i, h) -> i*|G| + h moves to (i, g h)."""
+    order, row = group.order, group.table[g]
+    out = {}
+    for idx, v in vec.items():
+        i, h = divmod(idx, order)
+        out[i * order + row[h]] = v
+    return out
+
+
 def _free_apply(group: FiniteGroup, images, vec):
     """The equivariant map of free modules that sends generator i to the
     orbit entries images[i], applied to the sparse `vec` (both on the basis
@@ -1065,10 +1071,12 @@ def _free_apply(group: FiniteGroup, images, vec):
 
 class _ResolutionTarget:
     """A free resolution as a lift target (see `_chain_lift`), with
-    `bottom` as its degree-0 boundary.  Vectors are dicts on the basis
-    (i, h) -> i*|G| + h, which G moves by (i, h) -> (i, g h).  Boundaries
-    are applied through the generators' images; preimages come from one
-    IntSolver per degree, built when first asked for."""
+    `bottom` as its degree-0 boundary (the augmentation, or iota alpha for
+    the horseshoe's connecting map).  Vectors are dicts on the basis
+    (i, h) -> i*|G| + h, which G moves by `_free_act`.  Boundaries are
+    applied through the generators' images; preimages come from one
+    IntSolver per degree, built when first asked for and kept by this
+    target, so they live as long as one lift."""
 
     def __init__(self, res: FreeResolution, bottom: IntMatrix):
         self.res = res
@@ -1076,13 +1084,7 @@ class _ResolutionTarget:
         self._solvers: Dict[int, IntSolver] = {}
 
     def act(self, n: int, g: int, vec):
-        order = self.res.group.order
-        row = self.res.group.table[g]
-        out = {}
-        for idx, v in vec.items():
-            i, h = divmod(idx, order)
-            out[i * order + row[h]] = v
-        return out
+        return _free_act(self.res.group, g, vec)
 
     def boundary(self, n: int, vec):
         if n == 0:
@@ -1164,80 +1166,6 @@ class HorseshoeData:
         self.h_gen_images = h_gen_images
 
 
-class _HorseshoeTarget(_ResolutionTarget):
-    """The horseshoe's middle resolution as a lift target whose preimages
-    come by back-substitution through its two halves, so that no boundary
-    of the middle is eliminated (the horseshoe lemma's own preimage step;
-    Brown, Cohomology of Groups, I.8).
-
-    A degree-(n-1) right-hand side (a, b), n >= 1, splits into its I-part
-    a and its Z-part b.  x_z is a preimage of b in res_z, and
-    a' = a - h_n(x_z) is a cycle, by d h_n = -h_(n-1) d (for n = 1, by
-    iota alpha h_1 = -sigma d); x_i is its preimage in res_i.  In degree
-    0, x_z covers the augmentation of y in Z, and x_i covers
-    y - sigma(x_z), which lies in I, through iota alpha.  A failed step
-    raises ValidationError naming its half and stage."""
-
-    def __init__(self, middle: FreeResolution, i_side, z_side, sigma, h_entries):
-        super().__init__(middle, middle.augmentation_matrix())
-        self.i_side = i_side
-        self.z_side = z_side
-        self.sigma = sigma
-        self.h_entries = h_entries
-
-    def preimage(self, n: int, rhs):
-        order = self.res.group.order
-        i_ranks = self.i_side.res.free_ranks
-        if n == 0:
-            total = sum(rhs.values())
-            x_z = _side_preimage(self.z_side, "Z", 0, {0: total} if total else {})
-            correction = self.sigma(x_z)
-            a = dict(rhs)
-        else:
-            cut = order * i_ranks[n - 1]
-            a = {k: v for k, v in rhs.items() if k < cut}
-            b = {k - cut: v for k, v in rhs.items() if k >= cut}
-            x_z = _side_preimage(self.z_side, "Z", n, b)
-            correction = _free_apply(self.res.group, self.h_entries[n - 1], x_z)
-        for k, v in correction.items():
-            a[k] = a.get(k, 0) - v
-        x = _side_preimage(self.i_side, "I", n, {k: v for k, v in a.items() if v})
-        cut = order * i_ranks[n]
-        x.update((cut + k, v) for k, v in x_z.items())
-        return x
-
-
-def _side_preimage(side: _ResolutionTarget, name: str, n: int, rhs):
-    x = side.preimage(n, rhs)
-    if x is None:
-        raise ValidationError(
-            f"horseshoe back-substitution: no {name}-side preimage at stage {n}"
-        )
-    return x
-
-
-class _HorseshoeMiddle(FreeResolution):
-    """The horseshoe's resolution of Z[G/H], F^I_k + F^Z_k in degree k with
-    the I-side generators first; it lifts along `_HorseshoeTarget`.  The
-    first lift target takes over the solvers on res_i that the horseshoe's
-    own lift built, so they live no longer than that lift; a later target
-    builds its own."""
-
-    def __init__(self, group, module, free_ranks, gen_images, i_side, res_z, sigma, h_entries):
-        super().__init__(group, module, free_ranks, gen_images, label="horseshoe")
-        self._i_side = i_side
-        self._res_z = res_z
-        self._sigma = sigma
-        self._h_entries = h_entries
-
-    def lift_target(self) -> _HorseshoeTarget:
-        i_side = self._i_side
-        self._i_side = _ResolutionTarget(i_side.res, i_side.bottom)
-        return _HorseshoeTarget(
-            self, i_side, self._res_z.lift_target(), self._sigma, self._h_entries
-        )
-
-
 def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules) -> HorseshoeData:
     """Combine resolutions of I and Z into a resolution of Z[G/H] for the
     short exact sequence 0 -> I -> Z[G/H] -> Z -> 0.
@@ -1247,14 +1175,13 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
     augmentation of Z through Z[G/H].  They come from the chain lift phi of
     res_z shifted down one degree, whose degree-0 images are sigma(d e),
     along res_i with iota alpha as its degree-0 boundary:
-    h_k = (-1)^k phi_{k-1}.  A failure names the stage of phi.  The middle
-    resolution keeps that lift's solvers on res_i for its own preimage
-    step (`_HorseshoeTarget`).
+    h_k = (-1)^k phi_{k-1}.  A failure names the stage of phi.
 
-    The middle holds the I-side generators first, with their res_i
-    images.  A Z-side image of degree k >= 1 is its h_k entries followed
-    by its res_z entries, shifted past the I-side generators of degree
-    k - 1.  All of these are orbit entries (see `FreeResolution`)."""
+    The middle is a plain `FreeResolution`, lifted into like any other.  It
+    holds the I-side generators first, with their res_i images.  A Z-side
+    image of degree k >= 1 is its h_k entries followed by its res_z
+    entries, shifted past the I-side generators of degree k - 1.  All of
+    these are orbit entries (see `FreeResolution`)."""
     G = res_i.group
     n = G.order
     length = min(res_i.length, res_z.length)
@@ -1283,9 +1210,8 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
     shifted = [
         [_dense(sigma({i * n + h: c for i, h, c in v}), perm.rank) for v in res_z.gen_images[1]]
     ] + res_z.gen_images[2 : length + 1]
-    i_side = _ResolutionTarget(res_i, ia_matrix)
     try:
-        phi = _chain_lift(shifted, i_side, length)
+        phi = _chain_lift(shifted, _ResolutionTarget(res_i, ia_matrix), length)
     except ValidationError as exc:
         raise ValidationError(
             f"horseshoe connecting map (h_k = (-1)^k phi_(k-1)): {exc}"
@@ -1307,7 +1233,7 @@ def horseshoe(res_i: FreeResolution, res_z: FreeResolution, std: StandardModules
                 for hk, z in zip(h_gen_images[k - 1], res_z.gen_images[k])
             ]
         )
-    middle = _HorseshoeMiddle(G, perm, mid_ranks, mid_gens, i_side, res_z, sigma, h_gen_images)
+    middle = FreeResolution(G, perm, mid_ranks, mid_gens, label="horseshoe")
     return HorseshoeData(middle, res_i, res_z, h_gen_images)
 
 
@@ -1319,12 +1245,13 @@ def lift_over_resolution(
     ``[k][j]`` is the image of generator j of src's degree-k term in tgt's,
     as orbit entries (i, h, c) (see `FreeResolution`).  It is the chain
     lift of src, with its degree-0 images pushed through `bottom`, along
-    tgt's own preimage step (`FreeResolution.lift_target`)."""
+    tgt with its augmentation as the degree-0 boundary (`_ResolutionTarget`:
+    an IntSolver per boundary of tgt, built for this lift)."""
     if src.group is not tgt.group:
         raise ValidationError("resolutions over different groups")
     length = min(src.length, tgt.length)
     pushed = [[bottom.apply(v) for v in src.gen_images[0]]] + src.gen_images[1 : length + 1]
-    lift = _chain_lift(pushed, tgt.lift_target(), length + 1)
+    lift = _chain_lift(pushed, _ResolutionTarget(tgt, tgt.augmentation_matrix()), length + 1)
     return [[_orbit_entries(x, src.group.order) for x in level] for level in lift]
 
 

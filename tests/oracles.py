@@ -111,7 +111,7 @@ def term_module(cx: pairhom.AdamsonComplex, n: int) -> GModule:
             perms.append(
                 tuple(index[tuple(cs.act(g, c) for c in t)] for t in cx.tuples[n])
             )
-        cache[n] = GModule(cx.group, len(cx.tuples[n]), perms=perms, validate=False)
+        cache[n] = GModule(cx.group, len(cx.tuples[n]), perms=perms)
     return cache[n]
 
 
@@ -158,10 +158,10 @@ def solver_resolution_target(res: FreeResolution, bottom: IntMatrix) -> SolverTa
 def solver_lift_over_resolution(
     src: FreeResolution, tgt: FreeResolution, bottom: IntMatrix
 ) -> List[List[tuple]]:
-    """`modres.lift_over_resolution` with an IntSolver on each of tgt's
-    boundary matrices (and its augmentation) for the preimages, whatever
-    preimage step tgt keeps: on the horseshoe resolution, this eliminates
-    the assembled middle boundaries that its back-substitution avoids."""
+    """`modres.lift_over_resolution` along `SolverTarget`: an IntSolver on
+    each of tgt's cached boundary matrices (`boundary_matrix`, which also
+    caches the top one) and its augmentation, with G moving vectors
+    through the index permutations of `GModule.free` terms."""
     length = min(src.length, tgt.length)
     pushed = [[bottom.apply(v) for v in src.gen_images[0]]] + src.gen_images[1 : length + 1]
     target = solver_resolution_target(tgt, tgt.augmentation_matrix())
@@ -551,7 +551,7 @@ def cellular_chain_modules(x: GCWData) -> Tuple[List[GModule], List[IntMatrix]]:
             perms.append(
                 tuple(idx[(ci, spaces[ci].act(g, c))] for (ci, c) in basis)
             )
-        terms.append(GModule(G, len(basis), perms=perms, validate=False))
+        terms.append(GModule(G, len(basis), perms=perms))
         bases.append(basis)
         index_maps.append(idx)
     bounds: List[IntMatrix] = []

@@ -1,12 +1,13 @@
-"""The Shapiro lift into the horseshoe resolution by back-substitution.
+"""The Shapiro lift into the horseshoe resolution.
 
 `verify_takasu_les` lifts the induced resolution of Z[G/H] into the
-horseshoe resolution assembled from resolutions of I and Z.  The middle
-resolution takes its preimages through its two halves, so no boundary of
-the middle is eliminated.  The reference route lifts along an IntSolver on
-the middle's own boundary matrices (`oracles.solver_lift_over_resolution`);
-both lifts are chain maps over the identity of Z[G/H], so they must give
-the same certificate.
+horseshoe resolution assembled from resolutions of I and Z.  The middle is
+a plain `FreeResolution`, and `lift_over_resolution` lifts into it along an
+IntSolver per middle boundary, built for that lift, as into any other
+resolution.  The reference route lifts along an IntSolver on the middle's
+cached boundary matrices (`oracles.solver_lift_over_resolution`); both
+lifts are chain maps over the identity of Z[G/H], so they must give the
+same certificate.
 """
 
 import re
@@ -14,7 +15,7 @@ import re
 import pytest
 
 import relhom as R
-from relhom import GModule, IntMatrix, exactla, modres, pairhom
+from relhom import GModule, IntMatrix, modres, pairhom
 from relhom.errors import ValidationError
 
 from conftest import alternating4
@@ -71,7 +72,7 @@ def _resolutions(h, length):
 
 
 @pytest.mark.parametrize("pair,mod", CASES)
-def test_back_substitution_gives_the_reference_certificate(monkeypatch, pair, mod):
+def test_shapiro_lift_gives_the_reference_certificate(monkeypatch, pair, mod):
     h = _pair(pair)
     m = _module(mod, h)
     new = R.verify_takasu_les(h, m, TOP)
@@ -137,7 +138,7 @@ def _equivariant(group, gen_images, rows):
 
 
 @pytest.mark.parametrize("pair", PAIRS)
-def test_back_substitution_lift_is_a_chain_map_over_the_identity(pair):
+def test_shapiro_lift_is_a_chain_map_over_the_identity(pair):
     h = _pair(pair)
     std, ind, res_i, res_z = _resolutions(h, TOP + 1)
     mid = R.horseshoe(res_i, res_z, std).middle
@@ -158,34 +159,6 @@ def test_connecting_maps_match_the_solver_route(monkeypatch, pair):
     assert R.horseshoe(res_i, res_z, std).h_gen_images == new
 
 
-def _middle_shapes(h, length):
-    std, _ind, res_i, res_z = _resolutions(h, length)
-    mid = R.horseshoe(res_i, res_z, std).middle
-    return {(mid.module.rank, mid.z_rank(0))} | {
-        (mid.z_rank(k - 1), mid.z_rank(k)) for k in range(1, mid.length + 1)
-    }
-
-
-@pytest.mark.parametrize("pair", ("S3>C2", "D4>refl", "A4>C3"))
-def test_verify_builds_no_solver_on_the_middle(monkeypatch, pair):
-    h = _pair(pair)
-    shapes = _middle_shapes(h, TOP + 1)
-    solver_init = exactla.IntSolver.__init__
-    built = []
-
-    def counted_init(self, a):
-        built.append(a.shape)
-        solver_init(self, a)
-
-    monkeypatch.setattr(exactla.IntSolver, "__init__", counted_init)
-    R.verify_takasu_les(h, GModule.trivial(h.parent), TOP)
-    assert built and not shapes & set(built)
-    # the counter sees the middle's solvers on the reference route
-    monkeypatch.setattr(pairhom, "lift_over_resolution", solver_lift_over_resolution)
-    R.verify_takasu_les(h, GModule.trivial(h.parent), TOP)
-    assert shapes <= set(built)
-
-
 def _broken(res, degree):
     """res with its degree-`degree` generators doubled: still a complex,
     no longer exact at degree - 1."""
@@ -194,28 +167,22 @@ def _broken(res, degree):
     return R.FreeResolution(res.group, res.module, res.free_ranks, images, label="broken")
 
 
-def test_back_substitution_names_its_half_and_stage(c4, c4_c2):
+def test_shapiro_lift_names_its_stage(c4, c4_c2):
     std, ind, res_i, res_z = _resolutions(c4_c2, 3)
     ident = IntMatrix.identity(std.perm.rank)
-    # the Z-part of the stage-2 right-hand side is a cycle that the doubled
-    # d_2 of res_z no longer hits
+    # the stage-2 right-hand side is a cycle of the middle that the doubled
+    # d_2 of res_z no longer lets the middle's d_2 hit
     mid = R.horseshoe(res_i, _broken(res_z, 2), std).middle
-    with pytest.raises(
-        ValidationError,
-        match=re.escape("horseshoe back-substitution: no Z-side preimage at stage 2"),
-    ):
+    with pytest.raises(ValidationError, match=re.escape("no integral lift at stage 2")):
         R.lift_over_resolution(ind, mid, ident)
-    # the horseshoe's own lift stops below d_3 of res_i; the middle's I-side
-    # step at stage 3 meets the doubled d_3
+    # the horseshoe's own lift stops below d_3 of res_i; the Shapiro lift
+    # meets the doubled d_3 at stage 3
     mid = R.horseshoe(_broken(res_i, 3), res_z, std).middle
-    with pytest.raises(
-        ValidationError,
-        match=re.escape("horseshoe back-substitution: no I-side preimage at stage 3"),
-    ):
+    with pytest.raises(ValidationError, match=re.escape("no integral lift at stage 3")):
         R.lift_over_resolution(ind, mid, ident)
 
 
-def test_verify_names_the_failed_back_substitution(monkeypatch, c4, c4_c2):
+def test_verify_names_the_failed_shapiro_lift(monkeypatch, c4, c4_c2):
     cached = modres.cached_resolution
     z = GModule.trivial(c4).value_key()
 
@@ -228,7 +195,7 @@ def test_verify_names_the_failed_back_substitution(monkeypatch, c4, c4_c2):
         ValidationError,
         match=re.escape(
             "Shapiro lift v (induced resolution -> horseshoe resolution): "
-            "horseshoe back-substitution: no Z-side preimage at stage 2"
+            "no integral lift at stage 2"
         ),
     ):
         R.verify_takasu_les(c4_c2, GModule.trivial(c4), 2)

@@ -170,6 +170,17 @@ def test_gmodule_action_that_is_not_a_c2_action_is_refused(c2, action):
         GModule.from_action_matrices(c2, mats)
 
 
+def test_gmodule_permutation_action_law_is_checked():
+    # on C3, t acting by a swap gives t t = identity, not t^2 = the swap
+    c3 = R.cyclic_group(3)
+    swap = (1, 0)
+    with pytest.raises(ValidationError, match=r"^action law fails at \(1, 1\)$"):
+        GModule(c3, 2, perms=[(0, 1), swap, swap])
+    with pytest.raises(ValidationError, match="^identity must act trivially$"):
+        GModule(c3, 2, perms=[swap, swap, swap])
+    GModule(c3, 3, perms=[(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+
+
 def test_gmodule_relations_must_be_g_stable(c2):
     swap = [(0, 1), (1, 0)]
     with pytest.raises(ValidationError, match="^relation lattice is not G-stable$"):

@@ -260,6 +260,21 @@ def test_a_fixed_sum_of_non_orbit_maps_tensors_as_its_presented_route(c2):
     assert [str(perm.homology(n)) for n in range(2)] == ["Z", "0"]
 
 
+def test_a_boundary_that_is_not_a_g_map_is_refused(c2):
+    """d = [[1, 0], [0, 0]] on Z[C2] sends e to e and t to 0, so d(t e) is
+    not t d(e).  Read from the representative's column alone it would
+    tensor with Z to the boundary [[1]] and H_0 = H_1 = 0."""
+    free = GModule.regular(c2)
+    d = IntMatrix([[1, 0], [0, 0]])
+    with pytest.raises(ValidationError, match="boundary at degree 1: hom is not equivariant"):
+        R.tensor_perm_complex([free, free], [d], GModule.trivial(c2))
+    # the same shape with the equivariant d = 1 + t is accepted
+    cx = R.tensor_perm_complex([free, free], [IntMatrix([[1, 1], [1, 1]])], GModule.trivial(c2))
+    assert [str(cx.homology(n)) for n in range(2)] == ["Z/2", "0"]
+    with pytest.raises(ValidationError, match="boundary at degree 1: hom matrix shape mismatch"):
+        R.tensor_perm_complex([free, free], [IntMatrix([[1, 1]])], GModule.trivial(c2))
+
+
 # ---------------------------------------------------------------------------
 # every complex the benchmark jobs tensor
 
