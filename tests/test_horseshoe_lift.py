@@ -138,6 +138,18 @@ def _equivariant(group, gen_images, rows):
 
 
 @pytest.mark.parametrize("pair", PAIRS)
+def test_horseshoe_middle_is_a_resolution(pair):
+    # the Shapiro lift solves along the middle's own boundaries, so it
+    # needs the middle exact, augmented onto Z[G/H]
+    h = _pair(pair)
+    std, _ind, res_i, res_z = _resolutions(h, TOP + 1)
+    mid = R.horseshoe(res_i, res_z, std).middle
+    assert mid.module is std.perm
+    assert mid.length == TOP + 1
+    mid.validate()
+
+
+@pytest.mark.parametrize("pair", PAIRS)
 def test_shapiro_lift_is_a_chain_map_over_the_identity(pair):
     h = _pair(pair)
     std, ind, res_i, res_z = _resolutions(h, TOP + 1)
