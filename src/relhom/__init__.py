@@ -33,7 +33,6 @@ from .exactla import (
     sequence_exact_at,
     smith_form,
     smith_invariants,
-    solve_integer,
     xgcd,
 )
 from .groups import (
@@ -73,7 +72,6 @@ from .modres import (
     lift_over_resolution,
     quotient_group,
     resolve,
-    restriction,
     standard_modules,
     takasu_resolution,
     tensor_free_resolution,

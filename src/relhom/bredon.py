@@ -18,8 +18,8 @@ from .groups import FiniteGroup, Subgroup, SubgroupFamily
 from .modres import (
     DEFAULT_RANK_CAP,
     GModule,
+    OrbitForm,
     _relative_bar_levels,
-    orbit_form_fault,
     orbit_map_matrix,
     tensor_orbit_complex,
 )
@@ -259,7 +259,11 @@ class GCWCell:
 
 
 class GCWData:
-    """Orbit-cell data of a finite-type equivariant CW complex."""
+    """Orbit-cell data of a finite-type equivariant CW complex.
+
+    `validate` checks the cells and builds ``form``, the `modres.OrbitForm`
+    of orbit entries (tgt, a^-1, coeff) that `bredon_complex` tensors; the
+    form's own check refuses a formal boundary squared that is nonzero."""
 
     FORMAT_VERSION = 1
 
@@ -298,23 +302,17 @@ class GCWData:
                                 f"boundary entry of cell {ci} in dimension {d} "
                                 "is not an orbit map"
                             )
-        # the formal boundary squared must vanish, on the orbit entries
-        # (tgt, a^-1, coeff) that bredon_complex tensors; each entry is an
-        # orbit map, so every boundary is fixed by its cell's stabilizer and
-        # only a square can fail
+        # the orbit entries (tgt, a^-1, coeff) that bredon_complex tensors;
+        # each entry is an orbit map, so every boundary is fixed by its
+        # cell's stabilizer and only a square can fail
         inv = G.inverse
-        fault = orbit_form_fault(
+        self.form = OrbitForm(
             [[cell.stabilizer for cell in dim_cells] for dim_cells in self.cells],
             [
                 [[(tgt, inv[a], c) for tgt, a, c in cell.boundary] for cell in dim_cells]
                 for dim_cells in self.cells[1:]
             ],
         )
-        if fault is not None:
-            d, ci, _ = fault
-            raise ValidationError(
-                f"formal boundary squared is nonzero on cell {ci} in dimension {d}"
-            )
 
     # -- JSON wire format
 
@@ -376,36 +374,26 @@ def bredon_complex(
     K |-> M_K.  A boundary entry (tgt, a, coeff) sits at a^-1 * tgt (the
     cell at coset g is g * (its representative cell), so its entry sits at
     the coset g a^-1 of the target's stabilizer): the orbit entry
-    (tgt, a^-1, coeff) of `modres.tensor_orbit_complex`, which lays out
-    the blocks."""
+    (tgt, a^-1, coeff) of ``x.form``, checked when the cell data was built,
+    which `modres.tensor_orbit_complex` lays out in blocks."""
     if isinstance(coefficients, CoefficientSystem):
         family = set(coefficients.category.objects)
     elif coefficients.group is not x.group:
         raise ValidationError("module over a different group")
     else:
         family = None
-    for d, dim_cells in enumerate(x.cells):
+    for d, stabs in enumerate(x.form.stabilizers):
         total = 0
-        for cell in dim_cells:
-            if family is not None and cell.stabilizer not in family:
-                raise ValidationError(
-                    f"stabilizer {list(cell.stabilizer.elements)} outside the family"
-                )
+        for stab in stabs:
+            if family is not None and stab not in family:
+                raise ValidationError(f"stabilizer {list(stab.elements)} outside the family")
             if family is None:  # a module's budget is its rank per cell
                 total += coefficients.rank
             else:
-                total += coefficients.orbit_value(cell.stabilizer)[0]
+                total += coefficients.orbit_value(stab)[0]
         if total > rank_cap:
             raise BudgetError(f"equivariant chain group in dimension {d}", total, rank_cap)
-    inv = x.group.inverse
-    return tensor_orbit_complex(
-        [[cell.stabilizer for cell in dim_cells] for dim_cells in x.cells],
-        [
-            [[(tgt, inv[a], coeff) for tgt, a, coeff in cell.boundary] for cell in dim_cells]
-            for dim_cells in x.cells[1:]
-        ],
-        coefficients,
-    )
+    return tensor_orbit_complex(x.form, coefficients)
 
 
 def bredon_homology(

@@ -1055,11 +1055,6 @@ class IntSolver:
         return out
 
 
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[List[int]]:
-    """Some integer solution of a*x == b, or None if none exists."""
-    return IntSolver(a).solve(b)
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
 
@@ -1584,8 +1579,9 @@ class PresentedComplex:
 
         A complex without relations is its own cone, checked on the first
         call unless its builder checked it already:
-        `modres.tensor_orbit_complex` checks d d = 0 on the orbit form
-        before tensoring and returns its relation-free results checked.
+        `modres.tensor_orbit_complex` tensors an orbit form whose d d = 0
+        was checked when the form was built (`modres.OrbitForm`), and
+        returns its relation-free results checked.
         Otherwise the cone extends one degree above the top so that the
         top-degree relations are imposed on the top chain group, and that
         cone is checked.

@@ -153,12 +153,12 @@ class GModule:
         orbit classes of a permutation module, the class of a K-orbit with
         least point x goes to the L-orbit of g^-1 x.  That is well defined
         when K is in g L g^-1; otherwise only a sum of such blocks is, over
-        a boundary that K fixes (`orbit_form_fault`), since its value at x
-        is then the same for every point of the K-orbit.  With K and L
-        trivial every orbit is a point and that block is a(g^-1) again, so
-        the rows computed once are returned rather than rebuilt per call
-        (free resolutions and the free orbits of coset-tuple complexes take
-        this path)."""
+        a boundary that K fixes (as `OrbitForm` checks when it is built),
+        since its value at x is then the same for every point of the
+        K-orbit.  With K and L trivial every orbit is a point and that
+        block is a(g^-1) again, so the rows computed once are returned
+        rather than rebuilt per call (free resolutions and the free orbits
+        of coset-tuple complexes take this path)."""
         if (
             len(source.elements) == 1 == len(target.elements)
             or self._perms is None
@@ -390,22 +390,6 @@ def standard_modules(h: Subgroup) -> StandardModules:
     return StandardModules(h, perm, aug, i_module, emb)
 
 
-def restriction(m: GModule, h: Subgroup) -> GModule:
-    """The same lattice as a module over the subgroup (re-indexed)."""
-    if h.parent is not m.group:
-        raise ValidationError("subgroup of a different group")
-    hgrp, embed = subgroup_as_group(h)
-    if m._perms is not None:
-        return GModule(
-            hgrp, m.rank, perms=[m._perms[g] for g in embed],
-            relations=m.relations, label=f"res {m.label}",
-        )
-    return GModule(
-        hgrp, m.rank, mats=[m._mats[g] for g in embed],
-        relations=m.relations, label=f"res {m.label}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Free resolutions
 
@@ -606,85 +590,100 @@ def orbit_map_matrix(
     return IntMatrix._from_sparse_columns(out, offsets[-1])
 
 
-def orbit_form_fault(
-    stabilizers: Sequence[Sequence[Subgroup]],
-    boundaries: Sequence[Sequence[Sequence[Tuple[int, int, int]]]],
-) -> Optional[Tuple[int, int, bool]]:
-    """The first orbit at which an orbit form (as `tensor_orbit_complex`
-    reads it) is not a complex of permutation modules, as (degree n, orbit
-    s, squared), or None when it is one.
+class OrbitForm:
+    """A complex C of permutation modules in orbit form, checked once, when
+    it is built; `tensor_orbit_complex` reads it.
 
-    The boundary of the representative x_s of orbit s in degree n is the
-    sum of c g x_o over its entries (o, g, c), an element of the sum of the
-    Z[G/K_o].  It extends to a map of G-modules, g x_s |-> g d(x_s), when
-    the stabilizer K_s fixes it (squared is False where it does not).  That
-    map squares to zero when, for every s in degree n >= 2, d d x_s, the sum
-    of c c2 g g2 x_o2 over (o, g, c) in d x_s and (o2, g2, c2) in d x_o,
-    vanishes (squared is True where it does not).  Both are compared with
-    the coefficients summed by (o, left coset g K_o), here by the coset's
-    index in `coset_space(K_o)`."""
-    cosets: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    tables = []
-    for stabs in stabilizers:
-        level = []
-        for k in stabs:
-            table = cosets.get(k.elements)
-            if table is None:
-                table = cosets[k.elements] = coset_space(k).coset_of
-            level.append(table)
-        tables.append(level)
-    # (o, coset index i) is keyed as the integer i * width + o, width the
-    # number of orbits of that degree
-    for n in range(1, len(stabilizers)):
-        below, width = tables[n - 1], len(tables[n - 1])
-        if n >= 2:
-            down, tables2, width2 = boundaries[n - 2], tables[n - 2], len(tables[n - 2])
-        for s, (stab, entries) in enumerate(zip(stabilizers[n], boundaries[n - 1])):
-            mult = stab.parent.table
-            others = stab.elements[1:]
-            # an entry that is an orbit map (k g K_o = g K_o) is fixed as it
-            # is; only otherwise are the summed images compared
-            if others and not all(
-                below[o][mult[k][g]] == below[o][g] for k in others for o, g, _ in entries
-            ):
+    ``stabilizers[n]`` lists the stabilizer K_s of each orbit
+    representative x_s in degree n, and ``boundaries[n - 1]`` (n >= 1) the
+    boundary of each x_s as sparse (orbit o, transporter g, coeff c)
+    entries over degree n - 1: the sum of c g x_o, an element of the sum
+    of the Z[G/K_o].  Both are stored as tuples, so the check holds for the
+    life of the form.  Immutable.
 
-                def image(left):
+    The constructor raises ValidationError, naming the degree n and the
+    orbit s, where the data is not a complex of permutation modules.  The
+    boundary of x_s extends to a map of G-modules, g x_s |-> g d(x_s), when
+    K_s fixes it.  That map squares to zero when, for every s in degree
+    n >= 2, d d x_s, the sum of c c2 g g2 x_o2 over (o, g, c) in d x_s and
+    (o2, g2, c2) in d x_o, vanishes.  Both are compared with the
+    coefficients summed by (o, left coset g K_o), here by the coset's index
+    in `coset_space(K_o)`."""
+
+    __slots__ = ("stabilizers", "boundaries")
+
+    def __init__(
+        self,
+        stabilizers: Sequence[Sequence[Subgroup]],
+        boundaries: Sequence[Sequence[Sequence[Tuple[int, int, int]]]],
+    ):
+        stabilizers = tuple(tuple(level) for level in stabilizers)
+        boundaries = tuple(
+            tuple(tuple(map(tuple, entries)) for entries in level) for level in boundaries
+        )
+        cosets: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        tables = []
+        for stabs in stabilizers:
+            level = []
+            for k in stabs:
+                table = cosets.get(k.elements)
+                if table is None:
+                    table = cosets[k.elements] = coset_space(k).coset_of
+                level.append(table)
+            tables.append(level)
+        # (o, coset index i) is keyed as the integer i * width + o, width the
+        # number of orbits of that degree
+        for n in range(1, len(stabilizers)):
+            below, width = tables[n - 1], len(tables[n - 1])
+            if n >= 2:
+                down, tables2, width2 = boundaries[n - 2], tables[n - 2], len(tables[n - 2])
+            for s, (stab, entries) in enumerate(zip(stabilizers[n], boundaries[n - 1])):
+                mult = stab.parent.table
+                others = stab.elements[1:]
+                # an entry that is an orbit map (k g K_o = g K_o) is fixed as
+                # it is; only otherwise are the summed images compared
+                if others and not all(
+                    below[o][mult[k][g]] == below[o][g] for k in others for o, g, _ in entries
+                ):
+
+                    def image(left):
+                        acc: Dict[int, int] = {}
+                        for o, g, c in entries:
+                            key = below[o][left[g]] * width + o
+                            acc[key] = acc.get(key, 0) + c
+                        return {key: c for key, c in acc.items() if c}
+
+                    fixed = image(mult[0])
+                    if any(image(mult[k]) != fixed for k in others):
+                        raise ValidationError(
+                            f"boundary of orbit {s} in degree {n} is not fixed by its stabilizer"
+                        )
+                if n >= 2:
                     acc: Dict[int, int] = {}
                     for o, g, c in entries:
-                        key = below[o][left[g]] * width + o
-                        acc[key] = acc.get(key, 0) + c
-                    return {key: c for key, c in acc.items() if c}
+                        row = mult[g]
+                        for o2, g2, c2 in down[o]:
+                            key = tables2[o2][row[g2]] * width2 + o2
+                            acc[key] = acc.get(key, 0) + c * c2
+                    if any(acc.values()):
+                        raise ValidationError(
+                            f"boundary squared is nonzero at degree {n} (orbit {s})"
+                        )
+        object.__setattr__(self, "stabilizers", stabilizers)
+        object.__setattr__(self, "boundaries", boundaries)
 
-                fixed = image(mult[0])
-                if any(image(mult[k]) != fixed for k in others):
-                    return n, s, False
-            if n >= 2:
-                acc: Dict[int, int] = {}
-                for o, g, c in entries:
-                    row = mult[g]
-                    for o2, g2, c2 in down[o]:
-                        key = tables2[o2][row[g2]] * width2 + o2
-                        acc[key] = acc.get(key, 0) + c * c2
-                if any(acc.values()):
-                    return n, s, True
-    return None
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-def tensor_orbit_complex(
-    stabilizers: Sequence[Sequence[Subgroup]],
-    boundaries: Sequence[Sequence[Sequence[Tuple[int, int, int]]]],
-    coeffs,
-) -> PresentedComplex:
-    """The complex C tensor F of a complex C of permutation modules given in
-    orbit form; this is the one place where relhom lays out orbit blocks.
-
-    ``stabilizers[n]`` lists the stabilizer K of each orbit representative
-    in degree n, and ``boundaries[n - 1]`` (n >= 1) the boundary of each
-    representative in degree n as sparse (orbit, transporter g, coeff)
-    entries over degree n - 1, as `orbit_map_matrix` reads them.  The orbit
-    form is checked on every call (`orbit_form_fault`): a boundary that its
-    stabilizer does not fix, or a boundary squared that is not zero, raises
-    ValidationError naming the degree and the orbit.
+def tensor_orbit_complex(form: OrbitForm, coeffs) -> PresentedComplex:
+    """The complex C tensor F of a complex C of permutation modules given as
+    a checked `OrbitForm`; this is the one place where relhom lays out
+    orbit blocks, reading each boundary as `orbit_map_matrix` does.  The
+    form was checked when it was built, so nothing is checked here.
 
     The coefficients answer two questions: ``orbit_value(K)``, the value
     at an orbit with stabilizer K as a rank and a relation matrix (or
@@ -718,14 +717,7 @@ def tensor_orbit_complex(
     given some other way answer for these laws themselves.  A result with
     relation blocks is checked by its cone, as `PresentedComplex.cone`
     says."""
-    fault = orbit_form_fault(stabilizers, boundaries)
-    if fault is not None:
-        n, s, squared = fault
-        if squared:
-            raise ValidationError(f"boundary squared is nonzero at degree {n} (orbit {s})")
-        raise ValidationError(
-            f"boundary of orbit {s} in degree {n} is not fixed by its stabilizer"
-        )
+    stabilizers, boundaries = form.stabilizers, form.boundaries
     ranks: List[int] = []
     rel_blocks: Dict[int, List[Tuple[int, IntMatrix]]] = {}
     for n, stabs in enumerate(stabilizers):
@@ -751,13 +743,12 @@ def tensor_orbit_complex(
 def tensor_free_resolution(res: FreeResolution, m: GModule) -> PresentedComplex:
     """The complex res tensor_Z[G] M: each free generator is an orbit with
     trivial stabilizer, and the resolution's generator images are already
-    the orbit entries `tensor_orbit_complex` reads."""
+    the orbit entries of an `OrbitForm`, checked on each call."""
     if m.group is not res.group:
         raise ValidationError("module over a different group")
     trivial = res.group.trivial_subgroup()
-    return tensor_orbit_complex(
-        [[trivial] * r for r in res.free_ranks], res.gen_images[1:], m
-    )
+    form = OrbitForm([[trivial] * r for r in res.free_ranks], res.gen_images[1:])
+    return tensor_orbit_complex(form, m)
 
 
 def tensor_gmodule_complex(
@@ -843,7 +834,7 @@ def tensor_perm_complex(
                 for rep in orbit_data[k][2]
             ]
         )
-    return tensor_orbit_complex(stabilizers, rep_boundaries, m)
+    return tensor_orbit_complex(OrbitForm(stabilizers, rep_boundaries), m)
 
 
 # ---------------------------------------------------------------------------

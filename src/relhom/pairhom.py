@@ -28,6 +28,7 @@ from .modres import (
     _chain_lift,
     FreeResolution,
     GModule,
+    OrbitForm,
     cached_resolution,
     coinvariants,
     horseshoe,
@@ -78,6 +79,10 @@ class AdamsonComplex:
     budget its k^(n+1) tuples, the tensor budget its G-orbits, which
     `standard_orbits[n]` holds by Burnside's count sum_g fix(g)^(n+1)/|G|
     over the cosets fix(g) that g fixes.
+
+    ``form`` is the complex's `modres.OrbitForm` (the stabilizer and the
+    boundary of each orbit representative), checked once when the complex
+    is built; `tensor` reads it for every module.
     """
 
     def __init__(
@@ -106,8 +111,8 @@ class AdamsonComplex:
         self.orbit_of: List[List[int]] = []
         self.transporter: List[List[int]] = []
         self.reps: List[List[int]] = []
-        self.stabilizer: List[List[Subgroup]] = []
-        self.rep_boundary: List[List[List[Tuple[int, int, int]]]] = []
+        stabilizers: List[List[Subgroup]] = []
+        boundaries: List[List[List[Tuple[int, int, int]]]] = []
         self._tensor_cache: Dict[tuple, PresentedComplex] = {}
         for n in range(truncation + 1):
             if normalized and n:
@@ -140,9 +145,8 @@ class AdamsonComplex:
             self.orbit_of.append(orbit)
             self.transporter.append(trans)
             self.reps.append(reps)
-            self.stabilizer.append(stabs)
+            stabilizers.append(stabs)
             if n == 0:
-                self.rep_boundary.append([[] for _ in reps])
                 continue
             prev_index = self.tuple_index[n - 1]
             bdry: List[List[Tuple[int, int, int]]] = []
@@ -157,7 +161,8 @@ class AdamsonComplex:
                     key = (self.orbit_of[n - 1][fi], self.transporter[n - 1][fi])
                     acc[key] = acc.get(key, 0) + (1 if i % 2 == 0 else -1)
                 bdry.append([(o, g, c) for (o, g), c in acc.items() if c])
-            self.rep_boundary.append(bdry)
+            boundaries.append(bdry)
+        self.form = OrbitForm(stabilizers, boundaries)
 
     def num_orbits(self, n: int) -> int:
         return len(self.reps[n])
@@ -183,9 +188,7 @@ class AdamsonComplex:
         key = m.value_key()
         cx = self._tensor_cache.get(key)
         if cx is None:
-            cx = self._tensor_cache[key] = tensor_orbit_complex(
-                self.stabilizer, self.rep_boundary[1:], m
-            )
+            cx = self._tensor_cache[key] = tensor_orbit_complex(self.form, m)
         return cx
 
     def shifted_tensor(self, m: GModule, rank_cap: int = DEFAULT_RANK_CAP) -> PresentedComplex:
@@ -443,6 +446,8 @@ def comparison(
         )
     top = degs[-1]
     std = standard_modules(h)
+    # the tuple budget before any work: resolving I can run far past it
+    _check_tuple_budget(h, top + 1, rank_cap)
     p = cached_resolution(std.i_module, top, rank_cap)
     # the full complex: the lift runs along its cone homotopy, and phi is
     # read in its homology coordinates
@@ -461,7 +466,9 @@ def comparison(
             [(orbit[index[t]], trans[index[t]], c) for t, c in vec.items()]
             for vec in lift[n]
         ]
-        comps[n] = orbit_map_matrix(entries, [trivial] * len(entries), cx.stabilizer[n + 1], m)
+        comps[n] = orbit_map_matrix(
+            entries, [trivial] * len(entries), cx.form.stabilizers[n + 1], m
+        )
     pcm = PresentedChainMap(sp, tq, comps)
     for i in degs:
         tak = sp.homology_data(i - 1).group
@@ -639,12 +646,6 @@ def verify_takasu_les(
         raise ValidationError(
             f"Shapiro lift v (induced resolution -> horseshoe resolution): {exc}"
         ) from None
-    # chi = projection of v onto the Z-side generators, which the middle
-    # term holds after its ri I-side ones
-    chi_cols = [
-        [tuple((i - ri, g, c) for i, g, c in col if i >= ri) for col in level]
-        for level, ri in zip(v_cols, res_i.free_ranks)
-    ]
     ti = res_i.tensor(m)
     tm = mid.tensor(m)
     tz = res_z.tensor(m)
@@ -659,7 +660,6 @@ def verify_takasu_les(
     incl_comps = {}
     proj_comps = {}
     v_comps = {}
-    chi_comps = {}
     for k in range(length + 1):
         ri, rz = res_i.free_ranks[k], res_z.free_ranks[k]
         # the middle term holds the I-side generators first
@@ -671,11 +671,11 @@ def verify_takasu_les(
         )
         if k < len(v_cols):
             v_comps[k] = free_map(v_cols[k], ri + rz)
-            chi_comps[k] = free_map(chi_cols[k], rz)
     incl = PresentedChainMap(ti, tm, incl_comps)
     proj = PresentedChainMap(tm, tz, proj_comps)
     vmap = PresentedChainMap(th, tm, v_comps)
-    chimap = PresentedChainMap(th, tz, chi_comps)
+    # H_n(H) -> H_n(G) is read through proj o v
+    chimap = PresentedChainMap(th, tz, {k: proj_comps[k] @ v for k, v in v_comps.items()})
     conn_mats = {
         k: free_map(horse.h_gen_images[k - 1], res_i.free_ranks[k - 1])
         for k in range(1, length + 1)

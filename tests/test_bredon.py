@@ -204,7 +204,7 @@ _POINTS = [((1,), ()), ((1,), ())]
         # R_0 - R_1 into a free orbit: the two maps differ, so d^2 != 0
         (
             _cells_doc([((), ())], [((), ((0, 0, 1), (0, 1, -1)))], [((), ((0, 0, 1),))]),
-            "formal boundary squared is nonzero on cell 0 in dimension 2",
+            r"^boundary squared is nonzero at degree 2 \(orbit 0\)$",
         ),
     ],
 )
@@ -225,7 +225,7 @@ def test_gcw_validate_refuses_a_stabilizer_of_another_group(c2, c4):
 
 
 def test_left_coset_keys_group_as_the_right_coset_minimum(s3, c6):
-    """`orbit_form_fault` keys an orbit entry (tgt, a^-1, c) by the left
+    """`OrbitForm` keys an orbit entry (tgt, a^-1, c) by the left
     coset a^-1 K; the orbit morphism R_a is the right coset K a, named by its
     least element.  Inversion matches the two, so both group alike."""
     from relhom.bredon import _canonical_rep

@@ -117,10 +117,10 @@ def test_smith_2468():
 
 
 def test_solve_integer():
-    assert R.solve_integer(IntMatrix([[2]]), [4]) == [2]
-    assert R.solve_integer(IntMatrix([[2]]), [3]) is None
+    assert R.IntSolver(IntMatrix([[2]])).solve([4]) == [2]
+    assert R.IntSolver(IntMatrix([[2]])).solve([3]) is None
     a = IntMatrix([[2, 3]])
-    x = R.solve_integer(a, [1])
+    x = R.IntSolver(a).solve([1])
     assert x is not None and a.apply(x) == [1]
 
 

@@ -70,10 +70,8 @@ def test_adamson_groups_match_the_presented_route(pair):
     h = group.subgroup_generated(gens)
     cx = R.AdamsonComplex(h, 4, rank_cap=10 ** 6)
     for name, m in _modules(h).items():
-        free = tensor_orbit_complex(cx.stabilizer, cx.rep_boundary[1:], m)
-        presented = tensor_orbit_complex(
-            cx.stabilizer, cx.rep_boundary[1:], PresentedCoefficients(m)
-        )
+        free = tensor_orbit_complex(cx.form, m)
+        presented = tensor_orbit_complex(cx.form, PresentedCoefficients(m))
         assert not free.has_relations(), name
         for n in range(4):
             assert free.homology(n) == presented.homology(n), (name, n)

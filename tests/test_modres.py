@@ -192,17 +192,6 @@ def test_coinvariants_regular(c2):
     assert str(coin.group) == "Z"
 
 
-def test_restriction(s3, s3_transposition):
-    reg = GModule.regular(s3)
-    res = R.restriction(reg, s3_transposition)
-    assert res.group.order == 2
-    assert res.rank == 6
-    # restricted regular module is free over the subgroup
-    hgrp, _ = R.subgroup_as_group(s3_transposition)
-    for n in range(1, 3):
-        assert R.group_homology(hgrp, res, n).is_trivial()
-
-
 def _equivariant(group, gen_images, rows):
     """The Z-matrix of the equivariant map out of Z[G]^s whose generator j
     goes to gen_images[j], orbit entries (i, h, c) of Z[G]^r, in the basis

@@ -1,15 +1,17 @@
-"""d d = 0 checked once, on the orbit form, when tensoring.
+"""d d = 0 checked once per complex, on its orbit form, when it is built.
 
-`modres.tensor_orbit_complex` checks its orbit-form input with
-`orbit_form_fault` (every boundary fixed by its stabilizer, every boundary
-squared zero) and returns a result without relation blocks as already
-checked, so `PresentedComplex.cone` multiplies no tensored boundaries.
-These tests prove that the builder carries the law over: tensored
-boundaries of a checked orbit form multiply to zero (`product_gaps`, the
-check the cone would have made), on random orbit complexes with random
-coefficients and on every complex the benchmark jobs build; and an orbit
-form that breaks the law is refused, where without the check the result
-would carry d d != 0.
+`modres.OrbitForm` checks its data when it is built (every boundary fixed
+by its stabilizer, every boundary squared zero), and
+`modres.tensor_orbit_complex` takes only a form and returns a result
+without relation blocks as already checked, so `PresentedComplex.cone`
+multiplies no tensored boundaries.  These tests prove that the builder
+carries the law over: tensored boundaries of a checked orbit form multiply
+to zero (`product_gaps`, the check the cone would have made), on random
+orbit complexes with random coefficients and on every complex the
+benchmark jobs build; an orbit form that breaks the law is refused, where
+a form built without the check would tensor to d d != 0; each complex is
+checked once, where it is built; and a form keeps the data it was checked
+on.
 """
 
 import itertools
@@ -26,7 +28,7 @@ from relhom import bredon, modres, pairhom
 from relhom.errors import ValidationError
 from relhom.exactla import product_gaps
 from relhom.groups import SubgroupFamily
-from relhom.modres import orbit_form_fault, standard_modules, tensor_orbit_complex
+from relhom.modres import OrbitForm, standard_modules, tensor_orbit_complex
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -170,8 +172,7 @@ def _coefficients(draw, G, kind):
 def test_checked_orbit_forms_tensor_to_complexes(data):
     G, kind, stabs, bounds = data.draw(orbit_complexes())
     coeffs = _coefficients(data.draw, G, kind)
-    assert orbit_form_fault(stabs, bounds) is None
-    cx = tensor_orbit_complex(stabs, bounds, coeffs)
+    cx = tensor_orbit_complex(OrbitForm(stabs, bounds), coeffs)
     if cx.has_relations():
         cx.cone()  # the cone route checks its own d d = 0
     else:
@@ -193,12 +194,16 @@ def _s3_tuples():
     return s3, stabs, bounds
 
 
-def _without_the_check(monkeypatch):
-    monkeypatch.setattr(modres, "orbit_form_fault", lambda stabilizers, boundaries: None)
+def _unchecked(stabs, bounds):
+    """The form of this data, built without `OrbitForm`'s check."""
+    form = object.__new__(OrbitForm)
+    object.__setattr__(form, "stabilizers", stabs)
+    object.__setattr__(form, "boundaries", bounds)
+    return form
 
 
 @pytest.mark.parametrize("delta", [1, -2])
-def test_a_corrupted_entry_is_refused(monkeypatch, delta):
+def test_a_corrupted_entry_is_refused(delta):
     G, stabs, bounds = _s3_tuples()
     reg = GModule.regular(G)
     corrupted = 0
@@ -209,15 +214,14 @@ def test_a_corrupted_entry_is_refused(monkeypatch, delta):
             bad = [list(level) for level in bounds]
             bad[1] = [list(e) for e in bounds[1]]
             bad[1][s][j] = (o, g, c + delta)
-            assert orbit_form_fault(stabs, bad) == (2, s, True)
-            with pytest.raises(ValidationError, match="boundary squared is nonzero at degree 2"):
-                tensor_orbit_complex(stabs, bad, reg)
-            with monkeypatch.context() as mp:
-                _without_the_check(mp)
-                # C tensor Z[G] is C itself: the unchecked result is taken
-                # as checked, yet its d d is not zero
-                cx = tensor_orbit_complex(stabs, bad, reg)
-                assert cx._checked and not _products_vanish(cx)
+            with pytest.raises(
+                ValidationError, match=rf"^boundary squared is nonzero at degree 2 \(orbit {s}\)$"
+            ):
+                OrbitForm(stabs, bad)
+            # C tensor Z[G] is C itself: the unchecked result is taken as
+            # checked, yet its d d is not zero
+            cx = tensor_orbit_complex(_unchecked(stabs, bad), reg)
+            assert cx._checked and not _products_vanish(cx)
             corrupted += 1
     assert corrupted >= 4
 
@@ -233,16 +237,15 @@ def _unfixed_boundary():
     return c2, stabs, bounds
 
 
-def test_a_boundary_its_stabilizer_moves_is_refused(monkeypatch):
+def test_a_boundary_its_stabilizer_moves_is_refused():
     c2, stabs, bounds = _unfixed_boundary()
     reg = GModule.regular(c2)
-    assert orbit_form_fault(stabs, bounds) == (1, 0, False)
-    with pytest.raises(ValidationError, match="boundary of orbit 0 in degree 1 is not fixed"):
-        tensor_orbit_complex(stabs, bounds, reg)
-    with monkeypatch.context() as mp:
-        _without_the_check(mp)
-        cx = tensor_orbit_complex(stabs, bounds, reg)
-        assert cx._checked and not _products_vanish(cx)
+    with pytest.raises(
+        ValidationError, match="^boundary of orbit 0 in degree 1 is not fixed by its stabilizer$"
+    ):
+        OrbitForm(stabs, bounds)
+    cx = tensor_orbit_complex(_unchecked(stabs, bounds), reg)
+    assert cx._checked and not _products_vanish(cx)
 
 
 def test_a_fixed_sum_of_non_orbit_maps_tensors_as_its_presented_route(c2):
@@ -285,8 +288,8 @@ def test_every_tensored_complex_of_the_workloads_squares_to_zero(monkeypatch):
     `tensor_orbit_complex` returns is checked by the product oracle."""
     built = []
 
-    def recording(stabilizers, boundaries, coeffs):
-        cx = tensor_orbit_complex(stabilizers, boundaries, coeffs)
+    def recording(form, coeffs):
+        cx = tensor_orbit_complex(form, coeffs)
         built.append(cx)
         return cx
 
@@ -300,3 +303,65 @@ def test_every_tensored_complex_of_the_workloads_squares_to_zero(monkeypatch):
     assert len(free) > 1000
     assert all(cx._checked for cx in free)
     assert all(_products_vanish(cx) for cx in free)
+
+
+# ---------------------------------------------------------------------------
+# each complex is checked once, where it is built
+
+
+def _counting_forms(monkeypatch):
+    """A list that grows by one for every `OrbitForm` built from now on."""
+    built = []
+    init = OrbitForm.__init__
+
+    def counting(self, stabilizers, boundaries):
+        built.append(self)
+        init(self, stabilizers, boundaries)
+
+    monkeypatch.setattr(OrbitForm, "__init__", counting)
+    return built
+
+
+def test_an_adamson_pass_builds_one_form(monkeypatch):
+    """Z, Z[G/H] and Z[G] on D5 > C2, every degree read at one truncation:
+    one coset-tuple complex, so one form, tensored with each module."""
+    d5 = R.dihedral_group(5)
+    h = d5.subgroup_generated([next(g for g in d5.elements() if d5.element_order(g) == 2)])
+    built = _counting_forms(monkeypatch)
+    for m in (GModule.trivial(d5), GModule.permutation(h), GModule.regular(d5)):
+        for n in range(3):
+            R.adamson_homology(h, m, n, truncation=3)
+    assert len(built) == 1
+
+
+def test_a_bredon_job_builds_one_form(monkeypatch):
+    """Each bredon job of the orbit workload checks its cell data once, in
+    `GCWData.validate`, and tensors that form."""
+    monkeypatch.setattr(groups, "_interned", {})
+    jobs = [doc for doc in workloads.distinct_jobs("orbit") if doc["command"] == "bredon"]
+    assert jobs
+    for doc in jobs:
+        built = _counting_forms(monkeypatch)
+        cli.run(cli.Job(doc))
+        assert len(built) == 1, doc
+
+
+def test_a_form_keeps_the_data_it_was_checked_on():
+    """Changing the lists a form was built from, down to its entries,
+    changes neither the form nor its tensor."""
+    G, stabs, bounds = _s3_tuples()
+    bounds = [[[list(entry) for entry in entries] for entries in level] for level in bounds]
+    reg = GModule.regular(G)
+    form = OrbitForm(stabs, bounds)
+    data = (form.stabilizers, form.boundaries)
+    before = tensor_orbit_complex(form, reg)
+    stabs[0].reverse()
+    bounds[1][0][0][2] += 1
+    bounds[1][1].append([0, 0, 1])
+    bounds[0].pop()
+    assert (form.stabilizers, form.boundaries) == data
+    after = tensor_orbit_complex(form, reg)
+    assert after.ranks == before.ranks
+    assert all(after.boundary(n) == before.boundary(n) for n in (1, 2))
+    with pytest.raises(AttributeError):
+        form.boundaries = bounds

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -287,3 +288,18 @@ def test_budget_on_cached_resolutions():
     assert cold == warm == term0
     cold, warm = _cold_and_warm(warm_up, lambda h: R.takasu_resolution(h, 2, rank_cap=100))
     assert cold == warm == ("relative standard resolution term 2 for C4 (Z-rank)", 224, 100)
+
+
+def test_comparison_checks_the_tuple_budget_before_resolving():
+    """S4 > C3 has 8 cosets, so degrees up to 4 need 8^5 = 32768 tuples in
+    degree 4, over the default cap.  The refusal comes before I(G,H) is
+    resolved, which alone runs far longer than the bound here."""
+    s4 = R.symmetric_group(4)
+    c3 = s4.subgroup_generated([next(g for g in s4.elements() if s4.element_order(g) == 3)])
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as refusal:
+        R.comparison(c3, GModule.trivial(s4), [2, 3, 4])
+    assert time.perf_counter() - start < 2
+    assert str(refusal.value) == (
+        "standard pair complex degree 4 for S4 needs rank 32768, exceeding the budget cap 5000"
+    )
